@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -165,6 +166,204 @@ def _monotone_decreasing(values: list[float], strict: bool = True) -> bool:
     return all(b < a if strict else b <= a for a, b in pairs)
 
 
+def _squares(cfg: dict, default: str) -> tuple[Fraction, ...]:
+    """`--coeffs` as exact squared coefficients, which must sum to exactly 1."""
+    squares = _parse_fraction_list(cfg.get("coeffs") or default, "--coeffs")
+    if sum(squares) != 1:
+        raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
+    return squares
+
+
+def _set_level_gaps(rows: list[dict], column: str, level: tuple[str, ...]) -> None:
+    """Set each row's `level_gap`: the change in `column` since the previous row
+    of the same level (equal values of the `level` columns), None where a level
+    starts."""
+    previous = None
+    for row in rows:
+        same = previous is not None and all(row[k] == previous[k] for k in level)
+        row["level_gap"] = row[column] - previous[column] if same else None
+        previous = row
+
+
+# ---------------------------------------------------------------------------
+# The command table: one entry per subcommand
+
+
+def _abs_difference(minuend: str, subtrahend: str):
+    return lambda row: abs(float(row[minuend]) - float(row[subtrahend]))
+
+
+def _closed_form_columns(closed_form, bound) -> tuple:
+    """The columns that end chain and dim rows: the measured chain value against
+    its closed form and bound, which `closed_form` and `bound` recompute from a
+    row.  `_closed_form_row` fills them in this order."""
+    return (
+        "value",
+        ("closed_form", closed_form),
+        ("bound", bound),
+        ("closed_form_deviation", _abs_difference("value", "closed_form")),
+        "bound_holds",
+        "verdict",
+    )
+
+
+def _lemma_coefficient(row: dict) -> Fraction:
+    J = row["J"]
+    if isinstance(J, (list, tuple)):
+        size = len(J)
+    else:
+        tokens = str(J).strip("()[]").replace("|", ",").split(",")
+        size = len([tok for tok in tokens if tok.strip()])
+    return halfsum.bound_coefficient(int(row["r"]), size)
+
+
+_SWEEP_FLAGS = (
+    ("--N", {"help": "comma list of chain depths"}),
+    ("--n", {"help": "comma list of precisions"}),
+    ("--l", {"help": "comma list of approximant levels"}),
+    ("--coeffs", {"help": "comma list of squared coefficients (fractions)"}),
+    ("--model", {"help": "model fixture name or JSON file path"}),
+    ("--seed", {"type": int, "help": "seed for randomized audits"}),
+    ("--tol", {"type": float, "help": "verdict tolerance"}),
+)
+_IO_FLAGS = (
+    ("--format", {"choices": ("csv", "json"), "help": "report format"}),
+    ("--out", {"help": "output path (default: stdout)"}),
+    ("--workers", {"type": int, "help": "worker pool size"}),
+    ("--config", {"help": "JSON config file mirroring the flags"}),
+)
+_SHARED_FLAGS = (*_SWEEP_FLAGS, *_IO_FLAGS)
+_STATE_FLAG = ("--state", {"help": "preparation (built-in: bell)"})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One subcommand.
+
+    `handler` names the module-level `run_*` function that builds the report.
+    It is looked up when the command runs, so a wrapper bound to that name
+    (as `bench/tracer.py` installs) is what runs.  `columns` lists the report
+    columns in order: a derived column is a (name, rule) pair, where the rule
+    recomputes the cell from the row's other cells and `validate` checks it.
+    `flags` are the subcommand's flags in `--help` order.
+    """
+
+    handler: str
+    format: str
+    columns: tuple
+    flags: tuple = _SHARED_FLAGS
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(c if isinstance(c, str) else c[0] for c in self.columns)
+
+    @property
+    def recompute(self) -> dict:
+        return dict(c for c in self.columns if not isinstance(c, str))
+
+
+_COMMANDS: dict[str, _Command] = {
+    "chain": _Command(
+        "run_chain", "csv",
+        ("command", "N", *_closed_form_columns(
+            lambda row: cb.bell_chain_closed_form(int(row["N"])),
+            lambda row: cb.bell_chain_bound(int(row["N"])),
+        )),
+        flags=(*_SHARED_FLAGS, _STATE_FLAG),
+    ),
+    "dim": _Command(
+        "run_dim", "csv",
+        ("command", "N", "d", "pair", "pair_square", *_closed_form_columns(
+            lambda row: cb.ddim_chain_closed_form(int(row["N"]), float(row["pair_square"])),
+            lambda row: cb.ddim_chain_bound(int(row["N"]), float(row["pair_square"])),
+        )),
+    ),
+    "sqrt-rational": _Command(
+        "run_sqrt_rational", "csv",
+        (
+            "command", "N", "n", "r", "slots", "value",
+            # 2N (2/r) sin^2(pi/4N): two rotated slots of weight 1/r each
+            ("reference",
+             lambda row: cb.bell_chain_closed_form(int(row["N"])) * 2.0 / int(row["r"])),
+            ("gap", _abs_difference("value", "reference")),
+            "gap_bound", "level_gap", "verdict",
+        ),
+    ),
+    "arbitrary": _Command(
+        "run_arbitrary", "csv",
+        ("command", "model", "N", "l", "n", "r", "achieved_epsilon",
+         "epsilon_pair", "epsilon_half", "epsilon_coefficient",
+         "links_hold", "conclusion_holds", "level_gap", "verdict"),
+    ),
+    "lemma": _Command(
+        "run_lemma", "json",
+        ("command", "r", "J", "check", "lhs", "rhs", "exact",
+         ("coefficient", _lemma_coefficient), "verdict"),
+        flags=(
+            *_SHARED_FLAGS,
+            ("--r", {"type": int, "help": "even sequence length"}),
+            ("--J", {"help": "comma list of distinguished indices"}),
+        ),
+    ),
+    "embezzle": _Command(
+        "run_embezzle", "csv",
+        (
+            "command", "l", "n", "r", "numerators", "fidelity", "z_form",
+            ("z_form_gap", lambda row: float(row["fidelity"]) - float(row["z_form"])),
+            ("one_minus_fidelity", lambda row: 1.0 - float(row["fidelity"])),
+            "trace_distance", "distance_bound", "lower_bound_holds",
+            "distance_bound_holds", "level_gap", "verdict",
+        ),
+    ),
+    "pc": _Command(
+        "run_pc", "csv", ("command", "family", "n", "event", "mismatch", "verdict")
+    ),
+    "couple": _Command(
+        "run_couple", "csv",
+        ("command", "instance", "kind", "dimension", "max_deviation", "verdict"),
+        flags=(
+            *_SHARED_FLAGS,
+            ("--instances", {"type": int, "help": "random instances to run"}),
+        ),
+    ),
+    "audit": _Command(
+        "run_audit", "json",
+        ("command", "model", "N", "chain_value",
+         ("chain_closed_form", lambda row: cb.bell_chain_closed_form(int(row["N"]))),
+         "lhs", "model_chain_value", "refuted", "undefined", "verdict"),
+        flags=(
+            *_SHARED_FLAGS, _STATE_FLAG,
+            ("--N-max", {"dest": "N_max", "type": int,
+                         "help": "audit chains up to this depth"}),
+        ),
+    ),
+    "validate": _Command(
+        "run_validate", "json", ("command", "file", "valid", "diagnostics"),
+        flags=(
+            ("file", {"help": "report file to validate (.csv or .json)"}),
+            ("--lenient", {"action": "store_true", "default": None,
+                           "help": "tolerate added columns"}),
+            *_IO_FLAGS,
+        ),
+    ),
+}
+
+
+def _report(
+    command: str, parameters: dict, rows: list[dict], passed: bool = True, **extra
+) -> dict:
+    """A report of `command` with its table columns; it passes when every row's
+    verdict passed and `passed` holds."""
+    return {
+        "command": command,
+        "parameters": parameters,
+        "columns": list(_COMMANDS[command].names),
+        "rows": rows,
+        **extra,
+        "passed": passed and all(row["verdict"] == "pass" for row in rows),
+    }
+
+
 # ---------------------------------------------------------------------------
 # chain: two-outcome chained correlations on the Bell state
 
@@ -176,23 +375,24 @@ def _require_bell(cfg: dict) -> SparseState:
     return cb.bell_state()
 
 
+def _closed_form_row(command: str, head: tuple, report: cb.ChainReport, tol: float) -> dict:
+    """A chain or dim row: the `head` cells, then the `_closed_form_columns`
+    cells of `report`."""
+    deviation = abs(report.value - report.closed_form)
+    bound_holds = report.value <= report.bound + tol
+    cells = (
+        *head, report.value, report.closed_form, report.bound, deviation, bound_holds,
+        _verdict(deviation <= tol and bound_holds),
+    )
+    return dict(zip(_COMMANDS[command].names, cells, strict=True))
+
+
 def _chain_point(args: tuple[int, float]) -> dict:
     N, tol = args
     report = cb.correlation_measure_IN(
         cb.bell_state(), cb.ChainSpec(N=N, pair=(0, 1)), ("A",), ("B",)
     )
-    deviation = abs(report.value - report.closed_form)
-    ok = deviation <= tol and report.value <= report.bound + tol
-    return {
-        "command": "chain",
-        "N": N,
-        "value": report.value,
-        "closed_form": report.closed_form,
-        "bound": report.bound,
-        "closed_form_deviation": deviation,
-        "bound_holds": report.value <= report.bound + tol,
-        "verdict": _verdict(ok),
-    }
+    return _closed_form_row("chain", ("chain", N), report, tol)
 
 
 def run_chain(cfg: dict) -> dict:
@@ -200,16 +400,7 @@ def run_chain(cfg: dict) -> dict:
     Ns = _parse_int_list(cfg.get("N") or "1,2,4,8,16", "--N")
     tol = float(cfg.get("tol") or 1e-12)
     rows = _map_grid(_chain_point, [(N, tol) for N in Ns], _resolve_workers(cfg))
-    return {
-        "command": "chain",
-        "parameters": {"state": "bell", "N": list(Ns), "tol": tol},
-        "columns": [
-            "command", "N", "value", "closed_form", "bound",
-            "closed_form_deviation", "bound_holds", "verdict",
-        ],
-        "rows": rows,
-        "passed": all(r["verdict"] == "pass" for r in rows),
-    }
+    return _report("chain", {"state": "bell", "N": list(Ns), "tol": tol}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +415,12 @@ def _dim_point(args: tuple[tuple[str, ...], int, int, int, float]) -> dict:
         N=N, pair=(lo, hi), eigenvalue_scheme=cb.dimension_scheme
     )
     report = cb.correlation_measure_IN_prime(state, spec, ("A",), ("B",))
-    deviation = abs(report.value - report.closed_form)
-    ok = deviation <= tol and report.value <= report.bound + tol
-    return {
-        "command": "dim",
-        "N": N,
-        "d": len(squares),
-        "pair": (lo, hi),
-        "pair_square": float(squares[lo]),
-        "value": report.value,
-        "closed_form": report.closed_form,
-        "bound": report.bound,
-        "closed_form_deviation": deviation,
-        "bound_holds": report.value <= report.bound + tol,
-        "verdict": _verdict(ok),
-    }
+    head = ("dim", N, len(squares), (lo, hi), float(squares[lo]))
+    return _closed_form_row("dim", head, report, tol)
 
 
 def run_dim(cfg: dict) -> dict:
-    squares = _parse_fraction_list(cfg.get("coeffs") or "1/3,1/3,1/3", "--coeffs")
-    if sum(squares) != 1:
-        raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
+    squares = _squares(cfg, "1/3,1/3,1/3")
     Ns = _parse_int_list(cfg.get("N") or "1,2,4,8", "--N")
     tol = float(cfg.get("tol") or 1e-12)
     pair = next(
@@ -261,21 +437,8 @@ def run_dim(cfg: dict) -> dict:
     squares_text = tuple(str(q) for q in squares)
     points = [(squares_text, pair[0], pair[1], N, tol) for N in Ns]
     rows = _map_grid(_dim_point, points, _resolve_workers(cfg))
-    return {
-        "command": "dim",
-        "parameters": {
-            "coeffs": [str(q) for q in squares],
-            "pair": list(pair),
-            "N": list(Ns),
-            "tol": tol,
-        },
-        "columns": [
-            "command", "N", "d", "pair", "pair_square", "value", "closed_form",
-            "bound", "closed_form_deviation", "bound_holds", "verdict",
-        ],
-        "rows": rows,
-        "passed": all(r["verdict"] == "pass" for r in rows),
-    }
+    parameters = {"coeffs": list(squares_text), "pair": list(pair), "N": list(Ns), "tol": tol}
+    return _report("dim", parameters, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +454,7 @@ def _sqrt_rational_point(args: tuple[tuple[str, ...], int, int, float]) -> dict:
     lo, hi = ordered[0], ordered[-1]
     measured = ez.fast_pair_chain(spec, N, lo, hi, stats).value
     reference = 2 * N * ez.chi_pair_disagreement_closed_form(spec, N)
-    d1, _ = ez.extraction_distances(spec)
+    d1, _ = ez.extraction_distances(spec, state=state)
     bound = 2 * N * d1
     gap = abs(measured - reference)
     return {
@@ -309,9 +472,7 @@ def _sqrt_rational_point(args: tuple[tuple[str, ...], int, int, float]) -> dict:
 
 
 def run_sqrt_rational(cfg: dict) -> dict:
-    squares = _parse_fraction_list(cfg.get("coeffs") or "1/3,2/3", "--coeffs")
-    if sum(squares) != 1:
-        raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
+    squares = _squares(cfg, "1/3,2/3")
     Ns = _parse_int_list(cfg.get("N") or "2", "--N")
     ns = _parse_int_list(cfg.get("n") or "100", "--n")
     tol = float(cfg.get("tol") or 1e-12)
@@ -325,25 +486,12 @@ def run_sqrt_rational(cfg: dict) -> dict:
             {"N": N, "n": list(ns), "gap": gaps,
              "decreasing": _monotone_decreasing(gaps, strict=False)}
         )
-    for row, previous in zip(rows[1:], rows):
-        row["level_gap"] = (
-            row["gap"] - previous["gap"] if row["N"] == previous["N"] else None
-        )
-    rows[0]["level_gap"] = None
-    return {
-        "command": "sqrt-rational",
-        "parameters": {
-            "coeffs": [str(q) for q in squares], "N": list(Ns), "n": list(ns),
-            "tol": tol, "nesting": ["N", "n (innermost)"],
-        },
-        "columns": [
-            "command", "N", "n", "r", "slots", "value", "reference", "gap",
-            "gap_bound", "level_gap", "verdict",
-        ],
-        "rows": rows,
-        "convergence": convergence,
-        "passed": all(r["verdict"] == "pass" for r in rows),
+    _set_level_gaps(rows, "gap", ("N",))
+    parameters = {
+        "coeffs": list(squares_text), "N": list(Ns), "n": list(ns),
+        "tol": tol, "nesting": ["N", "n (innermost)"],
     }
+    return _report("sqrt-rational", parameters, rows, convergence=convergence)
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +530,13 @@ def run_lemma(cfg: dict) -> dict:
                 "verdict": _verdict(lhs == rhs and result["holds"]),
             }
         )
-    return {
-        "command": "lemma",
-        "parameters": {"r": r, "J": list(J), "seed": seed, "via_complement": not direct},
-        "columns": [
-            "command", "r", "J", "check", "lhs", "rhs", "exact",
-            "coefficient", "verdict",
-        ],
-        "rows": rows,
-        "coefficient": halfsum.bound_coefficient(r, len(J)),
-        "window_size": system.x,
-        "passed": all(row["verdict"] == "pass" for row in rows),
-    }
+    return _report(
+        "lemma",
+        {"r": r, "J": list(J), "seed": seed, "via_complement": not direct},
+        rows,
+        coefficient=halfsum.bound_coefficient(r, len(J)),
+        window_size=system.x,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +572,7 @@ def _embezzle_point(args: tuple[tuple[str, ...], int | None, int, float]) -> dic
 
 
 def run_embezzle(cfg: dict) -> dict:
-    squares = _parse_fraction_list(cfg.get("coeffs") or "1/3,2/3", "--coeffs")
-    if sum(squares) != 1:
-        raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
+    squares = _squares(cfg, "1/3,2/3")
     ns = _parse_int_list(cfg.get("n") or "100,1000", "--n")
     ls: tuple[int | None, ...]
     ls = _parse_int_list(cfg["l"], "--l") if cfg.get("l") else (None,)
@@ -448,29 +589,12 @@ def run_embezzle(cfg: dict) -> dict:
         convergence.append(
             {"l": l, "n": list(ns), "one_minus_fidelity": losses, "decreasing": decreasing}
         )
-    for row, previous in zip(rows[1:], rows):
-        row["level_gap"] = (
-            row["one_minus_fidelity"] - previous["one_minus_fidelity"]
-            if row["l"] == previous["l"]
-            else None
-        )
-    rows[0]["level_gap"] = None
-    return {
-        "command": "embezzle",
-        "parameters": {
-            "coeffs": [str(q) for q in squares], "l": list(ls), "n": list(ns),
-            "tol": tol, "nesting": ["l", "n (innermost)"],
-        },
-        "columns": [
-            "command", "l", "n", "r", "numerators", "fidelity", "z_form",
-            "z_form_gap", "one_minus_fidelity", "trace_distance",
-            "distance_bound", "lower_bound_holds", "distance_bound_holds",
-            "level_gap", "verdict",
-        ],
-        "rows": rows,
-        "convergence": convergence,
-        "passed": all(r["verdict"] == "pass" for r in rows) and all_decreasing,
+    _set_level_gaps(rows, "one_minus_fidelity", ("l",))
+    parameters = {
+        "coeffs": list(squares_text), "l": list(ls), "n": list(ns),
+        "tol": tol, "nesting": ["l", "n (innermost)"],
     }
+    return _report("embezzle", parameters, rows, all_decreasing, convergence=convergence)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +602,7 @@ def run_embezzle(cfg: dict) -> dict:
 
 
 def run_pc(cfg: dict) -> dict:
-    squares = _parse_fraction_list(cfg.get("coeffs") or "1/3,2/3", "--coeffs")
-    if sum(squares) != 1:
-        raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
+    squares = _squares(cfg, "1/3,2/3")
     ns = _parse_int_list(cfg.get("n") or "200", "--n")
     seed = int(cfg.get("seed") or 0)
     tol = float(cfg.get("tol") or 1e-12)
@@ -515,17 +637,8 @@ def run_pc(cfg: dict) -> dict:
             }
             for q in report["quantum"]
         )
-    return {
-        "command": "pc",
-        "parameters": {
-            "coeffs": [str(q) for q in squares], "n": list(ns),
-            "seed": seed, "tol": tol,
-        },
-        "columns": ["command", "family", "n", "event", "mismatch", "verdict"],
-        "rows": rows,
-        "extraction_summary": extraction_reports,
-        "passed": all(r["verdict"] == "pass" for r in rows),
-    }
+    parameters = {"coeffs": [str(q) for q in squares], "n": list(ns), "seed": seed, "tol": tol}
+    return _report("pc", parameters, rows, extraction_summary=extraction_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +760,7 @@ def run_couple(cfg: dict) -> dict:
                 "verdict": _verdict(deviation <= tol),
             }
         )
-    return {
-        "command": "couple",
-        "parameters": {"seed": seed, "instances": instances, "tol": tol},
-        "columns": ["command", "instance", "kind", "dimension", "max_deviation", "verdict"],
-        "rows": rows,
-        "passed": all(r["verdict"] == "pass" for r in rows),
-    }
+    return _report("couple", {"seed": seed, "instances": instances, "tol": tol}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +822,6 @@ def run_audit(cfg: dict) -> dict:
     pe = guarded(hv.pe_invariance_check, model, space, pair)
 
     rows = []
-    integrity = True
     for report in scan["reports"]:
         if "undefined" in report:
             # the model declined this depth; Born integrity is still checkable
@@ -724,7 +830,6 @@ def run_audit(cfg: dict) -> dict:
             ).value
             closed = cb.bell_chain_closed_form(report["N"])
             born_ok = abs(value - closed) <= 1e-9
-            integrity &= born_ok
             rows.append(
                 {
                     "command": "audit",
@@ -741,7 +846,6 @@ def run_audit(cfg: dict) -> dict:
             )
             continue
         born_ok = abs(report["chain_value"] - report["chain_closed_form"]) <= 1e-9
-        integrity &= born_ok
         rows.append(
             {
                 "command": "audit",
@@ -756,17 +860,11 @@ def run_audit(cfg: dict) -> dict:
                 "verdict": _verdict(born_ok),
             }
         )
-    return {
-        "command": "audit",
-        "parameters": {
-            "model": model.name, "state": "bell", "N_max": n_max, "tol": tol,
-        },
-        "columns": [
-            "command", "model", "N", "chain_value", "chain_closed_form", "lhs",
-            "model_chain_value", "refuted", "undefined", "verdict",
-        ],
-        "rows": rows,
-        "findings": {
+    return _report(
+        "audit",
+        {"model": model.name, "state": "bell", "N_max": n_max, "tol": tol},
+        rows,
+        findings={
             "refuting_N": scan["refuting_N"],
             "refuted": scan["refuted"],
             "undefined_N": list(scan["undefined_N"]),
@@ -776,9 +874,8 @@ def run_audit(cfg: dict) -> dict:
             "parind_first_failure": parind["first_failure"],
             "pe_passed": pe["passed"],
         },
-        "scan": scan,
-        "passed": integrity,
-    }
+        scan=scan,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -843,29 +940,17 @@ def run_arbitrary(cfg: dict) -> dict:
              "decreasing": _monotone_decreasing(achieved_l, strict=False)}
         )
     achieved_N = [by_key[(N, ls[-1], ns[-1])]["achieved_epsilon"] for N in Ns]
-    previous = None
-    for row in rows:
-        key = (row["N"], row["l"])
-        row["level_gap"] = (
-            row["achieved_epsilon"] - previous["achieved_epsilon"]
-            if previous is not None and (previous["N"], previous["l"]) == key
-            else None
-        )
-        previous = row
-    return {
-        "command": "arbitrary",
-        "parameters": {
-            "coeffs": [str(q) for q in squares], "model": model_name,
-            "N": list(Ns), "l": list(ls), "n": list(ns), "tol": tol,
-            "nesting": ["N", "l", "n (innermost)"],
-        },
-        "columns": [
-            "command", "model", "N", "l", "n", "r", "achieved_epsilon",
-            "epsilon_pair", "epsilon_half", "epsilon_coefficient",
-            "links_hold", "conclusion_holds", "level_gap", "verdict",
-        ],
-        "rows": rows,
-        "convergence": {
+    _set_level_gaps(rows, "achieved_epsilon", ("N", "l"))
+    parameters = {
+        "coeffs": list(squares_text), "model": model_name,
+        "N": list(Ns), "l": list(ls), "n": list(ns), "tol": tol,
+        "nesting": ["N", "l", "n (innermost)"],
+    }
+    return _report(
+        "arbitrary",
+        parameters,
+        rows,
+        convergence={
             "n_levels": n_levels,
             "l_levels": l_levels,
             "N_levels": {
@@ -873,152 +958,20 @@ def run_arbitrary(cfg: dict) -> dict:
                 "decreasing": _monotone_decreasing(achieved_N, strict=False),
             },
         },
-        "passed": all(r["verdict"] == "pass" for r in rows),
-    }
+    )
 
 
 # ---------------------------------------------------------------------------
 # validate: re-check a written report
 
 
-def _recompute_chain_closed_form(row: dict) -> float:
-    N = int(row["N"])
-    return 2 * N * math.sin(math.pi / (4 * N)) ** 2
-
-
-def _recompute_chain_bound(row: dict) -> float:
-    return math.pi**2 / (8 * int(row["N"]))
-
-
-def _recompute_dim_closed_form(row: dict) -> float:
-    N, c2 = int(row["N"]), float(row["pair_square"])
-    return 4 * N * c2 * math.sin(math.pi / (4 * N)) ** 2
-
-
-def _recompute_dim_bound(row: dict) -> float:
-    return math.pi**2 * float(row["pair_square"]) / (4 * int(row["N"]))
-
-
-def _recompute_sqrt_reference(row: dict) -> float:
-    N, r = int(row["N"]), int(row["r"])
-    return 2 * N * (2.0 / r) * math.sin(math.pi / (4 * N)) ** 2
-
-
-def _recompute_abs_difference(minuend: str, subtrahend: str):
-    def recompute(row: dict) -> float:
-        return abs(float(row[minuend]) - float(row[subtrahend]))
-
-    return recompute
-
-
-def _recompute_difference(minuend: str, subtrahend: str):
-    def recompute(row: dict) -> float:
-        return float(row[minuend]) - float(row[subtrahend])
-
-    return recompute
-
-
-def _recompute_one_minus(column: str):
-    def recompute(row: dict) -> float:
-        return 1.0 - float(row[column])
-
-    return recompute
-
-
-def _recompute_lemma_coefficient(row: dict) -> Fraction:
-    J = row["J"]
-    if isinstance(J, (list, tuple)):
-        size = len(J)
-    else:
-        tokens = str(J).strip("()[]").replace("|", ",").split(",")
-        size = len([tok for tok in tokens if tok.strip()])
-    return halfsum.bound_coefficient(int(row["r"]), size)
-
-
-_REPORT_SCHEMAS: dict[str, dict] = {
-    "chain": {
-        "columns": [
-            "command", "N", "value", "closed_form", "bound",
-            "closed_form_deviation", "bound_holds", "verdict",
-        ],
-        "recompute": {
-            "closed_form": _recompute_chain_closed_form,
-            "bound": _recompute_chain_bound,
-            "closed_form_deviation": _recompute_abs_difference("value", "closed_form"),
-        },
-    },
-    "dim": {
-        "columns": [
-            "command", "N", "d", "pair", "pair_square", "value", "closed_form",
-            "bound", "closed_form_deviation", "bound_holds", "verdict",
-        ],
-        "recompute": {
-            "closed_form": _recompute_dim_closed_form,
-            "bound": _recompute_dim_bound,
-            "closed_form_deviation": _recompute_abs_difference("value", "closed_form"),
-        },
-    },
-    "sqrt-rational": {
-        "columns": [
-            "command", "N", "n", "r", "slots", "value", "reference", "gap",
-            "gap_bound", "level_gap", "verdict",
-        ],
-        "recompute": {
-            "reference": _recompute_sqrt_reference,
-            "gap": _recompute_abs_difference("value", "reference"),
-        },
-    },
-    "lemma": {
-        "columns": [
-            "command", "r", "J", "check", "lhs", "rhs", "exact",
-            "coefficient", "verdict",
-        ],
-        "recompute": {"coefficient": _recompute_lemma_coefficient},
-    },
-    "embezzle": {
-        "columns": [
-            "command", "l", "n", "r", "numerators", "fidelity", "z_form",
-            "z_form_gap", "one_minus_fidelity", "trace_distance",
-            "distance_bound", "lower_bound_holds", "distance_bound_holds",
-            "level_gap", "verdict",
-        ],
-        "recompute": {
-            "z_form_gap": _recompute_difference("fidelity", "z_form"),
-            "one_minus_fidelity": _recompute_one_minus("fidelity"),
-        },
-    },
-    "pc": {
-        "columns": ["command", "family", "n", "event", "mismatch", "verdict"],
-        "recompute": {},
-    },
-    "couple": {
-        "columns": ["command", "instance", "kind", "dimension", "max_deviation", "verdict"],
-        "recompute": {},
-    },
-    "audit": {
-        "columns": [
-            "command", "model", "N", "chain_value", "chain_closed_form", "lhs",
-            "model_chain_value", "refuted", "undefined", "verdict",
-        ],
-        "recompute": {"chain_closed_form": _recompute_chain_closed_form},
-    },
-    "arbitrary": {
-        "columns": [
-            "command", "model", "N", "l", "n", "r", "achieved_epsilon",
-            "epsilon_pair", "epsilon_half", "epsilon_coefficient",
-            "links_hold", "conclusion_holds", "level_gap", "verdict",
-        ],
-        "recompute": {},
-    },
-}
-
-
 def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
     """Re-validate a written report: schema and recomputable closed forms.
 
     Strict mode requires the exact column set of the producing command; lenient
-    mode tolerates added columns.  Closed-form cells are recomputed from the
-    row's recorded inputs; any drift is reported with its cell coordinate.
+    mode tolerates added columns.  The derived cells (the columns with a rule
+    in `_COMMANDS`) are recomputed from the row's recorded inputs; any drift is
+    reported with its cell coordinate.
     """
     path = Path(path)
     if not path.exists():
@@ -1030,12 +983,11 @@ def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
         except json.JSONDecodeError as exc:
             return {"file": str(path), "valid": False, "diagnostics": [f"not valid JSON: {exc}"]}
         command = report.get("command")
-        if command not in _REPORT_SCHEMAS:
+        if command not in _COMMANDS:
             return {
                 "file": str(path), "valid": False,
                 "diagnostics": [f"unknown or missing command {command!r}"],
             }
-        schema = _REPORT_SCHEMAS[command]
         for key in ("parameters", "columns", "rows", "passed"):
             if key not in report:
                 diagnostics.append(f"missing top-level field {key!r}")
@@ -1054,22 +1006,23 @@ def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
             }
         rows = [dict(zip(columns, row)) for row in reader[1:]]
         command = rows[0]["command"]
-        if command not in _REPORT_SCHEMAS:
+        if command not in _COMMANDS:
             return {
                 "file": str(path), "valid": False,
                 "diagnostics": [f"unknown command {command!r}"],
             }
-        schema = _REPORT_SCHEMAS[command]
 
-    expected = schema["columns"]
+    schema = _COMMANDS[command]
+    expected = schema.names
     missing = [c for c in expected if c not in columns]
     added = [c for c in columns if c not in expected]
     for column in missing:
         diagnostics.append(f"missing column {column!r}")
     if added and strict:
         diagnostics.append(f"unexpected columns {added} (strict mode)")
+    rules = schema.recompute
     for index, row in enumerate(rows):
-        for column, recompute in schema["recompute"].items():
+        for column, recompute in rules.items():
             if column not in row:
                 continue
             try:
@@ -1095,87 +1048,42 @@ def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
 
 def run_validate(cfg: dict) -> dict:
     result = report_schema_validate(cfg["file"], strict=not cfg.get("lenient"))
-    return {
+    row = {
         "command": "validate",
-        "parameters": {"file": result["file"], "strict": not cfg.get("lenient")},
-        "columns": ["command", "file", "valid", "diagnostics"],
-        "rows": [
-            {
-                "command": "validate",
-                "file": result["file"],
-                "valid": result["valid"],
-                "diagnostics": "; ".join(result["diagnostics"]) or None,
-                "verdict": _verdict(result["valid"]),
-            }
-        ],
-        "diagnostics": result["diagnostics"],
-        "passed": result["valid"],
+        "file": result["file"],
+        "valid": result["valid"],
+        "diagnostics": "; ".join(result["diagnostics"]) or None,
+        "verdict": _verdict(result["valid"]),
     }
+    parameters = {"file": result["file"], "strict": not cfg.get("lenient")}
+    return _report("validate", parameters, [row], diagnostics=result["diagnostics"])
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing, config merge, entry point
 
 
-_HANDLERS = {
-    "chain": run_chain,
-    "dim": run_dim,
-    "sqrt-rational": run_sqrt_rational,
-    "arbitrary": run_arbitrary,
-    "lemma": run_lemma,
-    "embezzle": run_embezzle,
-    "pc": run_pc,
-    "couple": run_couple,
-    "audit": run_audit,
-    "validate": run_validate,
-}
-
-_DEFAULT_FORMATS = {
-    "chain": "csv", "dim": "csv", "sqrt-rational": "csv", "arbitrary": "csv",
-    "lemma": "json", "embezzle": "csv", "pc": "csv", "couple": "csv",
-    "audit": "json", "validate": "json",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The `parind-lab` parser, with one subparser per `_COMMANDS` entry.
+
+    `config_keys` on the returned parser holds the destinations of every
+    subcommand's flags except `--config`: the keys a config file may set."""
     parser = argparse.ArgumentParser(
         prog="parind-lab",
         description="Deterministic sweep and audit reports for the chained-"
         "correlation laboratory.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command in _HANDLERS:
-        sub = subparsers.add_parser(command)
-        if command == "validate":
-            sub.add_argument("file", help="report file to validate (.csv or .json)")
-            sub.add_argument("--lenient", action="store_true", default=None,
-                             help="tolerate added columns")
-        else:
-            sub.add_argument("--N", help="comma list of chain depths")
-            sub.add_argument("--n", help="comma list of precisions")
-            sub.add_argument("--l", help="comma list of approximant levels")
-            sub.add_argument("--coeffs", help="comma list of squared coefficients (fractions)")
-            sub.add_argument("--model", help="model fixture name or JSON file path")
-            sub.add_argument("--seed", type=int, help="seed for randomized audits")
-            sub.add_argument("--tol", type=float, help="verdict tolerance")
-        sub.add_argument("--format", choices=("csv", "json"), help="report format")
-        sub.add_argument("--out", help="output path (default: stdout)")
-        sub.add_argument("--workers", type=int, help="worker pool size")
-        sub.add_argument("--config", help="JSON config file mirroring the flags")
-        if command in ("chain", "audit"):
-            sub.add_argument("--state", help="preparation (built-in: bell)")
-        if command == "lemma":
-            sub.add_argument("--r", type=int, help="even sequence length")
-            sub.add_argument("--J", help="comma list of distinguished indices")
-        if command == "audit":
-            sub.add_argument("--N-max", dest="N_max", type=int,
-                             help="audit chains up to this depth")
-        if command == "couple":
-            sub.add_argument("--instances", type=int, help="random instances to run")
+    dests = set()
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name)
+        for flag, options in command.flags:
+            dests.add(sub.add_argument(flag, **options).dest)
+    parser.config_keys = frozenset(dests - {"config"})
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _merge_config(args: argparse.Namespace, known: frozenset[str]) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -1187,10 +1095,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("config file must contain a JSON object")
-        known = {
-            "N", "n", "l", "coeffs", "model", "seed", "tol", "format", "out",
-            "workers", "state", "r", "J", "N_max", "instances", "file", "lenient",
-        }
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -1207,14 +1111,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        report = _HANDLERS[args.command](cfg)
+        cfg = _merge_config(args, parser.config_keys)
+        # resolved by name at call time, see `_Command`
+        report = globals()[_COMMANDS[args.command].handler](cfg)
     except ValueError as exc:
         # ConfigError plus domain validation raised by the constructions
         # themselves (chain depth, coefficient shapes, ...) on user numbers.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    fmt = cfg.get("format") or _DEFAULT_FORMATS[args.command]
+    fmt = cfg.get("format") or _COMMANDS[args.command].format
     _write_report(report, fmt, cfg.get("out"))
     return EXIT_OK if report["passed"] else EXIT_VERDICT
 

@@ -416,10 +416,12 @@ def direct_fidelity_sum(spec: EmbezzleSpec) -> float:
     return total
 
 
-def _chi_overlap_with_embezzled(spec: EmbezzleSpec, labels: EmbezzleLabels) -> float:
-    """<chi | U (x) U psi> evaluated over the embezzled state's support, using the
-    analytic chi amplitudes; avoids materializing chi at large n."""
-    mapped = embezzled_state(spec, labels)
+def _chi_overlap_with_embezzled(
+    spec: EmbezzleSpec, mapped: SparseState, labels: EmbezzleLabels
+) -> float:
+    """<chi | U (x) U psi> evaluated over the support of the embezzled state
+    `mapped`, using the analytic chi amplitudes; avoids materializing chi at
+    large n."""
     registry = mapped.registry
     axes = registry.axes(
         (labels.a_aux, labels.a_ptr, labels.a_sys, labels.b_aux, labels.b_ptr, labels.b_sys)
@@ -473,7 +475,7 @@ def embezzlement_fidelity(
     """
     if spec.n < spec.max_m:
         raise ValueError(f"needs n >= max m, got n={spec.n}, max m={spec.max_m}")
-    computed = _chi_overlap_with_embezzled(spec, labels)
+    computed = _chi_overlap_with_embezzled(spec, embezzled_state(spec, labels), labels)
     z_form = z_form_fidelity(spec)
     distance = math.sqrt(max(0.0, 1.0 - computed * computed))
     bound = embezzlement_distance_bound(spec)
@@ -495,9 +497,19 @@ def chi_phi_fidelity(spec: EmbezzleSpec) -> float:
     return math.fsum(cl * ci for cl, ci in zip(spec.c_l, spec.c))
 
 
-def extraction_distances(spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS) -> tuple[float, float]:
-    """(D(U psi, chi), D(chi, uniform slot state)) for chained deviation bounds."""
-    f1 = _chi_overlap_with_embezzled(spec, labels)
+def extraction_distances(
+    spec: EmbezzleSpec,
+    labels: EmbezzleLabels = DEFAULT_LABELS,
+    *,
+    state: SparseState | None = None,
+) -> tuple[float, float]:
+    """(D(U psi, chi), D(chi, uniform slot state)) for chained deviation bounds.
+
+    `state`, if given, must be `embezzled_state(spec, labels)`; it is built
+    here otherwise."""
+    if state is None:
+        state = embezzled_state(spec, labels)
+    f1 = _chi_overlap_with_embezzled(spec, state, labels)
     f2 = chi_phi_fidelity(spec)
     d1 = math.sqrt(max(0.0, 1.0 - f1 * f1))
     d2 = math.sqrt(max(0.0, 1.0 - f2 * f2))
@@ -575,7 +587,10 @@ def correlation_measure_INn(
 ) -> cb.ChainReport:
     """Approximate correlation measure on the embezzled state for a chain rotating
     two pair slots, with the extraction-target reference chain and the certified
-    deviation bound 2N * D(U psi, chi)."""
+    deviation bound 2N * D(U psi, chi).
+
+    `state`, if given, must be `embezzled_state(spec, labels)`; the deviation
+    bound is computed on it.  It is built here otherwise."""
     for pair in (pair_lo, pair_hi):
         if pair not in spec.pairs:
             raise ValueError(f"pair slot {pair} is not among the spec's slots")
@@ -588,7 +603,7 @@ def correlation_measure_INn(
     if reference_chain:
         chi = chi_state(spec, labels)
         reference_value = cb.chain_correlation(chi, N, a_family, b_family).value
-    d1, _ = extraction_distances(spec, labels)
+    d1, _ = extraction_distances(spec, labels, state=state)
     return cb.chain_correlation(
         state,
         N,
@@ -681,11 +696,13 @@ def correlation_measure_IJlNnl(
         raise ValueError(f"half-subset chains need an even slot count, got r={spec.r}")
     if pairing is None:
         pairing = default_pairing(spec, subset)
-    if state is None:
+    embezzled = state is None
+    if embezzled:
         state = embezzled_state(spec, labels)
     a_family = half_subset_observables(spec, N, subset, pairing, state.registry, labels, "A")
     b_family = half_subset_observables(spec, N, subset, pairing, state.registry, labels, "B")
-    d1, d2 = extraction_distances(spec, labels)
+    # D(U psi, chi) is always taken on the embezzled state, also for a reference state.
+    d1, d2 = extraction_distances(spec, labels, state=state if embezzled else None)
     return cb.chain_correlation(
         state,
         N,

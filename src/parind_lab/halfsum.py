@@ -297,7 +297,6 @@ def lemma_bound_check(
         "worst_half_value": worst_value,
         "worst_half_subset": worst_subset,
         "conclusion_holds": all_hold,
-        "two_epsilon_holds": all_hold,
         "subsets": conclusion,
         "passed": hypothesis_holds and all_hold,
     }

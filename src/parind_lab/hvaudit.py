@@ -1046,15 +1046,11 @@ def triviality_bound(
     }
 
     if preaudit:
+        remote_b = ez.half_subset_observables(
+            spec, N, family[0][0], family[0][1], state.registry, labels, "B"
+        )[1]
         pair_scenario = Scenario(
-            state,
-            (
-                j0_observables[0],
-                ez.half_subset_observables(
-                    spec, N, family[0][0], family[0][1], state.registry, labels, "B"
-                )[1],
-            ),
-            description="half-subset settings (0, 1)",
+            state, (j0_observables[0], remote_b), description="half-subset settings (0, 1)"
         )
         compquant = check_compquant(
             model, space, [scenario_a, scenario_b, pair_scenario], tol=preaudit_tol
@@ -1064,9 +1060,6 @@ def triviality_bound(
                 f"model {model.name!r} fails quantum completeness: "
                 f"{compquant['first_failure']}"
             )
-        remote_b = ez.half_subset_observables(
-            spec, N, family[0][0], family[0][1], state.registry, labels, "B"
-        )[1]
         remote_variants = [
             Scenario(state, (slot_a, remote_b), description="remote measures setting 1"),
             Scenario(

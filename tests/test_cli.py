@@ -1,11 +1,23 @@
 """End-to-end tests of the command-line interface: exit codes, report formats,
 determinism, configuration layering, and the report validator."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from parind_lab import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _pinned_commands():
+    """The benchmark's pinned CLI configs: (name, argv, extension, seeded)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CliReports.commands
 
 
 def run(capsys, *argv):
@@ -108,6 +120,22 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "chain", "--config", str(config))
     assert code == 2
     assert "depth" in err
+
+
+def test_config_file_takes_the_flags_of_every_subcommand(capsys, tmp_path):
+    config = tmp_path / "shared.json"
+    config.write_text(json.dumps({
+        "N": "1", "state": "bell", "r": 10, "J": "0,1", "N_max": 2, "instances": 2,
+        "file": "report.csv", "lenient": True, "format": "csv",
+    }))
+    code, out, _ = run(capsys, "chain", "--config", str(config))
+    assert code == 0
+    assert out.count("\n") == 2
+    for key in ("config", "command", "help"):
+        config.write_text(json.dumps({key: "x"}))
+        code, _, err = run(capsys, "chain", "--config", str(config))
+        assert code == 2
+        assert key in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -266,3 +294,17 @@ def test_validate_json_report_roundtrip(capsys, tmp_path):
     )
     code, _, _ = run(capsys, "validate", str(target))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "name, argv, ext, seeded", [pytest.param(*c, id=c[0]) for c in _pinned_commands()]
+)
+def test_pinned_reports_match_goldens_and_validate(capsys, tmp_path, name, argv, ext, seeded):
+    target = tmp_path / f"{name}.{ext}"
+    seed = ("--seed", "0") if seeded else ()
+    code, _, _ = run(capsys, *argv, *seed, "--workers", "1", "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == (BENCH / "goldens" / "cli" / target.name).read_bytes()
+    code, out, _ = run(capsys, "validate", str(target))
+    assert code == 0
+    assert json.loads(out)["passed"]

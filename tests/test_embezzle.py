@@ -242,6 +242,12 @@ def test_chi_phi_fidelity_is_one_for_exact_specs():
     assert 0.0 < d1 < 1.0
 
 
+def test_extraction_distances_reuse_a_given_embezzled_state():
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=20)
+    state = ez.embezzled_state(spec)
+    assert ez.extraction_distances(spec, state=state) == ez.extraction_distances(spec)
+
+
 def test_chi_phi_fidelity_below_one_for_approximants():
     spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=5, n=20)
     assert ez.chi_phi_fidelity(spec) < 1.0
@@ -270,6 +276,15 @@ def test_pair_chain_deviation_bound_holds():
     assert report.reference_value == pytest.approx(report.closed_form, abs=1e-12)
 
 
+def test_pair_chain_with_and_without_state_agree():
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=20)
+    given = ez.correlation_measure_INn(spec, 2, (1, 0), (1, 1), state=ez.embezzled_state(spec))
+    built = ez.correlation_measure_INn(spec, 2, (1, 0), (1, 1))
+    assert given.value == built.value
+    assert given.reference_value == built.reference_value
+    assert given.deviation_bound == built.deviation_bound
+
+
 def test_pair_chain_rejects_unknown_slots():
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=10)
     with pytest.raises(ValueError, match="not among the spec's slots"):
@@ -293,6 +308,20 @@ def test_half_subset_chain_deviation_bound_holds():
     subset = spec.pairs[: spec.r // 2]
     report = ez.correlation_measure_IJlNnl(spec, 2, subset)
     assert abs(report.value - report.closed_form) <= report.deviation_bound
+
+
+def test_half_subset_chain_on_a_reference_state_keeps_the_embezzled_bound():
+    """A reference state changes the measured value, never D(U psi, chi)."""
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=10, even_denominator=True)
+    subset = spec.pairs[: spec.r // 2]
+    own = ez.correlation_measure_IJlNnl(spec, 2, subset)
+    given = ez.correlation_measure_IJlNnl(spec, 2, subset, state=ez.embezzled_state(spec))
+    reference = ez.correlation_measure_IJlNnl(
+        spec, 2, subset, state=ez.phi_uniform_state(spec)
+    )
+    assert given.value == own.value
+    assert given.deviation_bound == reference.deviation_bound == own.deviation_bound
+    assert reference.value == pytest.approx(reference.closed_form, abs=1e-12)
 
 
 def test_half_subset_uniform_reference_hits_closed_form():
