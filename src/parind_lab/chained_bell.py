@@ -28,9 +28,9 @@ from .qcore import (
     SparseState,
     SystemRegistry,
     born_probability,
+    born_table,
     complete_with_complement,
     fidelity,
-    joint_probability,
     span_projector,
 )
 
@@ -203,13 +203,9 @@ def inner_between_rank_one(p: RankedProjector, q: RankedProjector) -> complex:
 def disagreement_probability(
     state: SparseState, obs_a: Observable, obs_b: Observable
 ) -> float:
-    """Pr(A != B): sum of joint probabilities over unequal eigenvalue pairs."""
-    total = []
-    for e_a, p_a in obs_a.branches:
-        for e_b, p_b in obs_b.branches:
-            if e_a != e_b:
-                total.append(joint_probability(state, [p_a, p_b]))
-    return float(math.fsum(total))
+    """Pr(A != B): the off-diagonal cells of the joint Born table."""
+    table = born_table(state, (obs_a, obs_b))
+    return float(math.fsum(p for (e_a, e_b), p in table.items() if e_a != e_b))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -86,6 +86,12 @@ def _parse_fraction_list(text: str | list | tuple, flag: str) -> tuple[Fraction,
     return tuple(values)
 
 
+def _option(cfg: dict, key: str, default: object) -> object:
+    """`cfg[key]`, or `default` where the key is unset; an explicit 0 stays 0."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
@@ -397,8 +403,8 @@ def _chain_point(args: tuple[int, float]) -> dict:
 
 def run_chain(cfg: dict) -> dict:
     _require_bell(cfg)
-    Ns = _parse_int_list(cfg.get("N") or "1,2,4,8,16", "--N")
-    tol = float(cfg.get("tol") or 1e-12)
+    Ns = _parse_int_list(_option(cfg, "N", "1,2,4,8,16"), "--N")
+    tol = float(_option(cfg, "tol", 1e-12))
     rows = _map_grid(_chain_point, [(N, tol) for N in Ns], _resolve_workers(cfg))
     return _report("chain", {"state": "bell", "N": list(Ns), "tol": tol}, rows)
 
@@ -421,8 +427,8 @@ def _dim_point(args: tuple[tuple[str, ...], int, int, int, float]) -> dict:
 
 def run_dim(cfg: dict) -> dict:
     squares = _squares(cfg, "1/3,1/3,1/3")
-    Ns = _parse_int_list(cfg.get("N") or "1,2,4,8", "--N")
-    tol = float(cfg.get("tol") or 1e-12)
+    Ns = _parse_int_list(_option(cfg, "N", "1,2,4,8"), "--N")
+    tol = float(_option(cfg, "tol", 1e-12))
     pair = next(
         (
             (i, j)
@@ -473,9 +479,9 @@ def _sqrt_rational_point(args: tuple[tuple[str, ...], int, int, float]) -> dict:
 
 def run_sqrt_rational(cfg: dict) -> dict:
     squares = _squares(cfg, "1/3,2/3")
-    Ns = _parse_int_list(cfg.get("N") or "2", "--N")
-    ns = _parse_int_list(cfg.get("n") or "100", "--n")
-    tol = float(cfg.get("tol") or 1e-12)
+    Ns = _parse_int_list(_option(cfg, "N", "2"), "--N")
+    ns = _parse_int_list(_option(cfg, "n", "100"), "--n")
+    tol = float(_option(cfg, "tol", 1e-12))
     squares_text = tuple(str(q) for q in squares)
     points = [(squares_text, N, n, tol) for N in Ns for n in ns]
     rows = _map_grid(_sqrt_rational_point, points, _resolve_workers(cfg))
@@ -499,9 +505,9 @@ def run_sqrt_rational(cfg: dict) -> dict:
 
 
 def run_lemma(cfg: dict) -> dict:
-    r = int(cfg.get("r") or 10)
-    J = _parse_int_list(cfg.get("J") or "0,1", "--J")
-    seed = int(cfg.get("seed") or 0)
+    r = int(_option(cfg, "r", 10))
+    J = _parse_int_list(_option(cfg, "J", "0,1"), "--J")
+    seed = int(_option(cfg, "seed", 0))
     if r % 2 != 0 or r < 2:
         raise ConfigError(f"--r must be even and positive, got {r}")
     if any(not 0 <= j < r for j in J) or len(set(J)) != len(J):
@@ -573,10 +579,10 @@ def _embezzle_point(args: tuple[tuple[str, ...], int | None, int, float]) -> dic
 
 def run_embezzle(cfg: dict) -> dict:
     squares = _squares(cfg, "1/3,2/3")
-    ns = _parse_int_list(cfg.get("n") or "100,1000", "--n")
+    ns = _parse_int_list(_option(cfg, "n", "100,1000"), "--n")
     ls: tuple[int | None, ...]
-    ls = _parse_int_list(cfg["l"], "--l") if cfg.get("l") else (None,)
-    tol = float(cfg.get("tol") or 1e-12)
+    ls = _parse_int_list(cfg["l"], "--l") if cfg.get("l") is not None else (None,)
+    tol = float(_option(cfg, "tol", 1e-12))
     squares_text = tuple(str(q) for q in squares)
     points = [(squares_text, l, n, tol) for l in ls for n in ns]
     rows = _map_grid(_embezzle_point, points, _resolve_workers(cfg))
@@ -603,9 +609,9 @@ def run_embezzle(cfg: dict) -> dict:
 
 def run_pc(cfg: dict) -> dict:
     squares = _squares(cfg, "1/3,2/3")
-    ns = _parse_int_list(cfg.get("n") or "200", "--n")
-    seed = int(cfg.get("seed") or 0)
-    tol = float(cfg.get("tol") or 1e-12)
+    ns = _parse_int_list(_option(cfg, "n", "200"), "--n")
+    seed = int(_option(cfg, "seed", 0))
+    tol = float(_option(cfg, "tol", 1e-12))
     d = len(squares)
     state = ez.phi_schmidt([math.sqrt(float(q)) for q in squares], "A", "B")
     rng = random.Random(seed)
@@ -699,9 +705,9 @@ def _random_povm(rng: np.random.Generator, dim: int, count: int) -> couplings.Po
 
 
 def run_couple(cfg: dict) -> dict:
-    seed = int(cfg.get("seed") or 0)
-    instances = int(cfg.get("instances") or 18)
-    tol = float(cfg.get("tol") or 1e-10)
+    seed = int(_option(cfg, "seed", 0))
+    instances = int(_option(cfg, "instances", 18))
+    tol = float(_option(cfg, "tol", 1e-10))
     if instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
@@ -795,10 +801,10 @@ def _load_model(cfg: dict) -> tuple[hv.HVModel, hv.LambdaSpace]:
 def run_audit(cfg: dict) -> dict:
     state = _require_bell(cfg)
     model, space = _load_model(cfg)
-    n_max = int(cfg.get("N_max") or 8)
+    n_max = int(_option(cfg, "N_max", 8))
     if n_max < 1:
         raise ConfigError(f"--N-max must be >= 1, got {n_max}")
-    tol = float(cfg.get("tol") or 1e-9)
+    tol = float(_option(cfg, "tol", 1e-9))
     scan = hv.refutation_scan(model, space, state, tuple(range(1, n_max + 1)), tol=tol)
 
     chain2 = cb.ChainSpec(N=min(2, n_max), pair=(0, 1))
@@ -911,10 +917,10 @@ def run_arbitrary(cfg: dict) -> dict:
     squares = _parse_fraction_list(cfg.get("coeffs") or "1/3,2/3", "--coeffs")
     if abs(float(sum(squares)) - 1.0) > 1e-12:
         raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
-    Ns = _parse_int_list(cfg.get("N") or "2", "--N")
-    ls = _parse_int_list(cfg.get("l") or "3", "--l")
-    ns = _parse_int_list(cfg.get("n") or "100", "--n")
-    tol = float(cfg.get("tol") or 1e-9)
+    Ns = _parse_int_list(_option(cfg, "N", "2"), "--N")
+    ls = _parse_int_list(_option(cfg, "l", "3"), "--l")
+    ns = _parse_int_list(_option(cfg, "n", "100"), "--n")
+    tol = float(_option(cfg, "tol", 1e-9))
     model_name = str(cfg.get("model") or "trivial")
     if model_name not in hv.FIXTURE_NAMES:
         raise ConfigError(

@@ -39,6 +39,7 @@ from .qcore import (
     basis_state,
     span_projector,
     tensor,
+    two_outcome_observable,
 )
 
 Pair = tuple[int, int]  # (system index i, pointer index j)
@@ -626,7 +627,7 @@ def default_pairing(spec: EmbezzleSpec, subset: Sequence[Pair]) -> dict[Pair, Pa
     return dict(zip(subset_t, complement))
 
 
-def half_subset_observables(
+def half_subset_observable(
     spec: EmbezzleSpec,
     N: int,
     subset: Sequence[Pair],
@@ -634,13 +635,11 @@ def half_subset_observables(
     host: SystemRegistry,
     labels: EmbezzleLabels,
     side: str,
-) -> dict[int, Observable]:
-    """Two-outcome chained family: +1 on the span of the rotated half-subset kets
-    cos(theta/2)|s> + sin(theta/2)|pairing(s)>, -1 on the complement.
-
-    On side A the terminal setting 2N is the negation of setting 0 by definition;
-    intermediate settings are genuine rotated observables.
-    """
+    setting: int,
+) -> Observable:
+    """One setting of the half-subset family: +1 on the span of the rotated kets
+    cos(theta/2)|s> + sin(theta/2)|pairing(s)> at theta = setting * pi/(2N),
+    -1 on the complement."""
     subset_t = [tuple(p) for p in subset]
     if 2 * len(subset_t) != spec.r:
         raise ValueError(f"subset must contain r/2 = {spec.r // 2} slots")
@@ -650,29 +649,41 @@ def half_subset_observables(
         raise ValueError("pairing must be a bijection from the subset onto its complement")
 
     acting = _acting_registry(host, labels, side)
-    base_kets = {
-        s: basis_state(acting, _slot_key(s, acting, labels, side)) for s in subset_t
-    }
-    partner_kets = {
-        s: basis_state(acting, _slot_key(tuple(pairing[s]), acting, labels, side))
+    theta = setting * math.pi / (2 * N)
+    kets = [
+        cb.superposed_ket(
+            theta,
+            basis_state(acting, _slot_key(s, acting, labels, side)),
+            basis_state(acting, _slot_key(tuple(pairing[s]), acting, labels, side)),
+        )
         for s in subset_t
-    }
+    ]
+    return two_outcome_observable(kets)
 
-    def rotated_observable(theta: float) -> Observable:
-        from .qcore import two_outcome_observable
 
-        kets = [
-            cb.superposed_ket(theta, base_kets[s], partner_kets[s]) for s in subset_t
-        ]
-        return two_outcome_observable(kets)
+def half_subset_observables(
+    spec: EmbezzleSpec,
+    N: int,
+    subset: Sequence[Pair],
+    pairing: Mapping[Pair, Pair],
+    host: SystemRegistry,
+    labels: EmbezzleLabels,
+    side: str,
+) -> dict[int, Observable]:
+    """Two-outcome chained family of `half_subset_observable` settings.
 
+    On side A the terminal setting 2N is the negation of setting 0 by definition;
+    intermediate settings are genuine rotated observables.
+    """
     settings = range(0, 2 * N + 1, 2) if side == "A" else range(1, 2 * N, 2)
     family: dict[int, Observable] = {}
     for setting in settings:
         if side == "A" and setting == 2 * N:
             family[setting] = family[0].negated()
         else:
-            family[setting] = rotated_observable(setting * math.pi / (2 * N))
+            family[setting] = half_subset_observable(
+                spec, N, subset, pairing, host, labels, side, setting
+            )
     return family
 
 

@@ -46,7 +46,7 @@ from .qcore import (
     apply_structured_map,
     basis_span_projector,
     basis_state,
-    born_probability,
+    born_table,
     complete_with_complement,
     identity_projector,
     joint_probability,
@@ -142,65 +142,9 @@ def identity_observable(registry: SystemRegistry) -> Observable:
 def born_joint_distribution(
     state: SparseState, observables: Sequence[Observable]
 ) -> Distribution:
-    """Born joint distribution over the observables' eigenvalue tuples.
-
-    For two observables the complemented cells are recovered from marginals and
-    span-span joints by total probability, so complement projectors are never
-    materialized; with three or more the joints are taken literally.
-    """
-    obs = tuple(observables)
-    if not obs:
-        raise ValueError("need at least one observable")
-    if len(obs) == 1:
-        only = obs[0]
-        return {
-            (eig,): born_probability(state, proj) for eig, proj in only.branches
-        }
-    if len(obs) > 2:
-        dist: Distribution = {}
-        for combo in _eigenvalue_grid(obs):
-            projectors = [o.projector_for(e) for o, e in zip(obs, combo)]
-            dist[combo] = joint_probability(state, projectors)
-        return dist
-
-    first, second = obs
-    first_span = [(e, p) for e, p in first.branches if not p.complemented]
-    second_span = [(e, p) for e, p in second.branches if not p.complemented]
-    cells: Distribution = {}
-    for ea, pa in first_span:
-        for eb, pb in second_span:
-            cells[(ea, eb)] = joint_probability(state, [pa, pb])
-    first_marginal = {e: born_probability(state, p) for e, p in first_span}
-    second_marginal = {e: born_probability(state, p) for e, p in second_span}
-    first_comp = [e for e, p in first.branches if p.complemented]
-    second_comp = [e for e, p in second.branches if p.complemented]
-    if first_comp:
-        first_marginal[first_comp[0]] = max(
-            0.0, 1.0 - math.fsum(first_marginal.values())
-        )
-    if second_comp:
-        second_marginal[second_comp[0]] = max(
-            0.0, 1.0 - math.fsum(second_marginal.values())
-        )
-    for eb in second_comp:
-        for ea, _ in first_span:
-            row = math.fsum(cells[(ea, e)] for e, _ in second_span)
-            cells[(ea, eb)] = max(0.0, first_marginal[ea] - row)
-    for ea in first_comp:
-        for eb, _ in second_span:
-            column = math.fsum(cells[(e, eb)] for e, _ in first_span)
-            cells[(ea, eb)] = max(0.0, second_marginal[eb] - column)
-    for ea in first_comp:
-        for eb in second_comp:
-            cells[(ea, eb)] = max(0.0, 1.0 - math.fsum(cells.values()))
-    return cells
-
-
-def _eigenvalue_grid(observables: Sequence[Observable]) -> list[Outcome]:
-    grid: list[Outcome] = [()]
-    for obs in observables:
-        grid = [combo + (eig,) for combo in grid for eig in obs.eigenvalues]
-    return grid
+    """Born joint distribution over the observables' eigenvalue tuples: the
+    `born_table` of the state, every complemented cell a literal residual."""
+    return born_table(state, observables)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,14 +985,14 @@ def triviality_bound(
     if not any(set(J) == set(extreme) for J, _ in family):
         family.insert(0, (extreme, ez.default_pairing(spec, extreme)))
     j0_observables = {
-        idx: ez.half_subset_observables(spec, N, J, pairing, state.registry, labels, "A")[0]
+        idx: ez.half_subset_observable(spec, N, J, pairing, state.registry, labels, "A", 0)
         for idx, (J, pairing) in enumerate(family)
     }
 
     if preaudit:
-        remote_b = ez.half_subset_observables(
-            spec, N, family[0][0], family[0][1], state.registry, labels, "B"
-        )[1]
+        remote_b = ez.half_subset_observable(
+            spec, N, family[0][0], family[0][1], state.registry, labels, "B", 1
+        )
         pair_scenario = Scenario(
             state, (j0_observables[0], remote_b), description="half-subset settings (0, 1)"
         )

@@ -12,7 +12,9 @@ package ever materializes a dense operator on the full product space.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -283,6 +285,33 @@ def basis_span_projector(
     return span_projector(kets)
 
 
+def _host_order(host: SystemRegistry, acting: SystemRegistry) -> SystemRegistry:
+    """`acting` in the host's subsystem order, after checking that the host has
+    each of its subsystems with the same dimension."""
+    for label, dim in acting.subsystems:
+        if label not in host.labels:
+            raise KeyError(f"projector acts on unknown subsystem {label!r}")
+        if host.dimension(label) != dim:
+            raise ValueError(
+                f"dimension mismatch on {label!r}: host {host.dimension(label)}, "
+                f"projector {dim}"
+            )
+    return host.restrict(acting.labels)
+
+
+def _check_disjoint(registries: Iterable[SystemRegistry]) -> None:
+    seen: set[str] = set()
+    for registry in registries:
+        labels = set(registry.labels)
+        overlap = seen & labels
+        if overlap:
+            raise ValueError(
+                f"projectors overlap on subsystems {sorted(overlap)}; joint outcomes "
+                "are only defined for disjoint (hence commuting) groups"
+            )
+        seen |= labels
+
+
 class _ProjectionEngine:
     """Applies a RankedProjector to amplitude maps over a host registry.
 
@@ -293,18 +322,10 @@ class _ProjectionEngine:
     """
 
     def __init__(self, host: SystemRegistry, projector: RankedProjector):
-        for label, dim in projector.registry.subsystems:
-            if label not in host.labels:
-                raise KeyError(f"projector acts on unknown subsystem {label!r}")
-            if host.dimension(label) != dim:
-                raise ValueError(
-                    f"dimension mismatch on {label!r}: host {host.dimension(label)}, "
-                    f"projector {dim}"
-                )
         self.projector = projector
         # Work in the host's subsystem order throughout, so split keys and ket keys
         # agree even when the projector lists its subsystems differently.
-        host_order = host.restrict(projector.registry.labels)
+        host_order = _host_order(host, projector.registry)
         self.acting_axes = host.axes(host_order.labels)
         self.rest_axes = tuple(
             i for i in range(len(host.labels)) if i not in set(self.acting_axes)
@@ -375,8 +396,9 @@ def born_probability(state: SparseState, projector: RankedProjector) -> float:
     """Born probability <psi|P|psi> of a ranked projector.
 
     For a span this is the summed squared overlap with each ket over every
-    configuration of the untouched subsystems; a complemented projector returns
-    one minus the span value.
+    configuration of the untouched subsystems; for a complemented projector it
+    is the squared norm of the residual psi minus its span image.  This literal
+    route is the oracle that `born_table` is tested against.
     """
     projected = project_amplitudes(state.registry, state.amplitudes, projector)
     return min(1.0, max(0.0, squared_norm(projected)))
@@ -388,16 +410,7 @@ def joint_probability(state: SparseState, projectors: Sequence[RankedProjector])
     Disjointness makes the factors commute, so the product is itself a projector
     and the joint outcome is well-defined.
     """
-    seen: set[str] = set()
-    for projector in projectors:
-        labels = set(projector.registry.labels)
-        overlap = seen & labels
-        if overlap:
-            raise ValueError(
-                f"projectors overlap on subsystems {sorted(overlap)}; joint outcomes "
-                "are only defined for disjoint (hence commuting) groups"
-            )
-        seen |= labels
+    _check_disjoint(projector.registry for projector in projectors)
     amplitudes: Mapping[MultiIndex, complex] = state.amplitudes
     for projector in projectors:
         amplitudes = project_amplitudes(state.registry, amplitudes, projector)
@@ -511,12 +524,167 @@ def two_outcome_observable(kets: Sequence[SparseState]) -> Observable:
     return complete_with_complement([(1.0, plus)], -1.0)
 
 
+class _BornPlan:
+    """One observable prepared for the Born sweep.
+
+    Each distinct ket (by identity, so a closing branch shares the kets of the
+    spans it closes) is stored once, aligned to the host's subsystem order,
+    with the branches it belongs to.  `index` inverts the kets: acting key ->
+    the kets whose support holds it, so a group vector only meets the kets it
+    overlaps.
+    """
+
+    def __init__(self, host: SystemRegistry, observable: Observable):
+        host_order = _host_order(host, observable.registry)
+        self.axes = host.axes(host_order.labels)
+        self.branch_count = len(observable.branches)
+        self.residual_branches = [
+            b for b, (_, p) in enumerate(observable.branches) if p.complemented
+        ]
+        # ket -> ((acting key, amplitude, conjugate), ...) in the ket's own order
+        self.kets: list[tuple[tuple[MultiIndex, complex, complex], ...]] = []
+        # ket -> [(branch, position of the ket in that branch)]
+        self.members: list[list[tuple[int, int]]] = []
+        ket_ids: dict[int, int] = {}
+        for b, (_, projector) in enumerate(observable.branches):
+            for position, ket in enumerate(projector.kets):
+                k = ket_ids.get(id(ket))
+                if k is None:
+                    k = ket_ids[id(ket)] = len(self.kets)
+                    amps = aligned_amplitudes(ket, host_order)
+                    self.kets.append(tuple((a, v, v.conjugate()) for a, v in amps.items()))
+                    self.members.append([])
+                self.members[k].append((b, position))
+        self.index: dict[MultiIndex, list[int]] = {}
+        for k, items in enumerate(self.kets):
+            for acting, _, _ in items:
+                self.index.setdefault(acting, []).append(k)
+
+    def split(self, vec: Mapping[MultiIndex, complex]) -> dict[int, dict[MultiIndex, complex]]:
+        """Branch -> projected group vector, for the branches that meet `vec`
+        (an image may be empty).
+
+        Every entry is the float `_ProjectionEngine.apply` gives for the same
+        group: each (group, ket) coefficient accumulates in ket order, images
+        accumulate in ket order within a branch, DROP_TOL filters both, and a
+        complemented branch is the literal residual of `vec` minus its image.
+        """
+        kets, index, members = self.kets, self.index, self.members
+        coefficients: dict[int, complex] = {}
+        hits: dict[int, list[tuple[int, int]]] = {}
+        for acting in vec:
+            for k in index.get(acting, ()):
+                if k in coefficients:
+                    continue
+                coeff = 0.0 + 0.0j
+                for key, _, conj in kets[k]:
+                    value = vec.get(key)
+                    if value is not None:
+                        coeff += conj * value
+                coefficients[k] = coeff
+                if abs(coeff) > DROP_TOL:
+                    for b, position in members[k]:
+                        hits.setdefault(b, []).append((position, k))
+        images: dict[int, dict[MultiIndex, complex]] = {}
+        for b, hit in hits.items():
+            if len(hit) > 1:
+                hit.sort()
+            image: dict[MultiIndex, complex] = {}
+            for _, k in hit:
+                coeff = coefficients[k]
+                for key, amp, _ in kets[k]:
+                    image[key] = image.get(key, 0.0) + coeff * amp
+            images[b] = {key: v for key, v in image.items() if abs(v) > DROP_TOL}
+        for b in self.residual_branches:
+            residual = dict(vec)
+            for key, value in images.get(b, {}).items():
+                left = residual.get(key, 0.0) - value
+                if abs(left) > DROP_TOL:
+                    residual[key] = left
+                else:
+                    del residual[key]
+            images[b] = residual
+        return images
+
+
+def _picker(axes: Sequence[int]):
+    """key -> tuple(key[i] for i in axes), without a generator per call."""
+    if len(axes) > 1:
+        return operator.itemgetter(*axes)
+    if axes:
+        axis = axes[0]
+        return lambda key: (key[axis],)
+    return lambda key: ()
+
+
+def _sweep(
+    plans: Sequence[_BornPlan],
+    level: int,
+    cell: tuple[int, ...],
+    groups: Mapping[tuple[MultiIndex, ...], Mapping[MultiIndex, complex]],
+    terms: dict[tuple[int, ...], list[float]],
+) -> None:
+    """Project every group through observables `level`, `level + 1`, ... in
+    order, filing each final |amplitude|^2 under its branch-index cell.
+
+    A split key is (rest, x_1, ..., x_m), x_i the acting key of observable i;
+    `groups` maps the key without x_{level+1} to the vector over x_{level+1}.
+    """
+    plan = plans[level]
+    last = level + 1 == len(plans)
+    deeper: dict[int, dict[tuple[MultiIndex, ...], dict[MultiIndex, complex]]] = {}
+    for other, vec in groups.items():
+        for b, image in plan.split(vec).items():
+            if last:
+                terms.setdefault(cell + (b,), []).extend(abs(v) ** 2 for v in image.values())
+                continue
+            # regroup by the key without x_{level+2}, for the next observable
+            target = deeper.setdefault(b, {})
+            head, acting_next, tail = other[: level + 1], other[level + 1], other[level + 2 :]
+            for acting, v in image.items():
+                target.setdefault(head + (acting,) + tail, {})[acting_next] = v
+    for b, projected in deeper.items():
+        _sweep(plans, level + 1, cell + (b,), projected, terms)
+
+
+def born_table(
+    state: SparseState, observables: Sequence[Observable]
+) -> dict[tuple[float, ...], float]:
+    """Born probabilities of every eigenvalue tuple of observables on pairwise
+    disjoint subsystems, from one pass over the state.
+
+    Each support key is split once into the part no observable touches and one
+    acting key per observable; the groups are then projected through the
+    observables in the given order.  Every cell equals
+    `joint_probability(state, [projectors in that order])` (for one observable,
+    `born_probability`) as a float, complemented branches included: they are
+    literal residuals, never one minus the other cells.
+    """
+    obs = tuple(observables)
+    if not obs:
+        raise ValueError("need at least one observable")
+    _check_disjoint(observable.registry for observable in obs)
+    host = state.registry
+    plans = [_BornPlan(host, observable) for observable in obs]
+    acting_axes = {axis for plan in plans for axis in plan.axes}
+    rest_axes = tuple(i for i in range(len(host.labels)) if i not in acting_axes)
+    first = _picker(plans[0].axes)
+    others = [_picker(rest_axes)] + [_picker(plan.axes) for plan in plans[1:]]
+    groups: dict[tuple[MultiIndex, ...], dict[MultiIndex, complex]] = {}
+    for key, amp in state.amplitudes.items():
+        groups.setdefault(tuple([pick(key) for pick in others]), {})[first(key)] = amp
+    terms: dict[tuple[int, ...], list[float]] = {}
+    _sweep(plans, 0, (), groups, terms)
+    table: dict[tuple[float, ...], float] = {}
+    for cell in itertools.product(*(range(plan.branch_count) for plan in plans)):
+        eigenvalues = tuple(o.branches[b][0] for o, b in zip(obs, cell))
+        table[eigenvalues] = min(1.0, max(0.0, math.fsum(terms.get(cell, ()))))
+    return table
+
+
 def outcome_distribution(state: SparseState, observable: Observable) -> dict[float, float]:
     """Born distribution over an observable's eigenvalues."""
-    return {
-        eigenvalue: born_probability(state, projector)
-        for eigenvalue, projector in observable.branches
-    }
+    return {combo[0]: p for combo, p in born_table(state, (observable,)).items()}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from parind_lab import chained_bell as cb
+from parind_lab import embezzle as ez
 from parind_lab.embezzle import phi_schmidt
-from parind_lab.qcore import SparseState, SystemRegistry
+from parind_lab.qcore import SparseState, SystemRegistry, joint_probability
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32, 64])
@@ -148,3 +149,45 @@ def test_terminal_setting_is_flipped_first_setting():
 def test_dimension_scheme_distinguishes_indices():
     values = [cb.dimension_scheme((k,)) for k in range(5)]
     assert len(set(values)) == len(values)
+
+
+def literal_disagreement(state, obs_a, obs_b):
+    """Pr(A != B) the literal way: one `joint_probability` per unequal pair."""
+    return math.fsum(
+        joint_probability(state, [p_a, p_b])
+        for e_a, p_a in obs_a.branches
+        for e_b, p_b in obs_b.branches
+        if e_a != e_b
+    )
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_disagreement_matches_literal_oracle_on_bell_chain(N):
+    state = cb.bell_state()
+    spec = cb.ChainSpec(N=N, pair=(0, 1))
+    a_family = cb.chain_observables(spec, state.registry.restrict(("A",)), "A")
+    b_family = cb.chain_observables(spec, state.registry.restrict(("B",)), "B")
+    for a, b in cb.adjacent_setting_pairs(N):
+        assert cb.disagreement_probability(
+            state, a_family[a], b_family[b]
+        ) == literal_disagreement(state, a_family[a], b_family[b])
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_disagreement_matches_literal_oracle_on_embezzled_pair_chain(N):
+    spec = ez.EmbezzleSpec.from_exact(("1/3", "2/3"), n=100)
+    state = ez.embezzled_state(spec)
+    stats = ez.slot_statistics(state, spec)
+    ordered = sorted(spec.pairs, key=lambda p: stats.weights[p])
+    families = [
+        ez.pair_chain_observables(
+            spec, N, ordered[0], ordered[-1], state.registry, ez.DEFAULT_LABELS, side
+        )
+        for side in "AB"
+    ]
+    for a, b in cb.adjacent_setting_pairs(N):
+        obs_a, obs_b = families[0][a], families[1][b]
+        assert any(p.complemented for _, p in obs_a.branches)
+        assert cb.disagreement_probability(state, obs_a, obs_b) == literal_disagreement(
+            state, obs_a, obs_b
+        )

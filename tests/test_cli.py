@@ -72,6 +72,29 @@ def test_unknown_fixture_is_config_error(capsys):
     assert "config error:" in err
 
 
+def test_zero_instances_is_config_error_not_the_default(capsys):
+    code, out, err = run(capsys, "couple", "--instances", "0")
+    assert code == 2
+    assert "--instances must be >= 1, got 0" in err
+    assert out == ""
+
+
+def test_zero_chain_depth_limit_is_config_error_not_the_default(capsys):
+    code, out, err = run(capsys, "audit", "--N-max", "0")
+    assert code == 2
+    assert "--N-max must be >= 1, got 0" in err
+    assert out == ""
+
+
+def test_zero_tolerance_is_honoured(capsys):
+    code, out, _ = run(capsys, "chain", "--N", "1,2", "--tol", "0", "--format", "json")
+    report = json.loads(out)
+    assert report["parameters"]["tol"] == 0.0
+    # N = 2 misses its closed form by one ulp, which only a zero tolerance fails
+    assert [row["verdict"] for row in report["rows"]] == ["pass", "fail"]
+    assert code == 1
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 

@@ -65,17 +65,15 @@ def test_scenario_rejects_unknown_subsystems():
 
 
 def test_born_joint_two_observable_algebra_matches_literal_grid():
-    """The two-observable route recovers complemented cells by total
-    probability; the literal projector route must give the same table."""
+    """Complemented cells are literal residuals, so the table equals the
+    literal projector route cell by cell."""
     state, a_family, b_family = bell_families(2)
     obs = (a_family[2], b_family[1])
     table = hv.born_joint_distribution(state, obs)
     assert math.fsum(table.values()) == pytest.approx(1.0)
     for combo, value in table.items():
         projectors = [o.projector_for(e) for o, e in zip(obs, combo)]
-        assert value == pytest.approx(
-            joint_probability(state, projectors), abs=1e-12
-        )
+        assert value == joint_probability(state, projectors)
 
 
 def test_born_joint_three_observables():

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parind_lab.qcore import (
+    DROP_TOL,
+    PROB_TOL,
     Observable,
     RankedProjector,
     SparseState,
@@ -15,6 +19,7 @@ from parind_lab.qcore import (
     basis_span_projector,
     basis_state,
     born_probability,
+    born_table,
     complete_with_complement,
     fidelity,
     identity_map,
@@ -22,6 +27,7 @@ from parind_lab.qcore import (
     inner_product,
     joint_probability,
     outcome_distribution,
+    project_amplitudes,
     schmidt_decompose,
     span_projector,
     StructuredBasisMap,
@@ -307,3 +313,184 @@ def test_projector_complement_twice_is_identity_on_probabilities():
     assert born_probability(state, p.complement().complement()) == pytest.approx(
         born_probability(state, p)
     )
+
+
+# ---------------------------------------------------------------------------
+# The one-pass Born kernel against the literal projector oracle
+
+
+def _ket(registry, amplitudes):
+    return SparseState(registry, amplitudes)
+
+
+def _overlapping_kets(registry, keys, signs):
+    """An orthonormal family in which four kets share keys[0] and only the
+    last two hold keys[3]; every other key gets its own basis ket.  A kernel
+    that sums the three images out of ket order rounds differently."""
+    v, p, q, u = keys[:4]
+    sv, sp, sq, su = signs
+    root2 = math.sqrt(2.0)
+    return [
+        _ket(registry, {v: sv / root2, p: sp / root2}),
+        _ket(registry, {v: sv / 2, p: -sp / 2, q: sq * root2 / 2}),
+        _ket(registry, {v: sv / 8**0.5, p: -sp / 8**0.5, q: -sq / 2, u: su / root2}),
+        _ket(registry, {v: sv / 8**0.5, p: -sp / 8**0.5, q: -sq / 2, u: -su / root2}),
+    ] + [_ket(registry, {key: 1.0}) for key in keys[4:]]
+
+
+@st.composite
+def _observable(draw, registry):
+    """An observable on `registry` from basis kets, rotated two-term kets, one
+    closed span, a dense random basis, or kets with overlapping supports."""
+    keys = list(np.ndindex(*registry.dimensions))
+    kind = draw(
+        st.sampled_from(["basis", "rotated", "complement", "dense", "overlap", "identity"])
+    )
+    if kind == "identity":
+        return Observable(((1.0, identity_projector(registry)),))
+    order = draw(st.permutations(range(len(keys))))
+    keys = [keys[i] for i in order]
+    if kind == "dense":
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        dim = len(keys)
+        unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        kets = [
+            _ket(registry, {keys[i]: unitary[i, j] for i in range(dim)}) for j in range(dim)
+        ]
+    elif kind == "overlap" and len(keys) >= 4:
+        signs = draw(st.tuples(*[st.sampled_from([1.0, -1.0])] * 4))
+        kets = _overlapping_kets(registry, keys, signs)
+        kets = [kets[i] for i in draw(st.permutations(range(len(kets))))]
+    elif kind == "rotated":
+        theta = draw(st.floats(0.0, 2 * math.pi, allow_nan=False))
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        kets = [
+            _ket(registry, {keys[0]: c, keys[1]: s}),
+            _ket(registry, {keys[0]: -s, keys[1]: c}),
+        ] + [_ket(registry, {key: 1.0}) for key in keys[2:]]
+    else:
+        kets = [_ket(registry, {key: 1.0}) for key in keys]
+    used = draw(st.integers(1, len(kets)))
+    if kind == "complement":
+        # one multi-ket +1 span closed by its complement
+        spans = [kets[:used]]
+    else:
+        # consecutive runs of one to three kets per branch
+        spans, start = [], 0
+        while start < used:
+            width = min(draw(st.integers(1, 3)), used - start)
+            spans.append(kets[start : start + width])
+            start += width
+    branches = [(float(b), span_projector(span)) for b, span in enumerate(spans)]
+    if used == len(kets) and kind != "complement":
+        return Observable(tuple(branches))
+    return complete_with_complement(branches, -1.0)
+
+
+@st.composite
+def born_cases(draw):
+    """A random sparse state on 3-4 small registers and one to three
+    observables on disjoint groups of one or two registers."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=3, max_size=4))
+    registry = SystemRegistry(tuple((f"R{i}", d) for i, d in enumerate(dims)))
+    keys = list(np.ndindex(*dims))
+    support = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=12, unique=True))
+    parts = draw(
+        st.lists(
+            st.tuples(st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)),
+            min_size=len(support),
+            max_size=len(support),
+        )
+    )
+    values = np.array([complex(re, im) for re, im in parts])
+    if np.linalg.norm(values) < 1e-3:
+        values[0] = 1.0
+    values = values / np.linalg.norm(values)
+    state = SparseState(registry, dict(zip(support, values)))
+    labels = list(draw(st.permutations(registry.labels)))
+    observables = []
+    for _ in range(draw(st.integers(1, 3))):
+        if not labels:
+            break
+        width = min(draw(st.integers(1, 2)), len(labels))
+        group, labels = labels[:width], labels[width:]
+        observables.append(draw(_observable(registry.restrict(group))))
+    return state, tuple(observables)
+
+
+def _literal_residual_probability(state, closing):
+    """Born weight of a complemented projector, spelled out: the amplitudes
+    minus the image of the span it complements."""
+    span = RankedProjector(closing.registry, closing.kets)
+    residual = dict(state.amplitudes)
+    for key, value in project_amplitudes(state.registry, state.amplitudes, span).items():
+        left = residual.get(key, 0.0) - value
+        if abs(left) > DROP_TOL:
+            residual[key] = left
+        else:
+            residual.pop(key, None)
+    return min(1.0, max(0.0, math.fsum(abs(a) ** 2 for a in residual.values())))
+
+
+@settings(deadline=None, max_examples=100)
+@given(born_cases())
+def test_born_table_matches_literal_oracle(case):
+    """Every cell is the oracle's float, for every kind of ket: the kernel does
+    the oracle's arithmetic in the oracle's order, so no tolerance is needed."""
+    state, observables = case
+    table = born_table(state, observables)
+    assert len(table) == math.prod(len(o.branches) for o in observables)
+    for combo, value in table.items():
+        projectors = [o.projector_for(e) for o, e in zip(observables, combo)]
+        if len(projectors) == 1:
+            oracle = born_probability(state, projectors[0])
+        else:
+            oracle = joint_probability(state, projectors)
+        assert value == oracle
+    assert abs(math.fsum(table.values()) - 1.0) <= PROB_TOL
+
+
+@settings(deadline=None, max_examples=100)
+@given(born_cases())
+def test_born_table_complement_cell_is_the_literal_residual(case):
+    state, observables = case
+    for observable in observables:
+        single = born_table(state, (observable,))
+        assert outcome_distribution(state, observable) == {
+            combo[0]: v for combo, v in single.items()
+        }
+        for eigenvalue, projector in observable.branches:
+            if projector.complemented:
+                assert single[(eigenvalue,)] == _literal_residual_probability(
+                    state, projector
+                )
+
+
+def test_born_table_sums_overlapping_kets_in_ket_order():
+    """Three kets of one branch share a key, and the support lists a key of
+    the last ket first: the image must still accumulate in ket order."""
+    registry = SystemRegistry((("S", 4), ("T", 2)))
+    acting = registry.restrict(("S",))
+    keys = [(3,), (0,), (1,), (2,)]  # u, v, p, q in the order the support meets them
+    a, b, c, d = _overlapping_kets(acting, [keys[1], keys[2], keys[3], keys[0]], (1.0,) * 4)
+    observable = Observable(((1.0, span_projector([a, b, c])), (-1.0, span_projector([d]))))
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        values = rng.normal(size=8) + 1j * rng.normal(size=8)
+        values /= np.linalg.norm(values)
+        support = [key + (t,) for t in (0, 1) for key in keys]
+        state = SparseState(registry, dict(zip(support, values)))
+        table = born_table(state, (observable,))
+        for (eigenvalue,), value in table.items():
+            assert value == born_probability(state, observable.projector_for(eigenvalue))
+
+
+def test_born_table_rejects_overlapping_observables():
+    registry = SystemRegistry((("A", 2), ("B", 2)))
+    state = basis_state(registry, (0, 0))
+    obs = two_outcome_observable([basis_state(registry.restrict(("A",)), (0,))])
+    with pytest.raises(ValueError, match="overlap"):
+        born_table(state, (obs, obs))
+    with pytest.raises(ValueError):
+        born_table(state, ())
