@@ -15,14 +15,6 @@ from parind_lab import couplings
 from parind_lab.qcore import SparseState, SystemRegistry, basis_state, span_projector
 
 
-def pointer_distribution(state: SparseState, label: str) -> dict[int, float]:
-    axis = state.registry.axis(label)
-    dist: dict[int, float] = {}
-    for key, amp in state.amplitudes.items():
-        dist[key[axis]] = dist.get(key[axis], 0.0) + abs(amp) ** 2
-    return dist
-
-
 def main() -> None:
     registry = SystemRegistry((("S", 2),))
     psi = SparseState(registry, {(0,): 0.6, (1,): 0.8})
@@ -33,18 +25,18 @@ def main() -> None:
     print()
 
     first = couplings.first_kind_coupling(psi, projectors)
-    print("first kind:", pointer_distribution(first, "B"))
+    print("first kind:", couplings.pointer_distribution(first, "B"))
 
     posts = [basis_state(registry, (1,)), basis_state(registry, (0,))]
     second = couplings.second_kind_coupling(psi, projectors, posts)
-    print("second kind (B1):", pointer_distribution(second, "B1"))
-    print("second kind (B2):", pointer_distribution(second, "B2"))
+    print("second kind (B1):", couplings.pointer_distribution(second, "B1"))
+    print("second kind (B2):", couplings.pointer_distribution(second, "B2"))
     print()
 
     trine = couplings.trine_povm()
     probs = couplings.povm_probabilities(psi, trine, "S")
     coupled = couplings.povm_coupling(psi, trine, "S")
-    dist = pointer_distribution(coupled, "B1")
+    dist = couplings.pointer_distribution(coupled, "B1")
     print("trine POVM on the same state:")
     for j, p in enumerate(probs):
         print(f"  element {j}: direct {p:.6f}   pointer {dist.get(j, 0.0):.6f}")

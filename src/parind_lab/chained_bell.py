@@ -329,11 +329,10 @@ def correlation_measure_IN_prime(
     spec: ChainSpec,
     a_labels: Sequence[str],
     b_labels: Sequence[str],
-    *,
-    coefficient_tolerance: float = 1e-10,
 ) -> ChainReport:
     """Brute-force I'_N when only a two-dimensional slice of a higher-dimensional
-    state is rotated; requires equal Schmidt weight on the rotated pair.
+    state is rotated; requires equal Schmidt weight on the rotated pair, within
+    1e-10 to absorb the rounding of Born weights computed from float amplitudes.
 
     The closed form 4N c_j^2 sin^2(pi/4N) and bound pi^2 c_j^2/(4N) are attached.
     """
@@ -342,7 +341,7 @@ def correlation_measure_IN_prime(
     lo, hi = spec.pair  # normalized by ChainSpec
     weight_lo = born_probability(state, span_projector([SparseState(registry_a, {lo: 1.0})]))
     weight_hi = born_probability(state, span_projector([SparseState(registry_a, {hi: 1.0})]))
-    if abs(weight_lo - weight_hi) > coefficient_tolerance:
+    if abs(weight_lo - weight_hi) > 1e-10:
         raise ValueError(
             f"rotated pair must carry equal coefficients: c_j^2 = {weight_lo}, "
             f"c_k^2 = {weight_hi}"

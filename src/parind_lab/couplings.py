@@ -30,6 +30,15 @@ from .qcore import (
 )
 
 
+def pointer_distribution(state: SparseState, label: str) -> dict[int, float]:
+    """Marginal distribution of the basis index of register `label`."""
+    axis = state.registry.axis(label)
+    dist: dict[int, float] = {}
+    for key, amp in state.amplitudes.items():
+        dist[key[axis]] = dist.get(key[axis], 0.0) + abs(amp) ** 2
+    return dist
+
+
 def _branch_amplitudes(
     psi: SparseState, projectors: Sequence[RankedProjector]
 ) -> list[dict]:

@@ -37,6 +37,7 @@ from .qcore import (
     SystemRegistry,
     apply_structured_map,
     basis_state,
+    complete_with_complement,
     span_projector,
     tensor,
     two_outcome_observable,
@@ -178,6 +179,10 @@ class EmbezzleLabels:
     def b_side(self) -> tuple[str, str, str]:
         return (self.b_aux, self.b_ptr, self.b_sys)
 
+    def side(self, side: str) -> tuple[str, str, str]:
+        """The (aux, ptr, sys) labels of side "A", or of side "B" otherwise."""
+        return self.a_side if side == "A" else self.b_side
+
 
 DEFAULT_LABELS = EmbezzleLabels()
 
@@ -308,11 +313,6 @@ def phi_schmidt(
     return SparseState(registry, {(i, i): float(c) for i, c in enumerate(coefficients)})
 
 
-def _side_registry(spec: EmbezzleSpec, labels: tuple[str, str, str]) -> SystemRegistry:
-    aux, ptr, sys = labels
-    return SystemRegistry(((aux, spec.n), (ptr, spec.max_m), (sys, spec.d)))
-
-
 def input_state(spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS) -> SparseState:
     """tau_n on the aux registers, |0>|0> pointers, Schmidt state on the systems."""
     pointers = SystemRegistry(((labels.a_ptr, spec.max_m), (labels.b_ptr, spec.max_m)))
@@ -336,57 +336,61 @@ def embezzle_map(
     return StructuredBasisMap(registry, rules)
 
 
+def extract_side(
+    spec: EmbezzleSpec, state: SparseState, side_labels: tuple[str, str, str]
+) -> SparseState:
+    """The extraction map applied to one side's (aux, ptr, sys) registers."""
+    # restrict() keeps host order; the map needs (aux, ptr, sys) order.
+    ordered = SystemRegistry(
+        tuple((label, state.registry.dimension(label)) for label in side_labels)
+    )
+    return apply_structured_map(embezzle_map(spec.n, spec.m, ordered), state)
+
+
 def embezzled_state(
     spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS
 ) -> SparseState:
     """Both-sided application of the extraction map to the input state."""
     state = input_state(spec, labels)
     for side in (labels.a_side, labels.b_side):
-        registry = state.registry.restrict(side)
-        # restrict() keeps host order; rebuild in (aux, ptr, sys) order explicitly.
-        ordered = SystemRegistry(
-            tuple((lab, registry.dimension(lab)) for lab in side)
-        )
-        state = apply_structured_map(embezzle_map(spec.n, spec.m, ordered), state)
+        state = extract_side(spec, state, side)
     return state
+
+
+def _slot_pair_state(
+    spec: EmbezzleSpec, labels: EmbezzleLabels, amplitudes: Sequence[float]
+) -> SparseState:
+    """tau_n on the aux registers tensored with sum_{(i,j)} a_ij |i,j>|i,j> on
+    the (ptr, sys) registers, one amplitude per slot in `spec.pairs` order."""
+    registry = SystemRegistry(
+        (
+            (labels.a_ptr, spec.max_m),
+            (labels.a_sys, spec.d),
+            (labels.b_ptr, spec.max_m),
+            (labels.b_sys, spec.d),
+        )
+    )
+    slots = SparseState(
+        registry,
+        {(j, i, j, i): amp for (i, j), amp in zip(spec.pairs, amplitudes)},
+    )
+    return tensor(tau(spec.n, labels.a_aux, labels.b_aux), slots)
 
 
 def chi_state(spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS) -> SparseState:
     """Extraction target: tau_n on aux registers tensored with the pair-slot state
     sum_{(i,j)} (c_i / sqrt(m_i)) |i,j>|i,j>.  Uniform over slots iff the squared
     coefficients are exactly m_i / r."""
-    slot_registry = SystemRegistry(
-        (
-            (labels.a_ptr, spec.max_m),
-            (labels.a_sys, spec.d),
-            (labels.b_ptr, spec.max_m),
-            (labels.b_sys, spec.d),
-        )
+    return _slot_pair_state(
+        spec, labels, [spec.c[i] / math.sqrt(spec.m[i]) for i, _ in spec.pairs]
     )
-    amplitudes = {
-        (j, i, j, i): spec.c[i] / math.sqrt(spec.m[i]) for (i, j) in spec.pairs
-    }
-    slots = SparseState(slot_registry, amplitudes)
-    return tensor(tau(spec.n, labels.a_aux, labels.b_aux), slots)
 
 
 def phi_uniform_state(
     spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS
 ) -> SparseState:
     """Uniform pair-slot state: amplitudes 1/sqrt(r) on every slot, tau_n attached."""
-    slot_registry = SystemRegistry(
-        (
-            (labels.a_ptr, spec.max_m),
-            (labels.a_sys, spec.d),
-            (labels.b_ptr, spec.max_m),
-            (labels.b_sys, spec.d),
-        )
-    )
-    amplitude = 1.0 / math.sqrt(spec.r)
-    slots = SparseState(
-        slot_registry, {(j, i, j, i): amplitude for (i, j) in spec.pairs}
-    )
-    return tensor(tau(spec.n, labels.a_aux, labels.b_aux), slots)
+    return _slot_pair_state(spec, labels, [1.0 / math.sqrt(spec.r)] * spec.r)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +427,7 @@ def _chi_overlap_with_embezzled(
     """<chi | U (x) U psi> evaluated over the support of the embezzled state
     `mapped`, using the analytic chi amplitudes; avoids materializing chi at
     large n."""
-    registry = mapped.registry
-    axes = registry.axes(
-        (labels.a_aux, labels.a_ptr, labels.a_sys, labels.b_aux, labels.b_ptr, labels.b_sys)
-    )
+    axes = mapped.registry.axes(labels.a_side + labels.b_side)
     c_n = harmonic_number(spec.n)
     total = 0.0
     for key, amp in mapped.amplitudes.items():
@@ -521,19 +522,47 @@ def extraction_distances(
 # Approximate chained correlation measures
 
 
-def _slot_key(pair: Pair, acting: SystemRegistry, labels: EmbezzleLabels, side: str) -> MultiIndex:
-    """Basis multi-index of a pair slot (i, j) in the acting registry's order."""
+# The pair-slot layout: slot (i, j) is pointer j, system i, on each side.
+
+
+def slot_registry(
+    host: SystemRegistry, labels: EmbezzleLabels, side: str
+) -> SystemRegistry:
+    """The (pointer, system) registers of one side, in host order: the
+    registers every slot observable of that side acts on."""
+    _, ptr, sys = labels.side(side)
+    return host.restrict((ptr, sys))
+
+
+def slot_key(
+    pair: Pair, acting: SystemRegistry, labels: EmbezzleLabels, side: str
+) -> MultiIndex:
+    """Basis multi-index of pair slot (i, j) in `acting`'s label order."""
     i, j = pair
-    ptr, sys = (labels.a_ptr, labels.a_sys) if side == "A" else (labels.b_ptr, labels.b_sys)
+    _, ptr, sys = labels.side(side)
     values = {ptr: j, sys: i}
     return tuple(values[label] for label in acting.labels)
 
 
-def _acting_registry(
-    host: SystemRegistry, labels: EmbezzleLabels, side: str
-) -> SystemRegistry:
-    ptr, sys = (labels.a_ptr, labels.a_sys) if side == "A" else (labels.b_ptr, labels.b_sys)
-    return host.restrict((ptr, sys))
+def slot_observable(
+    spec: EmbezzleSpec,
+    host: SystemRegistry,
+    labels: EmbezzleLabels = DEFAULT_LABELS,
+    side: str = "A",
+) -> Observable:
+    """Observable resolving the pointer-system slots, eigenvalue 2^i 3^j + 2 on
+    slot (i, j) and 0 on the unused remainder of the pointer register."""
+    acting = slot_registry(host, labels, side)
+    branches = [
+        (
+            pair_eigenvalue_scheme(pair),
+            span_projector([basis_state(acting, slot_key(pair, acting, labels, side))]),
+        )
+        for pair in spec.pairs
+    ]
+    if len(spec.pairs) == acting.total_dimension:
+        return Observable(tuple(branches))
+    return complete_with_complement(branches, 0.0)
 
 
 def pair_chain_observables(
@@ -548,16 +577,16 @@ def pair_chain_observables(
     """Chained family rotating two pair slots, with distinct spectator eigenvalues
     2^i 3^j + 2 on the remaining slots and a zero-eigenvalue complement branch
     closing the unused part of the pointer register."""
-    acting = _acting_registry(host, labels, side)
-    key_lo = _slot_key(pair_lo, acting, labels, side)
-    key_hi = _slot_key(pair_hi, acting, labels, side)
+    acting = slot_registry(host, labels, side)
+    key_lo = slot_key(pair_lo, acting, labels, side)
+    key_hi = slot_key(pair_hi, acting, labels, side)
     spectators = tuple(
-        _slot_key(p, acting, labels, side)
+        slot_key(p, acting, labels, side)
         for p in spec.pairs
         if p not in (pair_lo, pair_hi)
     )
     scheme_by_key = {
-        _slot_key(p, acting, labels, side): pair_eigenvalue_scheme(p) for p in spec.pairs
+        slot_key(p, acting, labels, side): pair_eigenvalue_scheme(p) for p in spec.pairs
     }
     closure = None if len(spec.pairs) == acting.total_dimension else 0.0
     chain_spec = cb.ChainSpec(
@@ -584,7 +613,6 @@ def correlation_measure_INn(
     labels: EmbezzleLabels = DEFAULT_LABELS,
     *,
     state: SparseState | None = None,
-    reference_chain: bool = True,
 ) -> cb.ChainReport:
     """Approximate correlation measure on the embezzled state for a chain rotating
     two pair slots, with the extraction-target reference chain and the certified
@@ -600,10 +628,7 @@ def correlation_measure_INn(
     a_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, labels, "A")
     b_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, labels, "B")
 
-    reference_value = None
-    if reference_chain:
-        chi = chi_state(spec, labels)
-        reference_value = cb.chain_correlation(chi, N, a_family, b_family).value
+    reference = cb.chain_correlation(chi_state(spec, labels), N, a_family, b_family)
     d1, _ = extraction_distances(spec, labels, state=state)
     return cb.chain_correlation(
         state,
@@ -611,7 +636,7 @@ def correlation_measure_INn(
         a_family,
         b_family,
         closed_form=2 * N * chi_pair_disagreement_closed_form(spec, N),
-        reference_value=reference_value,
+        reference_value=reference.value,
         deviation_bound=2 * N * d1,
     )
 
@@ -648,13 +673,13 @@ def half_subset_observable(
     if image != sorted(complement):
         raise ValueError("pairing must be a bijection from the subset onto its complement")
 
-    acting = _acting_registry(host, labels, side)
+    acting = slot_registry(host, labels, side)
     theta = setting * math.pi / (2 * N)
     kets = [
         cb.superposed_ket(
             theta,
-            basis_state(acting, _slot_key(s, acting, labels, side)),
-            basis_state(acting, _slot_key(tuple(pairing[s]), acting, labels, side)),
+            basis_state(acting, slot_key(s, acting, labels, side)),
+            basis_state(acting, slot_key(tuple(pairing[s]), acting, labels, side)),
         )
         for s in subset_t
     ]
@@ -759,10 +784,7 @@ def slot_statistics(
 ) -> SlotStatistics:
     """Extract slot weights and auxiliary vectors; refuses states that are not
     slot-diagonal with real amplitudes (the fast formulas do not apply there)."""
-    registry = state.registry
-    axes = registry.axes(
-        (labels.a_aux, labels.a_ptr, labels.a_sys, labels.b_aux, labels.b_ptr, labels.b_sys)
-    )
+    axes = state.registry.axes(labels.a_side + labels.b_side)
     weights: dict[Pair, float] = {s: 0.0 for s in spec.pairs}
     aux: dict[Pair, dict[int, float]] = {s: {} for s in spec.pairs}
     for key, amp in state.amplitudes.items():

@@ -215,13 +215,15 @@ def _enumerated_hypothesis(
     return worst_value, worst_subset
 
 
+# Largest (subset count) x (weight count) product that is enumerated exactly.
+_ENUMERATION_LIMIT = 200_000
+
+
 def lemma_bound_check(
     family: WeightedSequenceFamily,
     epsilon: Number,
     *,
     subsets: Sequence[Sequence[int]] | None = None,
-    enumeration_limit: int = 200_000,
-    seed: int = 0,
 ) -> dict:
     """Check the half-subset deviation lemma on a weighted family.
 
@@ -229,8 +231,10 @@ def lemma_bound_check(
     enumerated exactly when C(r, r/2) is small, otherwise certified through the
     per-lambda sorted extreme.  Conclusion: every audited subset J deviates from
     #J/r by less than bound_coefficient(r, #J) * epsilon (< 2*epsilon).  Audited
-    subsets are all 2^r when feasible, else the provided `subsets` plus seeded
-    samples.  Numeric slack 1e-12 applies when any input is a float.
+    subsets are the provided `subsets`, else all 2^r when feasible, else
+    structured prefixes plus 64 samples seeded with 0.  Enumeration is feasible
+    while subsets times weights stays within 200 000.  Numeric slack 1e-12
+    applies when any input is a float.
     """
     r = family.r
     if r % 2 != 0:
@@ -243,7 +247,7 @@ def lemma_bound_check(
     slack = 0 if exact else 1e-12
 
     n_half = math.comb(r, r // 2)
-    if n_half * len(family.weights) <= enumeration_limit:
+    if n_half * len(family.weights) <= _ENUMERATION_LIMIT:
         worst_value, worst_subset = _enumerated_hypothesis(family)
         hypothesis_mode = "enumerated"
     else:
@@ -253,14 +257,14 @@ def lemma_bound_check(
     hypothesis_holds = bool(worst_value < epsilon + slack)
 
     if subsets is None:
-        if 2**r * len(family.weights) <= enumeration_limit:
+        if 2**r * len(family.weights) <= _ENUMERATION_LIMIT:
             audited = [
                 subset
                 for size in range(r + 1)
                 for subset in itertools.combinations(range(r), size)
             ]
         else:
-            rng = random.Random(seed)
+            rng = random.Random(0)
             audited = [tuple(range(size)) for size in range(0, r + 1, max(1, r // 8))]
             audited += [
                 tuple(sorted(rng.sample(range(r), rng.randrange(r + 1))))

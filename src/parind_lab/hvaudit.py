@@ -43,14 +43,12 @@ from .qcore import (
     RankedProjector,
     SparseState,
     SystemRegistry,
-    apply_structured_map,
     basis_span_projector,
     basis_state,
     born_table,
     complete_with_complement,
     identity_projector,
     joint_probability,
-    span_projector,
     tensor,
 )
 
@@ -446,15 +444,14 @@ def check_parind(
     space: LambdaSpace,
     scenarios: Sequence[Scenario],
     *,
-    local_index: int = 0,
     tol: float = 1e-9,
 ) -> dict:
     """Parameter independence: per-lambda local marginals ignore remote settings.
 
-    All scenarios must share the same state and the same observable at
-    `local_index`; the remaining slots may carry anything, including the
-    identity observable standing in for 'no measurement'.  Failures name the
-    lambda, the two scenarios, the outcome, and the marginal gap.
+    All scenarios must share the same state and the same local observable at
+    index 0; the remaining slots may carry anything, including the identity
+    observable standing in for 'no measurement'.  Failures name the lambda,
+    the two scenarios, the outcome, and the marginal gap.
     """
     if len(scenarios) < 2:
         raise ValueError("parameter independence needs at least two scenarios")
@@ -462,16 +459,14 @@ def check_parind(
     for scenario in scenarios[1:]:
         if scenario.state is not anchor.state:
             raise ValueError("all scenarios must share the same preparation")
-        if scenario.observables[local_index] is not anchor.observables[local_index]:
-            raise ValueError(
-                f"all scenarios must share the observable at index {local_index}"
-            )
+        if scenario.observables[0] is not anchor.observables[0]:
+            raise ValueError("all scenarios must share the observable at index 0")
     per_lambda = []
     first_failure = None
     max_deviation = 0.0
     for lam, _ in space.items():
         marginals = [
-            _local_marginal(_validated_distribution(model, sc, lam), local_index)
+            _local_marginal(_validated_distribution(model, sc, lam), 0)
             for sc in scenarios
         ]
         lam_worst = 0.0
@@ -497,7 +492,7 @@ def check_parind(
     return {
         "model": model.name,
         "tolerance": tol,
-        "local_index": local_index,
+        "local_index": 0,
         "per_lambda": per_lambda,
         "max_deviation": max_deviation,
         "first_failure": first_failure,
@@ -505,22 +500,20 @@ def check_parind(
     }
 
 
+_SPECTATOR_LABEL = "W"
+
+
 def pe_invariance_check(
     model: HVModel,
     space: LambdaSpace,
     scenario: Scenario,
-    *,
-    spectator_label: str = "W",
-    spectator_dim: int = 2,
-    tol: float = 1e-12,
 ) -> dict:
-    """Premise-extension probe: attaching an unmeasured spectator system must
-    leave every per-lambda distribution unchanged."""
-    if spectator_label in scenario.state.registry.labels:
-        raise ValueError(f"spectator label {spectator_label!r} already in use")
-    spectator = basis_state(
-        SystemRegistry(((spectator_label, spectator_dim),)), (0,)
-    )
+    """Premise-extension probe: attaching an unmeasured qubit spectator `W` in
+    |0> must leave every per-lambda distribution unchanged (within 1e-12, the
+    float rounding of a model that reads only the measured registers)."""
+    if _SPECTATOR_LABEL in scenario.state.registry.labels:
+        raise ValueError(f"spectator label {_SPECTATOR_LABEL!r} already in use")
+    spectator = basis_state(SystemRegistry(((_SPECTATOR_LABEL, 2),)), (0,))
     extended = Scenario(
         tensor(scenario.state, spectator),
         scenario.observables,
@@ -540,7 +533,7 @@ def pe_invariance_check(
         "scenario": scenario.description,
         "max_deviation": max_deviation,
         "worst": worst,
-        "passed": max_deviation <= tol,
+        "passed": max_deviation <= 1e-12,
     }
 
 
@@ -554,12 +547,12 @@ def chained_audit(
     state: SparseState,
     N: int,
     *,
-    a_label: str = "A",
-    b_label: str = "B",
-    pair: tuple[MultiIndex | int, MultiIndex | int] = (0, 1),
     tol: float = 1e-9,
 ) -> dict:
     """Run the chained-correlation argument against a model.
+
+    The chain rotates basis states 0 and 1 of wing "A" against those of wing
+    "B" of `state`, as on the Bell state.
 
     The certified inequality for a quantum-complete, parameter-independent
     model reads: the lambda-average of |Pr(A_0=+1) - Pr(A_0=-1)| is at most the
@@ -569,9 +562,9 @@ def chained_audit(
     The terminal setting 2N is the negation of setting 0; models that assign it
     independent outcomes are flagged by the negation-consistency entry.
     """
-    chain_spec = cb.ChainSpec(N=N, pair=pair)
-    a_family = cb.chain_observables(chain_spec, state.registry.restrict((a_label,)), "A")
-    b_family = cb.chain_observables(chain_spec, state.registry.restrict((b_label,)), "B")
+    chain_spec = cb.ChainSpec(N=N, pair=(0, 1))
+    a_family = cb.chain_observables(chain_spec, state.registry.restrict(("A",)), "A")
+    b_family = cb.chain_observables(chain_spec, state.registry.restrict(("B",)), "B")
 
     pairs = []
     born_terms, model_terms = [], []
@@ -648,7 +641,8 @@ def refutation_scan(
     space: LambdaSpace,
     state: SparseState,
     N_values: Sequence[int],
-    **kwargs: object,
+    *,
+    tol: float = 1e-9,
 ) -> dict:
     """Audit a model at increasing chain depths; report the first refuting N.
 
@@ -658,7 +652,7 @@ def refutation_scan(
     reports = []
     for N in N_values:
         try:
-            reports.append(chained_audit(model, space, state, N, **kwargs))
+            reports.append(chained_audit(model, space, state, N, tol=tol))
         except ModelUndefinedError as err:
             reports.append(
                 {"model": model.name, "N": N, "undefined": str(err), "refuted": False}
@@ -745,18 +739,14 @@ def extraction_block_events(
     """
     psi = ez.input_state(spec, labels)
     host = psi.registry
-    a_side = SystemRegistry(
-        tuple((label, host.dimension(label)) for label in labels.a_side)
-    )
-    mapped = apply_structured_map(ez.embezzle_map(spec.n, spec.m, a_side), psi)
-    acting_a = host.restrict((labels.a_ptr, labels.a_sys))
+    mapped = ez.extract_side(spec, psi, labels.a_side)
+    acting_a = ez.slot_registry(host, labels, "A")
     acting_b = host.restrict((labels.b_sys,))
     slot_keys: dict[int, list[tuple[ez.Pair, MultiIndex]]] = {}
-    for i, j in spec.pairs:
-        key = tuple(
-            j if label == labels.a_ptr else i for label in acting_a.labels
+    for pair in spec.pairs:
+        slot_keys.setdefault(pair[0], []).append(
+            (pair, ez.slot_key(pair, acting_a, labels, "A"))
         )
-        slot_keys.setdefault(i, []).append(((i, j), key))
     events = []
     for i, keyed in slot_keys.items():
         block_b = basis_span_projector(acting_b, [(i,)])
@@ -777,6 +767,11 @@ def extraction_block_events(
     return mapped, events
 
 
+# A model's distribution may sum to 1 within 1e-9 (`_validated_distribution`),
+# so a model-level mismatch is only resolved to that slack.
+_MODEL_MISMATCH_TOL = 1e-9
+
+
 def perfect_correlation_check(
     state: SparseState,
     events: Sequence[tuple[str, RankedProjector, RankedProjector]],
@@ -784,15 +779,15 @@ def perfect_correlation_check(
     model: HVModel | None = None,
     space: LambdaSpace | None = None,
     tol: float = 1e-12,
-    model_tol: float = 1e-9,
 ) -> dict:
     """Verify that matched remote events never disagree.
 
     Quantum level: each mismatch probability must vanish (within `tol`); for
     one-sided events only the stated direction is required to vanish.
     Model level (optional): the lambda-averaged mismatch must vanish within
-    `model_tol`; nonnegativity then forces every per-lambda mismatch below
-    model_tol / min(mu), and each per-lambda marginal gap Pr(a) - Pr(b)
+    1e-9, the slack to which a model's distribution must sum to 1;
+    nonnegativity then forces every per-lambda mismatch below
+    1e-9 / min(mu), and each per-lambda marginal gap Pr(a) - Pr(b)
     (absolute for two-sided events, signed for one-sided ones) is bounded by
     that lambda's mismatch, which the report verifies directly.
     """
@@ -811,7 +806,7 @@ def perfect_correlation_check(
         return report
     if space is None:
         raise ValueError("model-level check needs a hidden-parameter space")
-    derived_tol = model_tol / space.min_weight
+    derived_tol = _MODEL_MISMATCH_TOL / space.min_weight
     model_entries = []
     for event in events:
         description, event_a, event_b, direction = _normalize_event(event)
@@ -844,14 +839,14 @@ def perfect_correlation_check(
                 "event": description,
                 "average_mismatch": averaged,
                 "per_lambda_max": per_lambda_max,
-                "average_holds": averaged <= model_tol,
+                "average_holds": averaged <= _MODEL_MISMATCH_TOL,
                 "per_lambda_holds": per_lambda_max <= derived_tol,
                 "marginal_gap_bounded": marginal_gap_ok,
             }
         )
     report["model"] = {
         "name": model.name,
-        "tolerance": model_tol,
+        "tolerance": _MODEL_MISMATCH_TOL,
         "derived_per_lambda_tolerance": derived_tol,
         "events": model_entries,
         "passed": all(
@@ -865,30 +860,6 @@ def perfect_correlation_check(
 
 # ---------------------------------------------------------------------------
 # The finite-resource triviality ledger
-
-
-def slot_observable(
-    spec: ez.EmbezzleSpec,
-    host: SystemRegistry,
-    labels: ez.EmbezzleLabels = ez.DEFAULT_LABELS,
-    side: str = "A",
-) -> Observable:
-    """Observable resolving the pointer-system slots, eigenvalue 2^i 3^j + 2 on
-    slot (i, j) and 0 on the unused remainder of the pointer register."""
-    ptr, sys = (
-        (labels.a_ptr, labels.a_sys) if side == "A" else (labels.b_ptr, labels.b_sys)
-    )
-    acting = host.restrict((ptr, sys))
-    branches = []
-    for pair in spec.pairs:
-        i, j = pair
-        key = tuple(j if label == ptr else i for label in acting.labels)
-        branches.append(
-            (ez.pair_eigenvalue_scheme(pair), span_projector([basis_state(acting, key)]))
-        )
-    if len(spec.pairs) == acting.total_dimension:
-        return Observable(tuple(branches))
-    return complete_with_complement(branches, 0.0)
 
 
 def _slot_vector(
@@ -931,6 +902,12 @@ def _audited_slot_pairs(
     return unique[:count]
 
 
+# The pre-audit has its own tolerance, not the ledger's `tol`: a tighter ledger
+# tolerance must not reject a compliant model over float rounding in its
+# lambda averages.
+_PREAUDIT_TOL = 1e-7
+
+
 def triviality_bound(
     model: HVModel,
     space: LambdaSpace,
@@ -938,18 +915,16 @@ def triviality_bound(
     N: int,
     *,
     epsilon_targets: Sequence[float] = (),
-    family_count: int = 6,
-    pair_link_count: int = 6,
     seed: int = 7,
     tol: float = 1e-9,
-    preaudit: bool = True,
-    preaudit_tol: float = 1e-7,
 ) -> dict:
     """Certified bound on a compliant model's block probabilities.
 
-    Prerequisite: the model passes quantum completeness and parameter
-    independence on the audit scenarios (enforced unless `preaudit=False`);
-    failures raise with the localized check.
+    Prerequisite: the model passes quantum completeness, parameter
+    independence and spectator invariance on the audit scenarios, within
+    1e-7 whatever `tol` is; a failure raises with the localized check.  The
+    ledger audits six half-subsets (plus the sorted extreme) and six slot
+    pairs, both drawn with `seed`.
 
     The ledger then assembles, per lambda, the model's slot probabilities on
     the extraction-side and remote-side pointer registers of the embezzled
@@ -975,12 +950,14 @@ def triviality_bound(
     labels = ez.DEFAULT_LABELS
     state = ez.embezzled_state(spec, labels)
     stats = ez.slot_statistics(state, spec, labels)
-    slot_a = slot_observable(spec, state.registry, labels, "A")
-    slot_b = slot_observable(spec, state.registry, labels, "B")
+    slot_a = ez.slot_observable(spec, state.registry, labels, "A")
+    slot_b = ez.slot_observable(spec, state.registry, labels, "B")
     scenario_a = Scenario(state, (slot_a,), description="extraction-side slots")
     scenario_b = Scenario(state, (slot_b,), description="remote-side slots")
 
-    family = ez.half_subset_family(spec, family_count, seed)
+    # The audit counts (six here, six slot pairs below) set how many chain
+    # links are checked, not the certified epsilon.
+    family = ez.half_subset_family(spec, 6, seed)
     extreme = ez.sorted_extreme_half_subset(spec, stats)
     if not any(set(J) == set(extreme) for J, _ in family):
         family.insert(0, (extreme, ez.default_pairing(spec, extreme)))
@@ -989,40 +966,36 @@ def triviality_bound(
         for idx, (J, pairing) in enumerate(family)
     }
 
-    if preaudit:
-        remote_b = ez.half_subset_observable(
-            spec, N, family[0][0], family[0][1], state.registry, labels, "B", 1
+    remote_b = ez.half_subset_observable(
+        spec, N, family[0][0], family[0][1], state.registry, labels, "B", 1
+    )
+    pair_scenario = Scenario(
+        state, (j0_observables[0], remote_b), description="half-subset settings (0, 1)"
+    )
+    compquant = check_compquant(
+        model, space, [scenario_a, scenario_b, pair_scenario], tol=_PREAUDIT_TOL
+    )
+    if not compquant["passed"]:
+        raise ValueError(
+            f"model {model.name!r} fails quantum completeness: "
+            f"{compquant['first_failure']}"
         )
-        pair_scenario = Scenario(
-            state, (j0_observables[0], remote_b), description="half-subset settings (0, 1)"
+    remote_idle = identity_observable(ez.slot_registry(state.registry, labels, "B"))
+    remote_variants = [
+        Scenario(state, (slot_a, remote_b), description="remote measures setting 1"),
+        Scenario(state, (slot_a, remote_idle), description="remote measures nothing"),
+    ]
+    parind = check_parind(model, space, remote_variants, tol=_PREAUDIT_TOL)
+    if not parind["passed"]:
+        raise ValueError(
+            f"model {model.name!r} fails parameter independence: "
+            f"{parind['first_failure']}"
         )
-        compquant = check_compquant(
-            model, space, [scenario_a, scenario_b, pair_scenario], tol=preaudit_tol
+    pe = pe_invariance_check(model, space, scenario_a)
+    if not pe["passed"]:
+        raise ValueError(
+            f"model {model.name!r} fails spectator invariance: {pe['worst']}"
         )
-        if not compquant["passed"]:
-            raise ValueError(
-                f"model {model.name!r} fails quantum completeness: "
-                f"{compquant['first_failure']}"
-            )
-        remote_variants = [
-            Scenario(state, (slot_a, remote_b), description="remote measures setting 1"),
-            Scenario(
-                state,
-                (slot_a, identity_observable(state.registry.restrict((labels.b_ptr, labels.b_sys)))),
-                description="remote measures nothing",
-            ),
-        ]
-        parind = check_parind(model, space, remote_variants, tol=preaudit_tol)
-        if not parind["passed"]:
-            raise ValueError(
-                f"model {model.name!r} fails parameter independence: "
-                f"{parind['first_failure']}"
-            )
-        pe = pe_invariance_check(model, space, scenario_a)
-        if not pe["passed"]:
-            raise ValueError(
-                f"model {model.name!r} fails spectator invariance: {pe['worst']}"
-            )
 
     # Per-lambda slot probabilities on both wings.
     p_a, p_b = [], []
@@ -1061,7 +1034,7 @@ def triviality_bound(
         for t in range(s + 1, spec.r)
     )
     pair_links = []
-    for s_pair, t_pair in _audited_slot_pairs(spec, stats, pair_link_count, seed):
+    for s_pair, t_pair in _audited_slot_pairs(spec, stats, 6, seed):
         budget = ez.fast_pair_chain(spec, N, s_pair, t_pair, stats).value
         measured = averaged_gap(p_b, position[s_pair], position[t_pair])
         pair_links.append(

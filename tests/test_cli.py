@@ -59,11 +59,11 @@ def test_dim_without_equal_pair_is_config_error(capsys):
     assert "equal pair" in err
 
 
-def test_bad_worker_env_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("PARIND_LAB_WORKERS", "plenty")
-    code, _, err = run(capsys, "chain", "--N", "1")
+def test_zero_workers_is_config_error(capsys):
+    code, out, err = run(capsys, "chain", "--N", "1", "--workers", "0")
     assert code == 2
-    assert "PARIND_LAB_WORKERS" in err
+    assert "--workers must be >= 1" in err
+    assert out == ""
 
 
 def test_unknown_fixture_is_config_error(capsys):
@@ -109,11 +109,13 @@ def test_output_is_identical_across_worker_counts(capsys):
     assert len(outputs) == 1
 
 
-def test_env_workers_override_matches_serial_run(capsys, monkeypatch):
-    _, serial, _ = run(capsys, "couple", "--instances", "3", "--format", "csv")
-    monkeypatch.setenv("PARIND_LAB_WORKERS", "2")
-    _, enveloped, _ = run(capsys, "couple", "--instances", "3", "--format", "csv")
-    assert serial == enveloped
+def test_config_file_workers_match_serial_run(capsys, tmp_path):
+    config = tmp_path / "workers.json"
+    config.write_text(json.dumps({"workers": 2}))
+    argv = ("chain", "--N", "1,2,4", "--format", "csv")
+    _, serial, _ = run(capsys, *argv, "--workers", "1")
+    _, pooled, _ = run(capsys, *argv, "--config", str(config))
+    assert serial == pooled
 
 
 def test_seeded_commands_are_reproducible(capsys):

@@ -1,0 +1,32 @@
+"""Smoke test of the narrative demos: each runs as a script and prints.
+
+The demos call the package's public names, so a renamed or moved function
+fails here rather than only when a demo is run by hand.  Three demos are left
+out because they take several seconds each as a subprocess:
+`approximate_chain` (about 8 s), `extraction_fidelity` (about 21 s) and
+`resource_ledger` (about 7 s).
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "audit_tour",
+        "chain_sweep",
+        "couplings_tour",
+        "dimension_chain",
+        "half_subset_chain",
+        "half_subset_lemma",
+        "perfect_correlation",
+    ],
+)
+def test_demo_runs_and_prints(name, capsys):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -385,7 +385,7 @@ def test_triviality_bound_rejects_parameter_dependent_models():
 def test_slot_observable_resolves_slots():
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=12)
     state = ez.embezzled_state(spec)
-    obs = hv.slot_observable(spec, state.registry, side="A")
+    obs = ez.slot_observable(spec, state.registry, side="A")
     dist = hv.born_joint_distribution(state, (obs,))
     stats = ez.slot_statistics(state, spec)
     for pair in spec.pairs:
