@@ -30,7 +30,7 @@ from .qcore import (
     born_probability,
     born_table,
     complete_with_complement,
-    fidelity,
+    inner_product,
     span_projector,
 )
 
@@ -195,8 +195,6 @@ def _assert_terminal_flip(first: Observable, last: Observable) -> None:
 def inner_between_rank_one(p: RankedProjector, q: RankedProjector) -> complex:
     if p.rank_of_span != 1 or q.rank_of_span != 1:
         raise ValueError("flip check applies to rank-one branches")
-    from .qcore import inner_product
-
     return inner_product(p.kets[0], q.kets[0])
 
 
@@ -279,9 +277,9 @@ def chain_correlation(
     )
 
 
-def bell_state(a_label: str = "A", b_label: str = "B") -> SparseState:
-    """Maximally entangled two-qubit state (|00> + |11>)/sqrt(2)."""
-    registry = SystemRegistry(((a_label, 2), (b_label, 2)))
+def bell_state() -> SparseState:
+    """Maximally entangled two-qubit state (|00> + |11>)/sqrt(2) on A and B."""
+    registry = SystemRegistry((("A", 2), ("B", 2)))
     amplitude = 1.0 / math.sqrt(2.0)
     return SparseState(registry, {(0, 0): amplitude, (1, 1): amplitude})
 

@@ -142,11 +142,9 @@ def _write_report(report: dict, fmt: str, out: str | None) -> None:
 
 
 def _resolve_workers(cfg: dict) -> int:
+    """`--workers` (checked by `_merge_config`), else the CPU count."""
     if cfg.get("workers") is not None:
-        workers = int(cfg["workers"])
-        if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
-        return workers
+        return int(cfg["workers"])
     return os.cpu_count() or 1
 
 
@@ -410,7 +408,7 @@ def run_chain(cfg: dict) -> dict:
 def _dim_point(args: tuple[tuple[str, ...], int, int, int, float]) -> dict:
     squares_text, lo, hi, N, tol = args
     squares = [Fraction(s) for s in squares_text]
-    state = ez.phi_schmidt([math.sqrt(float(q)) for q in squares], "A", "B")
+    state = ez.phi_schmidt([math.sqrt(float(q)) for q in squares])
     spec = cb.ChainSpec(
         N=N, pair=(lo, hi), eigenvalue_scheme=cb.dimension_scheme
     )
@@ -607,7 +605,7 @@ def run_pc(cfg: dict) -> dict:
     seed = int(_option(cfg, "seed", 0))
     tol = float(_option(cfg, "tol", 1e-12))
     d = len(squares)
-    state = ez.phi_schmidt([math.sqrt(float(q)) for q in squares], "A", "B")
+    state = ez.phi_schmidt([math.sqrt(float(q)) for q in squares])
     rng = random.Random(seed)
     index_sets = []
     for _ in range(20):
@@ -1082,6 +1080,9 @@ def _merge_config(args: argparse.Namespace, known: frozenset[str]) -> dict:
             continue
         if value is not None:
             cfg[key] = value
+    # Every subcommand takes --workers, also those that run serially.
+    if cfg.get("workers") is not None and int(cfg["workers"]) < 1:
+        raise ConfigError(f"--workers must be >= 1, got {int(cfg['workers'])}")
     return cfg
 
 

@@ -161,6 +161,21 @@ def trine_povm() -> PovmElementSet:
     return PovmElementSet.from_elements(elements)
 
 
+def _kraus_image(psi: SparseState, m: np.ndarray, axis: int) -> dict:
+    """Unnormalized amplitudes of M psi, with the square matrix M acting on the
+    register at `axis`; entries of M at or below DROP_TOL are skipped."""
+    image: dict = {}
+    for key, amp in psi.amplitudes.items():
+        beta = key[axis]
+        for alpha in range(m.shape[0]):
+            coeff = m[alpha, beta]
+            if abs(coeff) <= DROP_TOL:
+                continue
+            new_key = key[:axis] + (alpha,) + key[axis + 1 :]
+            image[new_key] = image.get(new_key, 0.0) + coeff * amp
+    return image
+
+
 def povm_coupling(
     psi: SparseState,
     povm: PovmElementSet,
@@ -180,15 +195,7 @@ def povm_coupling(
     registry = psi.registry.merged_with(pointers)
     amplitudes = {}
     for j, m in enumerate(povm.matrices):
-        branch: dict = {}
-        for key, amp in psi.amplitudes.items():
-            beta = key[axis]
-            for alpha in range(povm.dimension):
-                coeff = m[alpha, beta]
-                if abs(coeff) <= DROP_TOL:
-                    continue
-                new_key = key[:axis] + (alpha,) + key[axis + 1 :]
-                branch[new_key] = branch.get(new_key, 0.0) + coeff * amp
+        branch = _kraus_image(psi, m, axis)
         weight = squared_norm(branch)
         if weight <= DROP_TOL:
             continue
@@ -201,16 +208,4 @@ def povm_coupling(
 def povm_probabilities(psi: SparseState, povm: PovmElementSet, measured_label: str) -> tuple[float, ...]:
     """Born probabilities <psi| F_j |psi> evaluated directly on the system."""
     axis = psi.registry.axis(measured_label)
-    probs = []
-    for m in povm.matrices:
-        image: dict = {}
-        for key, amp in psi.amplitudes.items():
-            beta = key[axis]
-            for alpha in range(povm.dimension):
-                coeff = m[alpha, beta]
-                if abs(coeff) <= DROP_TOL:
-                    continue
-                new_key = key[:axis] + (alpha,) + key[axis + 1 :]
-                image[new_key] = image.get(new_key, 0.0) + coeff * amp
-        probs.append(squared_norm(image))
-    return tuple(probs)
+    return tuple(squared_norm(_kraus_image(psi, m, axis)) for m in povm.matrices)

@@ -156,35 +156,13 @@ def rational_approximants(
 
 
 # ---------------------------------------------------------------------------
-# Specs and labels
+# Register layout and specs
 
 
-@dataclasses.dataclass(frozen=True)
-class EmbezzleLabels:
-    """Subsystem labels: an auxiliary embezzling register, a pointer register that
-    receives the extracted pair index, and the measured system, on each side."""
-
-    a_aux: str = "A2"
-    a_ptr: str = "A1"
-    a_sys: str = "A"
-    b_aux: str = "B2"
-    b_ptr: str = "B1"
-    b_sys: str = "B"
-
-    @property
-    def a_side(self) -> tuple[str, str, str]:
-        return (self.a_aux, self.a_ptr, self.a_sys)
-
-    @property
-    def b_side(self) -> tuple[str, str, str]:
-        return (self.b_aux, self.b_ptr, self.b_sys)
-
-    def side(self, side: str) -> tuple[str, str, str]:
-        """The (aux, ptr, sys) labels of side "A", or of side "B" otherwise."""
-        return self.a_side if side == "A" else self.b_side
-
-
-DEFAULT_LABELS = EmbezzleLabels()
+# The (aux, ptr, sys) registers of each side: the auxiliary register holding
+# tau_n, the pointer register that receives the extracted pair index, and the
+# measured system.  Pair slot (i, j) is pointer j, system i.
+SIDES = {"A": ("A2", "A1", "A"), "B": ("B2", "B1", "B")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,7 +180,6 @@ class EmbezzleSpec:
     r: int
     m: tuple[int, ...]
     exact_squares: tuple[Fraction, ...] | None = None
-    approx_squares: tuple[Fraction, ...] | None = None
     l: int | None = None
     even_denominator: bool = False
 
@@ -238,7 +215,6 @@ class EmbezzleSpec:
             r=r,
             m=m,
             exact_squares=exact,
-            approx_squares=exact,
             even_denominator=even_denominator,
         )
 
@@ -252,7 +228,6 @@ class EmbezzleSpec:
             r=r,
             m=m,
             exact_squares=None,
-            approx_squares=approx,
             l=l,
             even_denominator=True,
         )
@@ -294,31 +269,29 @@ def pair_eigenvalue_scheme(pair: Pair) -> float:
 # States
 
 
-def tau(n: int, label_a: str = "A2", label_b: str = "B2") -> SparseState:
-    """Embezzling state (1/sqrt(C_n)) sum_{j<n} (j+1)^{-1/2} |j>|j>."""
+def tau(n: int) -> SparseState:
+    """Embezzling state (1/sqrt(C_n)) sum_{j<n} (j+1)^{-1/2} |j>|j> on the aux
+    registers."""
     if n < 1:
         raise ValueError(f"tau needs n >= 1, got {n}")
-    registry = SystemRegistry(((label_a, n), (label_b, n)))
+    registry = SystemRegistry(tuple((aux, n) for aux, _, _ in SIDES.values()))
     c_n = harmonic_number(n)
     amplitudes = {(j, j): 1.0 / math.sqrt(c_n * (j + 1)) for j in range(n)}
     return SparseState(registry, amplitudes)
 
 
-def phi_schmidt(
-    coefficients: Sequence[float], label_a: str = "A", label_b: str = "B"
-) -> SparseState:
-    """Diagonal Schmidt state sum_i c_i |i>|i>."""
+def phi_schmidt(coefficients: Sequence[float]) -> SparseState:
+    """Diagonal Schmidt state sum_i c_i |i>|i> on the system registers."""
     d = len(coefficients)
-    registry = SystemRegistry(((label_a, d), (label_b, d)))
+    registry = SystemRegistry(tuple((sys, d) for _, _, sys in SIDES.values()))
     return SparseState(registry, {(i, i): float(c) for i, c in enumerate(coefficients)})
 
 
-def input_state(spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS) -> SparseState:
+def input_state(spec: EmbezzleSpec) -> SparseState:
     """tau_n on the aux registers, |0>|0> pointers, Schmidt state on the systems."""
-    pointers = SystemRegistry(((labels.a_ptr, spec.max_m), (labels.b_ptr, spec.max_m)))
+    pointers = SystemRegistry(tuple((ptr, spec.max_m) for _, ptr, _ in SIDES.values()))
     return tensor(
-        tensor(tau(spec.n, labels.a_aux, labels.b_aux), basis_state(pointers, (0, 0))),
-        phi_schmidt(spec.c, labels.a_sys, labels.b_sys),
+        tensor(tau(spec.n), basis_state(pointers, (0, 0))), phi_schmidt(spec.c)
     )
 
 
@@ -336,61 +309,50 @@ def embezzle_map(
     return StructuredBasisMap(registry, rules)
 
 
-def extract_side(
-    spec: EmbezzleSpec, state: SparseState, side_labels: tuple[str, str, str]
-) -> SparseState:
-    """The extraction map applied to one side's (aux, ptr, sys) registers."""
+def extract_side(spec: EmbezzleSpec, state: SparseState, side: str) -> SparseState:
+    """The extraction map applied to side "A" or "B"'s (aux, ptr, sys) registers."""
     # restrict() keeps host order; the map needs (aux, ptr, sys) order.
     ordered = SystemRegistry(
-        tuple((label, state.registry.dimension(label)) for label in side_labels)
+        tuple((label, state.registry.dimension(label)) for label in SIDES[side])
     )
     return apply_structured_map(embezzle_map(spec.n, spec.m, ordered), state)
 
 
-def embezzled_state(
-    spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS
-) -> SparseState:
+def embezzled_state(spec: EmbezzleSpec) -> SparseState:
     """Both-sided application of the extraction map to the input state."""
-    state = input_state(spec, labels)
-    for side in (labels.a_side, labels.b_side):
+    state = input_state(spec)
+    for side in SIDES:
         state = extract_side(spec, state, side)
     return state
 
 
-def _slot_pair_state(
-    spec: EmbezzleSpec, labels: EmbezzleLabels, amplitudes: Sequence[float]
-) -> SparseState:
+def _slot_pair_state(spec: EmbezzleSpec, amplitudes: Sequence[float]) -> SparseState:
     """tau_n on the aux registers tensored with sum_{(i,j)} a_ij |i,j>|i,j> on
     the (ptr, sys) registers, one amplitude per slot in `spec.pairs` order."""
     registry = SystemRegistry(
-        (
-            (labels.a_ptr, spec.max_m),
-            (labels.a_sys, spec.d),
-            (labels.b_ptr, spec.max_m),
-            (labels.b_sys, spec.d),
+        tuple(
+            register
+            for _, ptr, sys in SIDES.values()
+            for register in ((ptr, spec.max_m), (sys, spec.d))
         )
     )
     slots = SparseState(
         registry,
         {(j, i, j, i): amp for (i, j), amp in zip(spec.pairs, amplitudes)},
     )
-    return tensor(tau(spec.n, labels.a_aux, labels.b_aux), slots)
+    return tensor(tau(spec.n), slots)
 
 
-def chi_state(spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS) -> SparseState:
+def chi_state(spec: EmbezzleSpec) -> SparseState:
     """Extraction target: tau_n on aux registers tensored with the pair-slot state
     sum_{(i,j)} (c_i / sqrt(m_i)) |i,j>|i,j>.  Uniform over slots iff the squared
     coefficients are exactly m_i / r."""
-    return _slot_pair_state(
-        spec, labels, [spec.c[i] / math.sqrt(spec.m[i]) for i, _ in spec.pairs]
-    )
+    return _slot_pair_state(spec, [spec.c[i] / math.sqrt(spec.m[i]) for i, _ in spec.pairs])
 
 
-def phi_uniform_state(
-    spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS
-) -> SparseState:
+def phi_uniform_state(spec: EmbezzleSpec) -> SparseState:
     """Uniform pair-slot state: amplitudes 1/sqrt(r) on every slot, tau_n attached."""
-    return _slot_pair_state(spec, labels, [1.0 / math.sqrt(spec.r)] * spec.r)
+    return _slot_pair_state(spec, [1.0 / math.sqrt(spec.r)] * spec.r)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +383,11 @@ def direct_fidelity_sum(spec: EmbezzleSpec) -> float:
     return total
 
 
-def _chi_overlap_with_embezzled(
-    spec: EmbezzleSpec, mapped: SparseState, labels: EmbezzleLabels
-) -> float:
+def _chi_overlap_with_embezzled(spec: EmbezzleSpec, mapped: SparseState) -> float:
     """<chi | U (x) U psi> evaluated over the support of the embezzled state
     `mapped`, using the analytic chi amplitudes; avoids materializing chi at
     large n."""
-    axes = mapped.registry.axes(labels.a_side + labels.b_side)
+    axes = mapped.registry.axes(SIDES["A"] + SIDES["B"])
     c_n = harmonic_number(spec.n)
     total = 0.0
     for key, amp in mapped.amplitudes.items():
@@ -465,9 +425,7 @@ def z_form_fidelity(spec: EmbezzleSpec) -> float:
     )
 
 
-def embezzlement_fidelity(
-    spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS
-) -> EmbezzlementFidelityReport:
+def embezzlement_fidelity(spec: EmbezzleSpec) -> EmbezzlementFidelityReport:
     """Extraction fidelity F(chi, U (x) U psi) with the interpolated-harmonic form,
     the pure-state trace distance, and the certified distance bound.
 
@@ -477,7 +435,7 @@ def embezzlement_fidelity(
     """
     if spec.n < spec.max_m:
         raise ValueError(f"needs n >= max m, got n={spec.n}, max m={spec.max_m}")
-    computed = _chi_overlap_with_embezzled(spec, embezzled_state(spec, labels), labels)
+    computed = _chi_overlap_with_embezzled(spec, embezzled_state(spec))
     z_form = z_form_fidelity(spec)
     distance = math.sqrt(max(0.0, 1.0 - computed * computed))
     bound = embezzlement_distance_bound(spec)
@@ -499,19 +457,10 @@ def chi_phi_fidelity(spec: EmbezzleSpec) -> float:
     return math.fsum(cl * ci for cl, ci in zip(spec.c_l, spec.c))
 
 
-def extraction_distances(
-    spec: EmbezzleSpec,
-    labels: EmbezzleLabels = DEFAULT_LABELS,
-    *,
-    state: SparseState | None = None,
-) -> tuple[float, float]:
-    """(D(U psi, chi), D(chi, uniform slot state)) for chained deviation bounds.
-
-    `state`, if given, must be `embezzled_state(spec, labels)`; it is built
-    here otherwise."""
-    if state is None:
-        state = embezzled_state(spec, labels)
-    f1 = _chi_overlap_with_embezzled(spec, state, labels)
+def extraction_distances(spec: EmbezzleSpec, state: SparseState) -> tuple[float, float]:
+    """(D(U psi, chi), D(chi, uniform slot state)) for chained deviation bounds;
+    `state` must be `embezzled_state(spec)`."""
+    f1 = _chi_overlap_with_embezzled(spec, state)
     f2 = chi_phi_fidelity(spec)
     d1 = math.sqrt(max(0.0, 1.0 - f1 * f1))
     d2 = math.sqrt(max(0.0, 1.0 - f2 * f2))
@@ -522,41 +471,29 @@ def extraction_distances(
 # Approximate chained correlation measures
 
 
-# The pair-slot layout: slot (i, j) is pointer j, system i, on each side.
-
-
-def slot_registry(
-    host: SystemRegistry, labels: EmbezzleLabels, side: str
-) -> SystemRegistry:
+def slot_registry(host: SystemRegistry, side: str) -> SystemRegistry:
     """The (pointer, system) registers of one side, in host order: the
     registers every slot observable of that side acts on."""
-    _, ptr, sys = labels.side(side)
+    _, ptr, sys = SIDES[side]
     return host.restrict((ptr, sys))
 
 
-def slot_key(
-    pair: Pair, acting: SystemRegistry, labels: EmbezzleLabels, side: str
-) -> MultiIndex:
+def slot_key(pair: Pair, acting: SystemRegistry, side: str) -> MultiIndex:
     """Basis multi-index of pair slot (i, j) in `acting`'s label order."""
     i, j = pair
-    _, ptr, sys = labels.side(side)
+    _, ptr, sys = SIDES[side]
     values = {ptr: j, sys: i}
     return tuple(values[label] for label in acting.labels)
 
 
-def slot_observable(
-    spec: EmbezzleSpec,
-    host: SystemRegistry,
-    labels: EmbezzleLabels = DEFAULT_LABELS,
-    side: str = "A",
-) -> Observable:
+def slot_observable(spec: EmbezzleSpec, host: SystemRegistry, side: str) -> Observable:
     """Observable resolving the pointer-system slots, eigenvalue 2^i 3^j + 2 on
     slot (i, j) and 0 on the unused remainder of the pointer register."""
-    acting = slot_registry(host, labels, side)
+    acting = slot_registry(host, side)
     branches = [
         (
             pair_eigenvalue_scheme(pair),
-            span_projector([basis_state(acting, slot_key(pair, acting, labels, side))]),
+            span_projector([basis_state(acting, slot_key(pair, acting, side))]),
         )
         for pair in spec.pairs
     ]
@@ -571,23 +508,18 @@ def pair_chain_observables(
     pair_lo: Pair,
     pair_hi: Pair,
     host: SystemRegistry,
-    labels: EmbezzleLabels,
     side: str,
 ) -> dict[int, Observable]:
     """Chained family rotating two pair slots, with distinct spectator eigenvalues
     2^i 3^j + 2 on the remaining slots and a zero-eigenvalue complement branch
     closing the unused part of the pointer register."""
-    acting = slot_registry(host, labels, side)
-    key_lo = slot_key(pair_lo, acting, labels, side)
-    key_hi = slot_key(pair_hi, acting, labels, side)
+    acting = slot_registry(host, side)
+    key_lo = slot_key(pair_lo, acting, side)
+    key_hi = slot_key(pair_hi, acting, side)
     spectators = tuple(
-        slot_key(p, acting, labels, side)
-        for p in spec.pairs
-        if p not in (pair_lo, pair_hi)
+        slot_key(p, acting, side) for p in spec.pairs if p not in (pair_lo, pair_hi)
     )
-    scheme_by_key = {
-        slot_key(p, acting, labels, side): pair_eigenvalue_scheme(p) for p in spec.pairs
-    }
+    scheme_by_key = {slot_key(p, acting, side): pair_eigenvalue_scheme(p) for p in spec.pairs}
     closure = None if len(spec.pairs) == acting.total_dimension else 0.0
     chain_spec = cb.ChainSpec(
         N=N,
@@ -610,7 +542,6 @@ def correlation_measure_INn(
     N: int,
     pair_lo: Pair,
     pair_hi: Pair,
-    labels: EmbezzleLabels = DEFAULT_LABELS,
     *,
     state: SparseState | None = None,
 ) -> cb.ChainReport:
@@ -618,18 +549,18 @@ def correlation_measure_INn(
     two pair slots, with the extraction-target reference chain and the certified
     deviation bound 2N * D(U psi, chi).
 
-    `state`, if given, must be `embezzled_state(spec, labels)`; the deviation
-    bound is computed on it.  It is built here otherwise."""
+    `state`, if given, must be `embezzled_state(spec)`; the deviation bound is
+    computed on it.  It is built here otherwise."""
     for pair in (pair_lo, pair_hi):
         if pair not in spec.pairs:
             raise ValueError(f"pair slot {pair} is not among the spec's slots")
     if state is None:
-        state = embezzled_state(spec, labels)
-    a_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, labels, "A")
-    b_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, labels, "B")
+        state = embezzled_state(spec)
+    a_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, "A")
+    b_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, "B")
 
-    reference = cb.chain_correlation(chi_state(spec, labels), N, a_family, b_family)
-    d1, _ = extraction_distances(spec, labels, state=state)
+    reference = cb.chain_correlation(chi_state(spec), N, a_family, b_family)
+    d1, _ = extraction_distances(spec, state)
     return cb.chain_correlation(
         state,
         N,
@@ -658,7 +589,6 @@ def half_subset_observable(
     subset: Sequence[Pair],
     pairing: Mapping[Pair, Pair],
     host: SystemRegistry,
-    labels: EmbezzleLabels,
     side: str,
     setting: int,
 ) -> Observable:
@@ -673,13 +603,13 @@ def half_subset_observable(
     if image != sorted(complement):
         raise ValueError("pairing must be a bijection from the subset onto its complement")
 
-    acting = slot_registry(host, labels, side)
+    acting = slot_registry(host, side)
     theta = setting * math.pi / (2 * N)
     kets = [
         cb.superposed_ket(
             theta,
-            basis_state(acting, slot_key(s, acting, labels, side)),
-            basis_state(acting, slot_key(tuple(pairing[s]), acting, labels, side)),
+            basis_state(acting, slot_key(s, acting, side)),
+            basis_state(acting, slot_key(tuple(pairing[s]), acting, side)),
         )
         for s in subset_t
     ]
@@ -692,7 +622,6 @@ def half_subset_observables(
     subset: Sequence[Pair],
     pairing: Mapping[Pair, Pair],
     host: SystemRegistry,
-    labels: EmbezzleLabels,
     side: str,
 ) -> dict[int, Observable]:
     """Two-outcome chained family of `half_subset_observable` settings.
@@ -707,7 +636,7 @@ def half_subset_observables(
             family[setting] = family[0].negated()
         else:
             family[setting] = half_subset_observable(
-                spec, N, subset, pairing, host, labels, side, setting
+                spec, N, subset, pairing, host, side, setting
             )
     return family
 
@@ -717,28 +646,21 @@ def correlation_measure_IJlNnl(
     N: int,
     subset: Sequence[Pair],
     pairing: Mapping[Pair, Pair] | None = None,
-    labels: EmbezzleLabels = DEFAULT_LABELS,
-    *,
-    state: SparseState | None = None,
 ) -> cb.ChainReport:
     """Half-subset chained correlation measure on the embezzled state.
 
     The closed form attached is the uniform-slot reference 2N sin^2(pi/4N); the
     certified deviation bound combines both trace distances,
-    2N * (D(U psi, chi) + D(chi, uniform)).  Pass `state` to run the same
-    observables on a reference state instead.
+    2N * (D(U psi, chi) + D(chi, uniform)).
     """
     if spec.r % 2 != 0:
         raise ValueError(f"half-subset chains need an even slot count, got r={spec.r}")
     if pairing is None:
         pairing = default_pairing(spec, subset)
-    embezzled = state is None
-    if embezzled:
-        state = embezzled_state(spec, labels)
-    a_family = half_subset_observables(spec, N, subset, pairing, state.registry, labels, "A")
-    b_family = half_subset_observables(spec, N, subset, pairing, state.registry, labels, "B")
-    # D(U psi, chi) is always taken on the embezzled state, also for a reference state.
-    d1, d2 = extraction_distances(spec, labels, state=state if embezzled else None)
+    state = embezzled_state(spec)
+    a_family = half_subset_observables(spec, N, subset, pairing, state.registry, "A")
+    b_family = half_subset_observables(spec, N, subset, pairing, state.registry, "B")
+    d1, d2 = extraction_distances(spec, state)
     return cb.chain_correlation(
         state,
         N,
@@ -779,12 +701,10 @@ class SlotStatistics:
         return math.fsum(amp * vb[q] for q, amp in va.items() if q in vb)
 
 
-def slot_statistics(
-    state: SparseState, spec: EmbezzleSpec, labels: EmbezzleLabels = DEFAULT_LABELS
-) -> SlotStatistics:
+def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
     """Extract slot weights and auxiliary vectors; refuses states that are not
     slot-diagonal with real amplitudes (the fast formulas do not apply there)."""
-    axes = state.registry.axes(labels.a_side + labels.b_side)
+    axes = state.registry.axes(SIDES["A"] + SIDES["B"])
     weights: dict[Pair, float] = {s: 0.0 for s in spec.pairs}
     aux: dict[Pair, dict[int, float]] = {s: {} for s in spec.pairs}
     for key, amp in state.amplitudes.items():

@@ -687,6 +687,10 @@ def mismatch_probability(
     """
     forward = joint_probability(state, [event_a, event_b.complement()])
     backward = joint_probability(state, [event_a.complement(), event_b])
+    return _directed(forward, backward, direction)
+
+
+def _directed(forward: float, backward: float, direction: str) -> float:
     if direction == "forward":
         return forward
     if direction == "backward":
@@ -729,7 +733,7 @@ def schmidt_index_events(
 
 
 def extraction_block_events(
-    spec: ez.EmbezzleSpec, labels: ez.EmbezzleLabels = ez.DEFAULT_LABELS
+    spec: ez.EmbezzleSpec
 ) -> tuple[SparseState, list[tuple[str, RankedProjector, RankedProjector]]]:
     """Events tying extraction-side slots to untouched remote blocks.
 
@@ -737,16 +741,15 @@ def extraction_block_events(
     (i, j) on the mapped wing must then fire together with the plain block
     event i on the unmapped remote wing.
     """
-    psi = ez.input_state(spec, labels)
+    psi = ez.input_state(spec)
     host = psi.registry
-    mapped = ez.extract_side(spec, psi, labels.a_side)
-    acting_a = ez.slot_registry(host, labels, "A")
-    acting_b = host.restrict((labels.b_sys,))
+    mapped = ez.extract_side(spec, psi, "A")
+    acting_a = ez.slot_registry(host, "A")
+    _, _, b_sys = ez.SIDES["B"]
+    acting_b = host.restrict((b_sys,))
     slot_keys: dict[int, list[tuple[ez.Pair, MultiIndex]]] = {}
     for pair in spec.pairs:
-        slot_keys.setdefault(pair[0], []).append(
-            (pair, ez.slot_key(pair, acting_a, labels, "A"))
-        )
+        slot_keys.setdefault(pair[0], []).append((pair, ez.slot_key(pair, acting_a, "A")))
     events = []
     for i, keyed in slot_keys.items():
         block_b = basis_span_projector(acting_b, [(i,)])
@@ -791,10 +794,17 @@ def perfect_correlation_check(
     (absolute for two-sided events, signed for one-sided ones) is bounded by
     that lambda's mismatch, which the report verifies directly.
     """
-    quantum = []
+    scenarios, quantum = [], []
     for event in events:
         description, event_a, event_b, direction = _normalize_event(event)
-        p = mismatch_probability(state, event_a, event_b, direction)
+        obs_a = complete_with_complement([(1.0, event_a)], -1.0)
+        obs_b = complete_with_complement([(1.0, event_b)], -1.0)
+        scenario = Scenario(state, (obs_a, obs_b), description=description)
+        scenarios.append((scenario, direction))
+        # Cells (1, -1) and (-1, 1) are the one-sided mismatches, each the float
+        # `mismatch_probability` gives (the module tests pin the two routes).
+        born = born_joint_distribution(state, scenario.observables)
+        p = _directed(born[(1.0, -1.0)], born[(-1.0, 1.0)], direction)
         quantum.append({"event": description, "mismatch": p, "holds": p <= tol})
     report = {
         "tolerance": tol,
@@ -808,21 +818,15 @@ def perfect_correlation_check(
         raise ValueError("model-level check needs a hidden-parameter space")
     derived_tol = _MODEL_MISMATCH_TOL / space.min_weight
     model_entries = []
-    for event in events:
-        description, event_a, event_b, direction = _normalize_event(event)
-        obs_a = complete_with_complement([(1.0, event_a)], -1.0)
-        obs_b = complete_with_complement([(1.0, event_b)], -1.0)
-        scenario = Scenario(state, (obs_a, obs_b), description=description)
+    for scenario, direction in scenarios:
         mismatch_terms = []
         per_lambda_max = 0.0
         marginal_gap_ok = True
         for lam, weight in space.items():
             dist = _validated_distribution(model, scenario, lam)
-            forward = dist.get((1.0, -1.0), 0.0)
-            backward = dist.get((-1.0, 1.0), 0.0)
-            mismatch = {
-                "forward": forward, "backward": backward, "both": forward + backward
-            }[direction]
+            mismatch = _directed(
+                dist.get((1.0, -1.0), 0.0), dist.get((-1.0, 1.0), 0.0), direction
+            )
             mismatch_terms.append(weight * mismatch)
             per_lambda_max = max(per_lambda_max, mismatch)
             gap = _local_marginal(dist, 0).get(1.0, 0.0) - _local_marginal(
@@ -836,7 +840,7 @@ def perfect_correlation_check(
         averaged = math.fsum(mismatch_terms)
         model_entries.append(
             {
-                "event": description,
+                "event": scenario.description,
                 "average_mismatch": averaged,
                 "per_lambda_max": per_lambda_max,
                 "average_holds": averaged <= _MODEL_MISMATCH_TOL,
@@ -914,7 +918,6 @@ def triviality_bound(
     spec: ez.EmbezzleSpec,
     N: int,
     *,
-    epsilon_targets: Sequence[float] = (),
     seed: int = 7,
     tol: float = 1e-9,
 ) -> dict:
@@ -947,11 +950,10 @@ def triviality_bound(
     three-term shape |Pr - c_i^2| <= |Pr - m_i/r| + |m_i/r - c_i^2| with the
     chain contribution counted once more on the way to the block.
     """
-    labels = ez.DEFAULT_LABELS
-    state = ez.embezzled_state(spec, labels)
-    stats = ez.slot_statistics(state, spec, labels)
-    slot_a = ez.slot_observable(spec, state.registry, labels, "A")
-    slot_b = ez.slot_observable(spec, state.registry, labels, "B")
+    state = ez.embezzled_state(spec)
+    stats = ez.slot_statistics(state, spec)
+    slot_a = ez.slot_observable(spec, state.registry, "A")
+    slot_b = ez.slot_observable(spec, state.registry, "B")
     scenario_a = Scenario(state, (slot_a,), description="extraction-side slots")
     scenario_b = Scenario(state, (slot_b,), description="remote-side slots")
 
@@ -962,12 +964,12 @@ def triviality_bound(
     if not any(set(J) == set(extreme) for J, _ in family):
         family.insert(0, (extreme, ez.default_pairing(spec, extreme)))
     j0_observables = {
-        idx: ez.half_subset_observable(spec, N, J, pairing, state.registry, labels, "A", 0)
+        idx: ez.half_subset_observable(spec, N, J, pairing, state.registry, "A", 0)
         for idx, (J, pairing) in enumerate(family)
     }
 
     remote_b = ez.half_subset_observable(
-        spec, N, family[0][0], family[0][1], state.registry, labels, "B", 1
+        spec, N, family[0][0], family[0][1], state.registry, "B", 1
     )
     pair_scenario = Scenario(
         state, (j0_observables[0], remote_b), description="half-subset settings (0, 1)"
@@ -980,7 +982,7 @@ def triviality_bound(
             f"model {model.name!r} fails quantum completeness: "
             f"{compquant['first_failure']}"
         )
-    remote_idle = identity_observable(ez.slot_registry(state.registry, labels, "B"))
+    remote_idle = identity_observable(ez.slot_registry(state.registry, "B"))
     remote_variants = [
         Scenario(state, (slot_a, remote_b), description="remote measures setting 1"),
         Scenario(state, (slot_a, remote_idle), description="remote measures nothing"),
@@ -1156,10 +1158,6 @@ def triviality_bound(
         "lemma": lemma,
         "blocks": blocks,
         "achieved_epsilon": achieved,
-        "epsilon_targets": [
-            {"epsilon": float(t), "achieved": achieved < float(t)}
-            for t in epsilon_targets
-        ],
         "links_hold": links_hold,
         "conclusion_holds": conclusion_holds,
         "passed": links_hold and conclusion_holds,

@@ -64,15 +64,15 @@ class SystemRegistry:
                 return position
         raise KeyError(f"unknown subsystem label {label!r}")
 
-    def axes(self, labels: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.axis(label) for label in labels)
+    def axes(self, names: Iterable[str]) -> tuple[int, ...]:
+        return tuple(self.axis(label) for label in names)
 
     def dimension(self, label: str) -> int:
         return self.subsystems[self.axis(label)][1]
 
-    def restrict(self, labels: Iterable[str]) -> SystemRegistry:
-        """Sub-registry containing `labels`, kept in this registry's order."""
-        keep = set(labels)
+    def restrict(self, names: Iterable[str]) -> SystemRegistry:
+        """Sub-registry of the subsystems `names`, kept in this registry's order."""
+        keep = set(names)
         missing = keep - set(self.labels)
         if missing:
             raise KeyError(f"unknown subsystem labels {sorted(missing)}")
@@ -114,13 +114,12 @@ class SparseState:
 
     registry: SystemRegistry
     amplitudes: dict[MultiIndex, complex]
-    norm_tolerance: float = NORM_TOL
 
     def __post_init__(self) -> None:
         cleaned = _clean_amplitudes(self.registry, self.amplitudes)
         object.__setattr__(self, "amplitudes", cleaned)
         norm_sq = squared_norm(cleaned)
-        if abs(norm_sq - 1.0) > self.norm_tolerance:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state is not normalized: sum of |amplitude|^2 = {norm_sq!r}"
             )
@@ -702,13 +701,12 @@ def schmidt_decompose(
     state: SparseState,
     left_labels: Sequence[str],
     right_labels: Sequence[str],
-    *,
-    cutoff: float = 1e-12,
 ) -> SchmidtDecomposition:
     """Schmidt decomposition across a bipartition that covers the full registry.
 
     Returns descending positive coefficients with matching orthonormal ket
-    families, so that psi = sum_k c_k |left_k> |right_k| up to the cutoff.
+    families, so that psi = sum_k c_k |left_k> |right_k|; singular values at or
+    below 1e-12 are dropped.
     Only basis points occurring in the state's support enter the SVD, keeping the
     matrix small for sparse states.
     """
@@ -742,7 +740,7 @@ def schmidt_decompose(
     left_kets: list[SparseState] = []
     right_kets: list[SparseState] = []
     for k, value in enumerate(singular_values):
-        if value <= cutoff:
+        if value <= 1e-12:
             break
         coefficients.append(float(value))
         left_amp = {row_keys[i]: u[i, k] for i in range(len(row_keys))}
@@ -825,4 +823,4 @@ def apply_structured_map(smap: StructuredBasisMap, state: SparseState) -> Sparse
         for axis, value in zip(acting_axes, target):
             new_key[axis] = value
         amplitudes[tuple(new_key)] = amp * phase
-    return SparseState(host, amplitudes, norm_tolerance=state.norm_tolerance)
+    return SparseState(host, amplitudes)

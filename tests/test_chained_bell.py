@@ -180,9 +180,7 @@ def test_disagreement_matches_literal_oracle_on_embezzled_pair_chain(N):
     stats = ez.slot_statistics(state, spec)
     ordered = sorted(spec.pairs, key=lambda p: stats.weights[p])
     families = [
-        ez.pair_chain_observables(
-            spec, N, ordered[0], ordered[-1], state.registry, ez.DEFAULT_LABELS, side
-        )
+        ez.pair_chain_observables(spec, N, ordered[0], ordered[-1], state.registry, side)
         for side in "AB"
     ]
     for a, b in cb.adjacent_setting_pairs(N):

@@ -66,6 +66,15 @@ def test_zero_workers_is_config_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["pc", "couple", "lemma", "audit"])
+def test_zero_workers_is_config_error_on_serial_commands(capsys, command):
+    """Commands that never start a pool still refuse --workers 0."""
+    code, out, err = run(capsys, command, "--workers", "0")
+    assert code == 2
+    assert "--workers must be >= 1" in err
+    assert out == ""
+
+
 def test_unknown_fixture_is_config_error(capsys):
     code, _, err = run(capsys, "audit", "--model", "bohmian")
     assert code == 2

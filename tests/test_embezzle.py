@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from parind_lab import chained_bell as cb
 from parind_lab import embezzle as ez
 from parind_lab.qcore import SparseState, fidelity, squared_norm
 
@@ -237,15 +238,19 @@ def test_distance_bound_requires_enough_levels():
 def test_chi_phi_fidelity_is_one_for_exact_specs():
     spec = ez.EmbezzleSpec.from_exact(["1/6", "1/3", "1/2"], n=8)
     assert ez.chi_phi_fidelity(spec) == pytest.approx(1.0)
-    d1, d2 = ez.extraction_distances(spec)
+    d1, d2 = ez.extraction_distances(spec, ez.embezzled_state(spec))
     assert d2 == pytest.approx(0.0, abs=1e-7)
     assert 0.0 < d1 < 1.0
 
 
 def test_extraction_distances_reuse_a_given_embezzled_state():
-    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=20)
-    state = ez.embezzled_state(spec)
-    assert ez.extraction_distances(spec, state=state) == ez.extraction_distances(spec)
+    """D(U psi, chi) read off the given state is the fidelity report's trace
+    distance, which builds its own embezzled state."""
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=5, n=20)
+    d1, d2 = ez.extraction_distances(spec, ez.embezzled_state(spec))
+    assert d1 == ez.embezzlement_fidelity(spec).trace_distance
+    f2 = ez.chi_phi_fidelity(spec)
+    assert d2 == math.sqrt(1.0 - f2 * f2)
 
 
 def test_chi_phi_fidelity_below_one_for_approximants():
@@ -293,12 +298,11 @@ def test_pair_chain_rejects_unknown_slots():
 
 def test_half_subset_chain_literal_vs_fast_route():
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=14, even_denominator=True)
-    state = ez.embezzled_state(spec)
-    stats = ez.slot_statistics(state, spec)
+    stats = ez.slot_statistics(ez.embezzled_state(spec), spec)
     subset = spec.pairs[: spec.r // 2]
     pairing = ez.default_pairing(spec, subset)
     for N in (1, 2):
-        literal = ez.correlation_measure_IJlNnl(spec, N, subset, pairing, state=state)
+        literal = ez.correlation_measure_IJlNnl(spec, N, subset, pairing)
         fast = ez.fast_half_subset_chain(spec, N, subset, pairing, stats)
         assert abs(literal.value - fast.value) < 1e-12
 
@@ -310,18 +314,21 @@ def test_half_subset_chain_deviation_bound_holds():
     assert abs(report.value - report.closed_form) <= report.deviation_bound
 
 
-def test_half_subset_chain_on_a_reference_state_keeps_the_embezzled_bound():
-    """A reference state changes the measured value, never D(U psi, chi)."""
+def test_half_subset_literal_chain_on_uniform_slot_state_hits_closed_form():
+    """The literal projector route on the uniform slot state gives the
+    closed form 2N sin^2(pi/4N) that `correlation_measure_IJlNnl` attaches."""
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=10, even_denominator=True)
+    state = ez.phi_uniform_state(spec)
     subset = spec.pairs[: spec.r // 2]
-    own = ez.correlation_measure_IJlNnl(spec, 2, subset)
-    given = ez.correlation_measure_IJlNnl(spec, 2, subset, state=ez.embezzled_state(spec))
-    reference = ez.correlation_measure_IJlNnl(
-        spec, 2, subset, state=ez.phi_uniform_state(spec)
+    pairing = ez.default_pairing(spec, subset)
+    N = 2
+    a_family, b_family = (
+        ez.half_subset_observables(spec, N, subset, pairing, state.registry, side)
+        for side in "AB"
     )
-    assert given.value == own.value
-    assert given.deviation_bound == reference.deviation_bound == own.deviation_bound
-    assert reference.value == pytest.approx(reference.closed_form, abs=1e-12)
+    reference = cb.chain_correlation(state, N, a_family, b_family)
+    closed_form = ez.correlation_measure_IJlNnl(spec, N, subset, pairing).closed_form
+    assert reference.value == pytest.approx(closed_form, abs=1e-12)
 
 
 def test_half_subset_uniform_reference_hits_closed_form():

@@ -2,6 +2,7 @@
 models, structural checks, chained refutation, perfect-correlation transfer,
 and the finite-resource ledger."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -269,6 +270,35 @@ def test_extraction_block_events_vanish():
     assert any("implies some slot" in d for d in descriptions)
 
 
+def test_perfect_correlation_mismatch_is_the_literal_oracle_float():
+    """Each quantum mismatch is read off one Born table per event; on the
+    events `parind-lab pc` can draw (every proper index set of three Schmidt
+    levels, and the extraction block events) plus crossed events in every
+    direction, it is exactly the float of `mismatch_probability`."""
+    squares = ["1/6", "1/3", "1/2"]
+    state = ez.phi_schmidt([math.sqrt(float(Fraction(q))) for q in squares])
+    index_sets = [s for size in (1, 2) for s in itertools.combinations(range(3), size)]
+    wing_a, wing_b = state.registry.restrict(("A",)), state.registry.restrict(("B",))
+    crossed = [
+        (f"{a} vs {b}", basis_span_projector(wing_a, a), basis_span_projector(wing_b, b), d)
+        for a, b in (((0,), (1,)), ((0, 1), (1, 2)), ((2,), (0, 2)))
+        for d in ("forward", "backward", "both")
+    ]
+    cases = [
+        (state, hv.schmidt_index_events(state.registry, ("A",), ("B",), index_sets) + crossed),
+        hv.extraction_block_events(ez.EmbezzleSpec.from_exact(squares, 200)),
+    ]
+    disagreeing = 0
+    for psi, events in cases:
+        report = hv.perfect_correlation_check(psi, events)
+        assert len(report["quantum"]) == len(events)
+        for (_, event_a, event_b, *direction), entry in zip(events, report["quantum"]):
+            oracle = hv.mismatch_probability(psi, event_a, event_b, *direction)
+            assert entry["mismatch"] == oracle
+            disagreeing += oracle > 0.1
+    assert disagreeing == 8
+
+
 def test_perfect_correlation_model_level():
     """A model whose outcomes always agree on matched events passes the
     model-level transfer; the marginal-gap chain is certified per lambda."""
@@ -346,14 +376,14 @@ class _UniformOutcomeModel:
 def test_triviality_bound_on_trivial_model():
     model, space = hv.fixture_model("trivial")
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=40, even_denominator=True)
-    report = hv.triviality_bound(model, space, spec, 2, epsilon_targets=(0.5,))
+    report = hv.triviality_bound(model, space, spec, 2)
     assert report["links_hold"]
     assert report["conclusion_holds"]
     assert report["passed"]
     assert report["achieved_epsilon"] == pytest.approx(
         max(b["final_bound"] for b in report["blocks"]) / 3.0
     )
-    assert report["epsilon_targets"][0]["achieved"]
+    assert report["achieved_epsilon"] < 0.5
     # exact rational input: no approximant error term
     assert report["epsilon_coefficient"] == 0.0
     assert report["slot_leakage"]["extraction_side"] == pytest.approx(0.0, abs=1e-12)

@@ -494,3 +494,103 @@ def test_born_table_rejects_overlapping_observables():
         born_table(state, (obs, obs))
     with pytest.raises(ValueError):
         born_table(state, ())
+
+
+# ---------------------------------------------------------------------------
+# Property tests: structured basis maps and the Schmidt decomposition
+
+
+@st.composite
+def sparse_states(draw, min_registers=1):
+    """A normalized state on 1-4 registers of dimension 2-4 whose amplitudes
+    have small integer real and imaginary parts before normalization, so no
+    entry lies near the drop tolerance."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=min_registers, max_size=4))
+    registry = SystemRegistry(tuple((f"R{i}", d) for i, d in enumerate(dims)))
+    keys = list(np.ndindex(*dims))
+    support = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=16, unique=True))
+    parts = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda p: p != (0, 0))
+    values = [complex(*draw(parts)) for _ in support]
+    norm = math.sqrt(math.fsum(abs(v) ** 2 for v in values))
+    return SparseState(registry, {key: v / norm for key, v in zip(support, values)})
+
+
+@settings(deadline=None, max_examples=100)
+@given(sparse_states(), st.data())
+def test_structured_map_preserves_norm_and_inverse_restores_state(state, data):
+    """A random phased permutation of a random register group moves each
+    amplitude to its image key times its phase, keeps the norm, and its
+    inverse brings every amplitude back to its original key."""
+    host = state.registry
+    group = data.draw(
+        st.lists(st.sampled_from(host.labels), min_size=1, unique=True), label="group"
+    )
+    acting = host.restrict(group)
+    domain = list(np.ndindex(*acting.dimensions))
+    images = data.draw(st.permutations(domain), label="images")
+    angles = data.draw(
+        st.lists(st.floats(0, 2 * math.pi), min_size=len(domain), max_size=len(domain)),
+        label="angles",
+    )
+    rules = {
+        key: (image, complex(math.cos(a), math.sin(a)))
+        for key, image, a in zip(domain, images, angles)
+    }
+    smap = StructuredBasisMap(acting, rules)
+    mapped = apply_structured_map(smap, state)
+
+    axes = host.axes(acting.labels)
+    expected = {}
+    for key, amp in state.amplitudes.items():
+        target, phase = rules[tuple(key[a] for a in axes)]
+        new_key = list(key)
+        for axis, value in zip(axes, target):
+            new_key[axis] = value
+        expected[tuple(new_key)] = amp * phase
+    assert mapped.amplitudes == expected
+    norm_sq = math.fsum(abs(a) ** 2 for a in state.amplitudes.values())
+    mapped_sq = math.fsum(abs(a) ** 2 for a in mapped.amplitudes.values())
+    assert mapped_sq == pytest.approx(norm_sq, abs=1e-14)
+
+    restored = apply_structured_map(smap.inverted(), mapped)
+    assert restored.amplitudes.keys() == state.amplitudes.keys()
+    for key, amp in state.amplitudes.items():
+        assert abs(restored.amplitudes[key] - amp) <= 1e-15
+
+
+@settings(deadline=None, max_examples=100)
+@given(sparse_states(min_registers=2), st.data())
+def test_schmidt_decomposition_reconstructs_the_state(state, data):
+    """Any bipartition of any sparse state: descending positive coefficients
+    with unit total weight, orthonormal ket families on each side, and
+    sum_k c_k |left_k>|right_k> equal to the state entry by entry."""
+    host = state.registry
+    left = data.draw(
+        st.lists(st.sampled_from(host.labels), min_size=1, max_size=len(host.labels) - 1,
+                 unique=True),
+        label="left",
+    )
+    right = [label for label in host.labels if label not in left]
+    dec = schmidt_decompose(state, left, right)
+
+    assert all(c > 0 for c in dec.coefficients)
+    assert list(dec.coefficients) == sorted(dec.coefficients, reverse=True)
+    assert math.fsum(c * c for c in dec.coefficients) == pytest.approx(1.0, abs=1e-10)
+    for kets in (dec.left_kets, dec.right_kets):
+        for j, u in enumerate(kets):
+            for k, v in enumerate(kets):
+                assert abs(inner_product(u, v)) == pytest.approx(float(j == k), abs=1e-10)
+
+    left_axes = host.axes(host.restrict(left).labels)
+    right_axes = host.axes(host.restrict(right).labels)
+    rebuilt: dict = {}
+    for c, u, v in zip(dec.coefficients, dec.left_kets, dec.right_kets):
+        for ku, au in u.amplitudes.items():
+            for kv, av in v.amplitudes.items():
+                key = [0] * len(host.labels)
+                for axis, value in zip(left_axes + right_axes, ku + kv):
+                    key[axis] = value
+                key = tuple(key)
+                rebuilt[key] = rebuilt.get(key, 0.0) + c * au * av
+    for key in set(rebuilt) | set(state.amplitudes):
+        assert abs(rebuilt.get(key, 0.0) - state.amplitudes.get(key, 0.0)) <= 1e-10
