@@ -17,7 +17,7 @@ def main() -> None:
     print(f"{'N':>4}  {'I_N':>12}  {'2N sin^2':>12}  {'pi^2/8N':>10}  {'N*I_N':>8}")
     for N in (1, 2, 4, 8, 16, 32, 64, 128):
         report = cb.correlation_measure_IN(
-            state, cb.ChainSpec(N=N, pair=(0, 1)), ("A",), ("B",)
+            state, cb.ChainSpec(N=N, pair=(0, 1))
         )
         closed = 2.0 * N * math.sin(math.pi / (4 * N)) ** 2
         assert abs(report.value - closed) < 1e-12

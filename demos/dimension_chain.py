@@ -22,7 +22,7 @@ def sweep(squares: list[float], pair: tuple[int, int]) -> None:
     print(f"squares = ({pretty}), equal pair = {pair}, c^2 = {c2:.4f}")
     for N in (1, 2, 4, 8):
         spec = cb.ChainSpec(N=N, pair=pair, eigenvalue_scheme=cb.dimension_scheme)
-        report = cb.correlation_measure_IN_prime(state, spec, ("A",), ("B",))
+        report = cb.correlation_measure_IN_prime(state, spec)
         closed = 4.0 * N * c2 * math.sin(math.pi / (4 * N)) ** 2
         print(
             f"  N={N}: I'_N = {report.value:.9f}   closed = {closed:.9f}"

@@ -25,7 +25,7 @@ def main() -> None:
         norm = math.sqrt(math.fsum(x * x for x in raw))
         state = ez.phi_schmidt([x / norm for x in raw])
         index_set = tuple(sorted(rng.sample(range(d), rng.randrange(1, d + 1))))
-        events = hv.schmidt_index_events(state.registry, ("A",), ("B",), [index_set])
+        events = hv.schmidt_index_events(state.registry, [index_set])
         report = hv.perfect_correlation_check(state, events)
         print(
             f"  d={d}, I={index_set}: {len(report['quantum'])} directed events, "

@@ -179,6 +179,17 @@ def chain_observables(
     return family
 
 
+def chain_families(
+    spec: ChainSpec, registry: SystemRegistry
+) -> tuple[dict[int, Observable], dict[int, Observable]]:
+    """The A-side family on register "A" and the B-side family on register "B"
+    of a bipartite registry, the two wings of `bell_state` and `phi_schmidt`."""
+    return (
+        chain_observables(spec, registry.restrict(("A",)), "A"),
+        chain_observables(spec, registry.restrict(("B",)), "B"),
+    )
+
+
 def _assert_terminal_flip(first: Observable, last: Observable) -> None:
     """Check that the angle-pi observable negates the angle-0 one on its +-1 branches."""
     for eigenvalue in (-1.0, 1.0):
@@ -234,10 +245,6 @@ class ChainReport:
         recomputed = math.fsum(t.probability for t in self.pair_terms)
         if abs(recomputed - self.value) > 1e-9:
             raise ValueError("chain value does not equal the sum of its pair terms")
-
-    @property
-    def per_pair_probabilities(self) -> tuple[float, ...]:
-        return tuple(t.probability for t in self.pair_terms)
 
 
 def adjacent_setting_pairs(N: int) -> tuple[tuple[int, int], ...]:
@@ -300,18 +307,11 @@ def ddim_chain_bound(N: int, cj_squared: float) -> float:
     return math.pi**2 * cj_squared / (4.0 * N)
 
 
-def correlation_measure_IN(
-    state: SparseState,
-    spec: ChainSpec,
-    a_labels: Sequence[str],
-    b_labels: Sequence[str],
-) -> ChainReport:
-    """Brute-force I_N for a two-outcome chain on a bipartite state, with the
-    closed form 2N sin^2(pi/4N) and bound pi^2/(8N) attached for cross-checking."""
-    registry_a = state.registry.restrict(a_labels)
-    registry_b = state.registry.restrict(b_labels)
-    a_family = chain_observables(spec, registry_a, "A")
-    b_family = chain_observables(spec, registry_b, "B")
+def correlation_measure_IN(state: SparseState, spec: ChainSpec) -> ChainReport:
+    """Brute-force I_N for a two-outcome chain on the A/B wings of a bipartite
+    state, with the closed form 2N sin^2(pi/4N) and bound pi^2/(8N) attached for
+    cross-checking."""
+    a_family, b_family = chain_families(spec, state.registry)
     return chain_correlation(
         state,
         spec.N,
@@ -322,20 +322,15 @@ def correlation_measure_IN(
     )
 
 
-def correlation_measure_IN_prime(
-    state: SparseState,
-    spec: ChainSpec,
-    a_labels: Sequence[str],
-    b_labels: Sequence[str],
-) -> ChainReport:
+def correlation_measure_IN_prime(state: SparseState, spec: ChainSpec) -> ChainReport:
     """Brute-force I'_N when only a two-dimensional slice of a higher-dimensional
-    state is rotated; requires equal Schmidt weight on the rotated pair, within
-    1e-10 to absorb the rounding of Born weights computed from float amplitudes.
+    state is rotated on its A/B wings; requires equal Schmidt weight on the
+    rotated pair, within 1e-10 to absorb the rounding of Born weights computed
+    from float amplitudes.
 
     The closed form 4N c_j^2 sin^2(pi/4N) and bound pi^2 c_j^2/(4N) are attached.
     """
-    registry_a = state.registry.restrict(a_labels)
-    registry_b = state.registry.restrict(b_labels)
+    registry_a = state.registry.restrict(("A",))
     lo, hi = spec.pair  # normalized by ChainSpec
     weight_lo = born_probability(state, span_projector([SparseState(registry_a, {lo: 1.0})]))
     weight_hi = born_probability(state, span_projector([SparseState(registry_a, {hi: 1.0})]))
@@ -345,8 +340,7 @@ def correlation_measure_IN_prime(
             f"c_k^2 = {weight_hi}"
         )
     cj_squared = 0.5 * (weight_lo + weight_hi)
-    a_family = chain_observables(spec, registry_a, "A")
-    b_family = chain_observables(spec, registry_b, "B")
+    a_family, b_family = chain_families(spec, state.registry)
     return chain_correlation(
         state,
         spec.N,

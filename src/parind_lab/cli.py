@@ -387,9 +387,7 @@ def _closed_form_row(command: str, head: tuple, report: cb.ChainReport, tol: flo
 
 def _chain_point(args: tuple[int, float]) -> dict:
     N, tol = args
-    report = cb.correlation_measure_IN(
-        cb.bell_state(), cb.ChainSpec(N=N, pair=(0, 1)), ("A",), ("B",)
-    )
+    report = cb.correlation_measure_IN(cb.bell_state(), cb.ChainSpec(N=N, pair=(0, 1)))
     return _closed_form_row("chain", ("chain", N), report, tol)
 
 
@@ -412,7 +410,7 @@ def _dim_point(args: tuple[tuple[str, ...], int, int, int, float]) -> dict:
     spec = cb.ChainSpec(
         N=N, pair=(lo, hi), eigenvalue_scheme=cb.dimension_scheme
     )
-    report = cb.correlation_measure_IN_prime(state, spec, ("A",), ("B",))
+    report = cb.correlation_measure_IN_prime(state, spec)
     head = ("dim", N, len(squares), (lo, hi), float(squares[lo]))
     return _closed_form_row("dim", head, report, tol)
 
@@ -611,7 +609,7 @@ def run_pc(cfg: dict) -> dict:
     for _ in range(20):
         size = rng.randrange(1, d) if d > 1 else 1
         index_sets.append(tuple(sorted(rng.sample(range(d), size))))
-    events = hv.schmidt_index_events(state.registry, ("A",), ("B",), index_sets)
+    events = hv.schmidt_index_events(state.registry, index_sets)
     schmidt_report = hv.perfect_correlation_check(state, events, tol=tol)
     rows = [
         {
@@ -792,13 +790,12 @@ def run_audit(cfg: dict) -> dict:
     scan = hv.refutation_scan(model, space, state, tuple(range(1, n_max + 1)), tol=tol)
 
     chain2 = cb.ChainSpec(N=min(2, n_max), pair=(0, 1))
-    a_family = cb.chain_observables(chain2, state.registry.restrict(("A",)), "A")
-    b_family = cb.chain_observables(chain2, state.registry.restrict(("B",)), "B")
+    a_family, b_family = cb.chain_families(chain2, state.registry)
     single = hv.Scenario(state, (a_family[0],), description="setting 0 alone")
     pair = hv.Scenario(state, (a_family[0], b_family[1]), description="settings (0, 1)")
     idle = hv.Scenario(
         state,
-        (a_family[0], hv.identity_observable(state.registry.restrict(("B",)))),
+        (a_family[0], hv.identity_observable(b_family[1].registry)),
         description="remote idle",
     )
     def guarded(check, *args, **kwargs):
@@ -816,9 +813,8 @@ def run_audit(cfg: dict) -> dict:
         undefined = "undefined" in report
         if undefined:
             # the model declined this depth; Born integrity is still checkable
-            value = cb.correlation_measure_IN(
-                state, cb.ChainSpec(N=report["N"], pair=(0, 1)), ("A",), ("B",)
-            ).value
+            spec = cb.ChainSpec(N=report["N"], pair=(0, 1))
+            value = cb.correlation_measure_IN(state, spec).value
             closed = cb.bell_chain_closed_form(report["N"])
         else:
             value, closed = report["chain_value"], report["chain_closed_form"]

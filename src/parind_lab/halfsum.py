@@ -108,18 +108,23 @@ def build_system(
 def identity_check(system: HalfSubsetSystem, p: Sequence[Number]) -> dict:
     """Verify sum_{i in J} p_i == (sum_a R_a - sum_b T_b) / (r/2) for this p.
 
-    With Fraction entries the comparison is exact: p is cleared to one common
+    When every entry has a numerator and a denominator (int, bool, Fraction,
+    numpy integers) the comparison is exact: p is cleared to one common
     denominator D and both sides are integer dot products with the window
-    multiplicities.  Float entries take the same multiplicities in float
-    arithmetic with a 1e-12 slack.  The returned dict carries both sides for
-    counterexample reporting.
+    multiplicities.  Otherwise (floats, numpy floats) the entries take the same
+    multiplicities in float arithmetic with a 1e-12 slack.  The returned dict
+    carries both sides for counterexample reporting.
     """
     if len(p) != system.r:
         raise ValueError(f"p must have {system.r} entries, got {len(p)}")
-    if all(isinstance(v, Rational) for v in p):
-        denominators = [v.denominator for v in p]
+    # int() keeps numpy integers from overflowing against a large D.
+    try:
+        denominators = [int(v.denominator) for v in p]
+    except AttributeError:
+        denominators = None
+    if denominators is not None:
         D = math.lcm(*denominators)
-        q = [v.numerator * (D // d) for v, d in zip(p, denominators)]
+        q = [int(v.numerator) * (D // d) for v, d in zip(p, denominators)]
         lhs_q = sum(q[i] for i in system.J)
         r_q = sum(map(operator.mul, system.k_multiplicity, q))
         t_q = sum(map(operator.mul, system.l_multiplicity, q))

@@ -27,9 +27,11 @@ probabilities sit within 3*epsilon of the squared target coefficients.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
-from collections.abc import Hashable, Iterable, Sequence
+import types
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
 from typing import Protocol, runtime_checkable
@@ -53,7 +55,7 @@ from .qcore import (
 )
 
 Outcome = tuple[float, ...]
-Distribution = dict[Outcome, float]
+Distribution = Mapping[Outcome, float]
 
 
 class ModelUndefinedError(ValueError):
@@ -131,6 +133,12 @@ class Scenario:
                     )
                 seen.add(label)
 
+    @functools.cached_property
+    def born(self) -> Distribution:
+        """Read-only Born joint distribution of this scenario, built on first
+        read and kept for the scenario's lifetime."""
+        return types.MappingProxyType(born_joint_distribution(self.state, self.observables))
+
 
 def identity_observable(registry: SystemRegistry) -> Observable:
     """The trivial 'measure nothing' observable: eigenvalue 1 on everything."""
@@ -201,7 +209,7 @@ class TrivialModel:
     name = "trivial"
 
     def distribution(self, scenario: Scenario, lam: Hashable) -> Distribution:
-        return born_joint_distribution(scenario.state, scenario.observables)
+        return scenario.born
 
 
 class DeterministicChainModel:
@@ -295,7 +303,7 @@ class SignallingToyModel:
     def distribution(self, scenario: Scenario, lam: Hashable) -> Distribution:
         if lam not in (0, 1):
             raise ValueError(f"{self.name} expects lambda in {{0, 1}}, got {lam!r}")
-        base = born_joint_distribution(scenario.state, scenario.observables)
+        base = scenario.born
         first = scenario.observables[0]
         remote_active = any(
             len(obs.branches) > 1 for obs in scenario.observables[1:]
@@ -306,7 +314,7 @@ class SignallingToyModel:
         rest_marginal: dict[Outcome, float] = {}
         for outcome, p in base.items():
             rest_marginal[outcome[1:]] = rest_marginal.get(outcome[1:], 0.0) + p
-        shifted: Distribution = {}
+        shifted: dict[Outcome, float] = {}
         for outcome, p in base.items():
             delta = signed * rest_marginal[outcome[1:]]
             value = p + delta if outcome[0] == 1.0 else p - delta
@@ -349,7 +357,7 @@ def _validated_distribution(
     model: HVModel, scenario: Scenario, lam: Hashable
 ) -> Distribution:
     dist = model.distribution(scenario, lam)
-    cleaned: Distribution = {}
+    cleaned: dict[Outcome, float] = {}
     width = len(scenario.observables)
     for outcome, value in dist.items():
         if len(outcome) != width:
@@ -398,7 +406,7 @@ def check_compquant(
     checks = []
     first_failure = None
     for scenario in scenarios:
-        born = born_joint_distribution(scenario.state, scenario.observables)
+        born = scenario.born
         averaged = model_average(model, space, scenario)
         max_deviation, worst_outcome = 0.0, None
         for outcome in set(born) | set(averaged):
@@ -562,9 +570,7 @@ def chained_audit(
     The terminal setting 2N is the negation of setting 0; models that assign it
     independent outcomes are flagged by the negation-consistency entry.
     """
-    chain_spec = cb.ChainSpec(N=N, pair=(0, 1))
-    a_family = cb.chain_observables(chain_spec, state.registry.restrict(("A",)), "A")
-    b_family = cb.chain_observables(chain_spec, state.registry.restrict(("B",)), "B")
+    a_family, b_family = cb.chain_families(cb.ChainSpec(N=N, pair=(0, 1)), state.registry)
 
     pairs = []
     born_terms, model_terms = [], []
@@ -573,7 +579,7 @@ def chained_audit(
         scenario = Scenario(
             state, (a_family[a], b_family[b]), description=f"settings ({a}, {b})"
         )
-        born = born_joint_distribution(state, scenario.observables)
+        born = scenario.born
         averaged = model_average(model, space, scenario)
         born_dis = math.fsum(p for (x, y), p in born.items() if x != y)
         model_dis = math.fsum(p for (x, y), p in averaged.items() if x != y)
@@ -700,25 +706,18 @@ def _directed(forward: float, backward: float, direction: str) -> float:
     raise ValueError(f"direction must be forward, backward or both, got {direction!r}")
 
 
-def _normalize_event(
-    event: Sequence,
-) -> tuple[str, RankedProjector, RankedProjector, str]:
-    if len(event) == 3:
-        description, event_a, event_b = event
-        return description, event_a, event_b, "both"
-    description, event_a, event_b, direction = event
-    return description, event_a, event_b, direction
+# A perfect-correlation event: (description, event_a, event_b, direction), with
+# direction "forward", "backward" or "both" as in `mismatch_probability`.
+Event = tuple[str, RankedProjector, RankedProjector, str]
 
 
 def schmidt_index_events(
-    registry: SystemRegistry,
-    a_labels: Sequence[str],
-    b_labels: Sequence[str],
-    index_sets: Iterable[Sequence[MultiIndex | int]],
-) -> list[tuple[str, RankedProjector, RankedProjector]]:
-    """Matched basis-index events on the two wings of a Schmidt-diagonal state."""
-    a_registry = registry.restrict(a_labels)
-    b_registry = registry.restrict(b_labels)
+    registry: SystemRegistry, index_sets: Iterable[Sequence[MultiIndex | int]]
+) -> list[Event]:
+    """Matched basis-index events on the A and B wings of a Schmidt-diagonal
+    state, each required to agree in both directions."""
+    a_registry = registry.restrict(("A",))
+    b_registry = registry.restrict(("B",))
     events = []
     for index_set in index_sets:
         indices = tuple(index_set)
@@ -727,14 +726,13 @@ def schmidt_index_events(
                 f"indices {sorted(indices)}",
                 basis_span_projector(a_registry, indices),
                 basis_span_projector(b_registry, indices),
+                "both",
             )
         )
     return events
 
 
-def extraction_block_events(
-    spec: ez.EmbezzleSpec
-) -> tuple[SparseState, list[tuple[str, RankedProjector, RankedProjector]]]:
+def extraction_block_events(spec: ez.EmbezzleSpec) -> tuple[SparseState, list[Event]]:
     """Events tying extraction-side slots to untouched remote blocks.
 
     Applies the extraction map to one side only; each pulled-back slot event
@@ -777,7 +775,7 @@ _MODEL_MISMATCH_TOL = 1e-9
 
 def perfect_correlation_check(
     state: SparseState,
-    events: Sequence[tuple[str, RankedProjector, RankedProjector]],
+    events: Sequence[Event],
     *,
     model: HVModel | None = None,
     space: LambdaSpace | None = None,
@@ -795,15 +793,14 @@ def perfect_correlation_check(
     that lambda's mismatch, which the report verifies directly.
     """
     scenarios, quantum = [], []
-    for event in events:
-        description, event_a, event_b, direction = _normalize_event(event)
+    for description, event_a, event_b, direction in events:
         obs_a = complete_with_complement([(1.0, event_a)], -1.0)
         obs_b = complete_with_complement([(1.0, event_b)], -1.0)
         scenario = Scenario(state, (obs_a, obs_b), description=description)
         scenarios.append((scenario, direction))
         # Cells (1, -1) and (-1, 1) are the one-sided mismatches, each the float
         # `mismatch_probability` gives (the module tests pin the two routes).
-        born = born_joint_distribution(state, scenario.observables)
+        born = scenario.born
         p = _directed(born[(1.0, -1.0)], born[(-1.0, 1.0)], direction)
         quantum.append({"event": description, "mismatch": p, "holds": p <= tol})
     report = {

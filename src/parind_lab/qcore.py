@@ -126,20 +126,13 @@ class SparseState:
 
     @classmethod
     def from_terms(
-        cls,
-        registry: SystemRegistry,
-        terms: Mapping[MultiIndex, complex],
-        *,
-        normalize: bool = False,
+        cls, registry: SystemRegistry, terms: Mapping[MultiIndex, complex]
     ) -> SparseState:
-        """Build a state from raw terms, optionally rescaling to unit norm."""
-        amplitudes = dict(terms)
-        if normalize:
-            norm = math.sqrt(squared_norm(amplitudes))
-            if norm <= DROP_TOL:
-                raise ValueError("cannot normalize a (numerically) zero vector")
-            amplitudes = {k: v / norm for k, v in amplitudes.items()}
-        return cls(registry, amplitudes)
+        """Build a state from raw terms rescaled to unit norm."""
+        norm = math.sqrt(squared_norm(terms))
+        if norm <= DROP_TOL:
+            raise ValueError("cannot normalize a (numerically) zero vector")
+        return cls(registry, {k: v / norm for k, v in terms.items()})
 
     @property
     def nonzero_count(self) -> int:
@@ -252,10 +245,6 @@ class RankedProjector:
                     raise ValueError(f"projector kets are not orthogonal (|<u|v>| = {overlap})")
 
     @property
-    def acting_subsystems(self) -> tuple[str, ...]:
-        return self.registry.labels
-
-    @property
     def rank_of_span(self) -> int:
         return len(self.kets)
 
@@ -355,7 +344,6 @@ class _ProjectionEngine:
         image: dict[MultiIndex, complex] = {}
         for rest, vec in groups.items():
             for ket in self.ket_amps:
-                small, large = (ket, vec) if len(ket) <= len(vec) else (vec, ket)
                 coeff = 0.0 + 0.0j
                 for acting, ket_amp in ket.items():
                     value = vec.get(acting)
@@ -745,8 +733,8 @@ def schmidt_decompose(
         coefficients.append(float(value))
         left_amp = {row_keys[i]: u[i, k] for i in range(len(row_keys))}
         right_amp = {col_keys[j]: vh[k, j] for j in range(len(col_keys))}
-        left_kets.append(SparseState.from_terms(left_registry, left_amp, normalize=True))
-        right_kets.append(SparseState.from_terms(right_registry, right_amp, normalize=True))
+        left_kets.append(SparseState.from_terms(left_registry, left_amp))
+        right_kets.append(SparseState.from_terms(right_registry, right_amp))
     return SchmidtDecomposition(tuple(coefficients), tuple(left_kets), tuple(right_kets))
 
 
@@ -782,10 +770,6 @@ class StructuredBasisMap:
             images.add(target)
             normalized[source] = (target, phase)
         object.__setattr__(self, "rules", normalized)
-
-    @property
-    def acting_subsystems(self) -> tuple[str, ...]:
-        return self.registry.labels
 
     def inverted(self) -> StructuredBasisMap:
         return StructuredBasisMap(

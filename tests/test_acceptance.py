@@ -36,7 +36,7 @@ def test_acceptance_01_two_outcome_chain_closed_form(acceptance):
     bounds_ok = True
     for N in (1, 2, 4, 8, 16, 32, 64):
         report = cb.correlation_measure_IN(
-            state, cb.ChainSpec(N=N, pair=(0, 1)), ("A",), ("B",)
+            state, cb.ChainSpec(N=N, pair=(0, 1))
         )
         closed = 2.0 * N * math.sin(math.pi / (4 * N)) ** 2
         worst = max(worst, abs(report.value - closed))
@@ -65,7 +65,7 @@ def test_acceptance_02_higher_dimension_chain_closed_form(acceptance):
         cj_squared = squares[pair[0]]
         for N in (1, 2, 4, 8):
             spec = cb.ChainSpec(N=N, pair=pair, eigenvalue_scheme=cb.dimension_scheme)
-            report = cb.correlation_measure_IN_prime(state, spec, ("A",), ("B",))
+            report = cb.correlation_measure_IN_prime(state, spec)
             closed = 4.0 * N * cj_squared * math.sin(math.pi / (4 * N)) ** 2
             worst = max(worst, abs(report.value - closed))
             bounds_ok &= report.value <= math.pi**2 * cj_squared / (4.0 * N)
@@ -244,7 +244,7 @@ def test_acceptance_08_perfect_correlation_events(acceptance):
         state = ez.phi_schmidt([x / norm for x in raw])
         size = rng.randrange(1, d + 1)
         index_set = tuple(sorted(rng.sample(range(d), size)))
-        events = hv.schmidt_index_events(state.registry, ("A",), ("B",), [index_set])
+        events = hv.schmidt_index_events(state.registry, [index_set])
         worst = max(worst, hv.perfect_correlation_check(state, events)["max_mismatch"])
     mapped, events = hv.extraction_block_events(
         ez.EmbezzleSpec.from_exact(("1/3", "2/3"), n=200)

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from parind_lab import chained_bell as cb
@@ -14,7 +13,7 @@ from parind_lab.qcore import SparseState, SystemRegistry, joint_probability
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32, 64])
 def test_bell_chain_matches_closed_form(N):
     state = cb.bell_state()
-    report = cb.correlation_measure_IN(state, cb.ChainSpec(N=N, pair=(0, 1)), ("A",), ("B",))
+    report = cb.correlation_measure_IN(state, cb.ChainSpec(N=N, pair=(0, 1)))
     assert abs(report.value - cb.bell_chain_closed_form(N)) < 1e-12
     assert report.value <= cb.bell_chain_bound(N)
     assert len(report.pair_terms) == 2 * N
@@ -23,7 +22,7 @@ def test_bell_chain_matches_closed_form(N):
 def test_bell_chain_n2_frozen_value():
     # 4 sin^2(pi/8) = 2 - sqrt(2)
     report = cb.correlation_measure_IN(
-        cb.bell_state(), cb.ChainSpec(N=2, pair=(0, 1)), ("A",), ("B",)
+        cb.bell_state(), cb.ChainSpec(N=2, pair=(0, 1))
     )
     assert report.value == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-14)
 
@@ -32,7 +31,7 @@ def test_chain_value_decreases_in_depth():
     values = []
     for N in (1, 2, 4, 8):
         report = cb.correlation_measure_IN(
-            cb.bell_state(), cb.ChainSpec(N=N, pair=(0, 1)), ("A",), ("B",)
+            cb.bell_state(), cb.ChainSpec(N=N, pair=(0, 1))
         )
         values.append(report.value)
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -43,7 +42,7 @@ def test_pair_terms_are_equal_including_terminal():
     same probability sin^2(pi/4N); the closure step is no exception."""
     N = 4
     report = cb.correlation_measure_IN(
-        cb.bell_state(), cb.ChainSpec(N=N, pair=(0, 1)), ("A",), ("B",)
+        cb.bell_state(), cb.ChainSpec(N=N, pair=(0, 1))
     )
     expected = math.sin(math.pi / (4 * N)) ** 2
     for term in report.pair_terms:
@@ -92,7 +91,7 @@ def test_chain_triangle_inequality_holds(alpha):
 def test_ddim_chain_matches_closed_form(d, N):
     state = phi_schmidt([math.sqrt(1.0 / d)] * d)
     spec = cb.ChainSpec(N=N, pair=(0, 1), eigenvalue_scheme=cb.dimension_scheme)
-    report = cb.correlation_measure_IN_prime(state, spec, ("A",), ("B",))
+    report = cb.correlation_measure_IN_prime(state, spec)
     cj_squared = 1.0 / d
     assert abs(report.value - cb.ddim_chain_closed_form(N, cj_squared)) < 1e-12
     assert report.value <= cb.ddim_chain_bound(N, cj_squared)
@@ -102,7 +101,7 @@ def test_ddim_chain_unequal_coefficients_rejected():
     state = phi_schmidt([math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 3.0), math.sqrt(0.5)])
     spec = cb.ChainSpec(N=2, pair=(0, 1), eigenvalue_scheme=cb.dimension_scheme)
     with pytest.raises(ValueError, match="equal coefficients"):
-        cb.correlation_measure_IN_prime(state, spec, ("A",), ("B",))
+        cb.correlation_measure_IN_prime(state, spec)
 
 
 def test_ddim_chain_on_other_equal_pair():
@@ -110,7 +109,7 @@ def test_ddim_chain_on_other_equal_pair():
     squares = [1.0 / 6.0, 0.25, 0.25, 1.0 / 3.0]
     state = phi_schmidt([math.sqrt(s) for s in squares])
     spec = cb.ChainSpec(N=2, pair=(1, 2), eigenvalue_scheme=cb.dimension_scheme)
-    report = cb.correlation_measure_IN_prime(state, spec, ("A",), ("B",))
+    report = cb.correlation_measure_IN_prime(state, spec)
     assert abs(report.value - cb.ddim_chain_closed_form(2, 0.25)) < 1e-12
 
 

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,8 +37,11 @@ def window_systems(draw):
 
 exact_entries = st.one_of(
     st.integers(-1000, 1000),
+    st.booleans(),
+    st.integers(-1000, 1000).map(np.int64),
     st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
 )
+float_entries = st.one_of(st.floats(0, 1), st.floats(0, 1).map(np.float64))
 
 
 def test_window_families_tile_positions():
@@ -95,7 +99,8 @@ def test_identity_exhaustive_tiny_case():
 @given(data=st.data())
 def test_identity_matches_literal_window_sums_exactly(data):
     """The multiplicity route returns exactly the literal window sums, as
-    Fractions, for int and mixed-denominator Fraction entries."""
+    Fractions, for int, bool, numpy integer and mixed-denominator Fraction
+    entries."""
     system = data.draw(window_systems())
     p = data.draw(st.lists(exact_entries, min_size=system.r, max_size=system.r))
     result = halfsum.identity_check(system, p)
@@ -110,13 +115,24 @@ def test_identity_matches_literal_window_sums_exactly(data):
 @given(data=st.data())
 def test_identity_matches_literal_window_sums_for_floats(data):
     system = data.draw(window_systems())
-    p = data.draw(st.lists(st.floats(0, 1), min_size=system.r, max_size=system.r))
+    p = data.draw(st.lists(float_entries, min_size=system.r, max_size=system.r))
     result = halfsum.identity_check(system, p)
     expected = literal_window_sums(system, p)
     got = (result["lhs"], result["rhs"], result["window_sums"]["R"], result["window_sums"]["T"])
     for value, reference in zip(got, expected):
         assert abs(value - reference) <= 1e-12
     assert result["holds"]
+
+
+def test_identity_exact_for_numpy_integers_beside_large_denominators():
+    """The common denominator here exceeds 2**63, so a numpy integer entry must
+    not be multiplied by it in int64 arithmetic."""
+    system = halfsum.build_system(4, (0,))
+    p = [np.int64(3), Fraction(1, 999983), Fraction(1, 999979), Fraction(1, 999961)]
+    result = halfsum.identity_check(system, p)
+    assert result["holds"]
+    assert result["lhs"] == Fraction(3)
+    assert (result["lhs"], result["rhs"]) == literal_window_sums(system, p)[:2]
 
 
 def test_identity_with_float_entries_uses_slack():

@@ -16,7 +16,7 @@ from parind_lab.qcore import (
     SparseState,
     SystemRegistry,
     basis_span_projector,
-    basis_state,
+    born_table,
     joint_probability,
 )
 
@@ -75,6 +75,18 @@ def test_born_joint_two_observable_algebra_matches_literal_grid():
     for combo, value in table.items():
         projectors = [o.projector_for(e) for o, e in zip(obs, combo)]
         assert value == joint_probability(state, projectors)
+
+
+def test_scenario_born_is_the_read_only_born_table():
+    state, a_family, b_family = bell_families(2)
+    scenario = hv.Scenario(state, (a_family[2], b_family[1]))
+    table = born_table(state, scenario.observables)
+    assert set(scenario.born) == set(table)
+    for cell, value in table.items():
+        assert scenario.born[cell] == value
+    assert scenario.born is scenario.born
+    with pytest.raises(TypeError):
+        scenario.born[(1.0, 1.0)] = 0.0
 
 
 def test_born_joint_three_observables():
@@ -244,7 +256,7 @@ def test_schmidt_index_events_have_zero_mismatch():
     amplitudes /= np.linalg.norm(amplitudes)
     state = ez.phi_schmidt([float(a) for a in amplitudes])
     index_sets = [(0,), (1, 3), (0, 2), (0, 1, 2, 3)]
-    events = hv.schmidt_index_events(state.registry, ("A",), ("B",), index_sets)
+    events = hv.schmidt_index_events(state.registry, index_sets)
     report = hv.perfect_correlation_check(state, events)
     assert report["passed"]
     assert report["max_mismatch"] <= 1e-12
@@ -254,7 +266,7 @@ def test_mismatched_index_events_are_caught():
     state = ez.phi_schmidt([math.sqrt(0.5), math.sqrt(0.5)])
     a = basis_span_projector(state.registry.restrict(("A",)), [(0,)])
     b = basis_span_projector(state.registry.restrict(("B",)), [(1,)])
-    report = hv.perfect_correlation_check(state, [("crossed", a, b)])
+    report = hv.perfect_correlation_check(state, [("crossed", a, b, "both")])
     assert not report["passed"]
     assert report["max_mismatch"] == pytest.approx(1.0)
 
@@ -285,15 +297,15 @@ def test_perfect_correlation_mismatch_is_the_literal_oracle_float():
         for d in ("forward", "backward", "both")
     ]
     cases = [
-        (state, hv.schmidt_index_events(state.registry, ("A",), ("B",), index_sets) + crossed),
+        (state, hv.schmidt_index_events(state.registry, index_sets) + crossed),
         hv.extraction_block_events(ez.EmbezzleSpec.from_exact(squares, 200)),
     ]
     disagreeing = 0
     for psi, events in cases:
         report = hv.perfect_correlation_check(psi, events)
         assert len(report["quantum"]) == len(events)
-        for (_, event_a, event_b, *direction), entry in zip(events, report["quantum"]):
-            oracle = hv.mismatch_probability(psi, event_a, event_b, *direction)
+        for (_, event_a, event_b, direction), entry in zip(events, report["quantum"]):
+            oracle = hv.mismatch_probability(psi, event_a, event_b, direction)
             assert entry["mismatch"] == oracle
             disagreeing += oracle > 0.1
     assert disagreeing == 8
@@ -304,7 +316,7 @@ def test_perfect_correlation_model_level():
     model-level transfer; the marginal-gap chain is certified per lambda."""
     model, space = hv.fixture_model("deterministic-chain")
     state = ez.phi_schmidt([math.sqrt(0.5), math.sqrt(0.5)])
-    events = hv.schmidt_index_events(state.registry, ("A",), ("B",), [(0,), (1,)])
+    events = hv.schmidt_index_events(state.registry, [(0,), (1,)])
     report = hv.perfect_correlation_check(state, events, model=model, space=space)
     assert report["passed"]
     assert report["model"]["passed"]
@@ -316,7 +328,7 @@ def test_perfect_correlation_model_level():
 def test_perfect_correlation_model_level_needs_space():
     model, _ = hv.fixture_model("trivial")
     state = ez.phi_schmidt([1.0])
-    events = hv.schmidt_index_events(state.registry, ("A",), ("B",), [(0,)])
+    events = hv.schmidt_index_events(state.registry, [(0,)])
     with pytest.raises(ValueError, match="hidden-parameter space"):
         hv.perfect_correlation_check(state, events, model=model)
 
@@ -387,6 +399,27 @@ def test_triviality_bound_on_trivial_model():
     # exact rational input: no approximant error term
     assert report["epsilon_coefficient"] == 0.0
     assert report["slot_leakage"]["extraction_side"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
+    """A ledger pass asks for each distinct scenario's Born table once: the
+    three pre-audit scenarios, two remote variants, the spectator-extended
+    scenario and one per audited half-subset (seven here)."""
+    calls = []
+    original = hv.born_joint_distribution
+
+    def counted(state, observables):
+        calls.append((state, tuple(observables)))
+        return original(state, observables)
+
+    monkeypatch.setattr(hv, "born_joint_distribution", counted)
+    model, space = hv.fixture_model("trivial")
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=10, n=100)
+    report = hv.triviality_bound(model, space, spec, 2)
+    assert report["passed"]
+    assert len(report["half_subset_links"]) == 7
+    assert len(calls) == 13
+    assert len({(id(state), tuple(map(id, obs))) for state, obs in calls}) == 13
 
 
 def test_triviality_bound_shrinks_with_resources():

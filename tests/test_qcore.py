@@ -77,7 +77,7 @@ def test_state_requires_normalization():
 
 def test_from_terms_normalizes():
     registry = SystemRegistry((("A", 2),))
-    state = SparseState.from_terms(registry, {(0,): 3.0, (1,): 4.0}, normalize=True)
+    state = SparseState.from_terms(registry, {(0,): 3.0, (1,): 4.0})
     assert state.amplitudes[(0,)] == pytest.approx(0.6)
     assert state.amplitudes[(1,)] == pytest.approx(0.8)
 
