@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 
 from .qcore import (
     MultiIndex,
@@ -34,9 +34,10 @@ from .qcore import (
     span_projector,
 )
 
-# A spectator eigenvalue rule maps a basis multi-index to a real eigenvalue that
-# must be distinct from +-1 and from every other spectator value.
-SpectatorScheme = Callable[[MultiIndex], float]
+# A spectator eigenvalue rule maps a basis multi-index outside the rotated pair
+# to a real eigenvalue, distinct from +-1 and from every other spectator value,
+# or to None; the None indices share one complemented branch at eigenvalue 0.0.
+SpectatorScheme = Callable[[MultiIndex], float | None]
 
 
 def dimension_scheme(index: MultiIndex) -> float:
@@ -56,8 +57,6 @@ class ChainSpec:
     N: int
     pair: tuple[MultiIndex | int, MultiIndex | int]
     eigenvalue_scheme: SpectatorScheme | None = None
-    spectator_indices: tuple[MultiIndex, ...] | None = None
-    closure_eigenvalue: float | None = None
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -66,12 +65,6 @@ class ChainSpec:
         if lo == hi:
             raise ValueError("the rotated pair must consist of two distinct indices")
         object.__setattr__(self, "pair", (lo, hi))
-        if self.spectator_indices is not None:
-            object.__setattr__(
-                self,
-                "spectator_indices",
-                tuple(_normalize_index(i) for i in self.spectator_indices),
-            )
 
     @property
     def a_settings(self) -> tuple[int, ...]:
@@ -116,38 +109,33 @@ def o_theta(
     registry: SystemRegistry,
     *,
     spectator_scheme: SpectatorScheme | None = None,
-    spectator_indices: Sequence[MultiIndex] | None = None,
-    closure_eigenvalue: float | None = None,
 ) -> Observable:
-    """Two-outcome rotated observable -1*[theta] + 1*[theta+pi], with optional
-    spectator branches on the basis states outside the rotated pair.
+    """Two-outcome rotated observable -1*[theta] + 1*[theta+pi].
 
-    When the spectator branches do not exhaust the space, `closure_eigenvalue`
-    adds one complemented branch carrying that eigenvalue on everything else.
+    With a scheme, every basis index outside the rotated pair gets its own
+    spectator branch at `spectator_scheme(index)`, except the indices it maps to
+    None, which share one complemented branch at 0.0.  Without one, only the two
+    rotated branches are built, so the register must be the pair's plane.
     """
     lo, hi = (_normalize_index(p) for p in pair)
     minus = span_projector([theta_ket(theta, (lo, hi), registry)])
     plus = span_projector([theta_ket(theta + math.pi, (lo, hi), registry)])
     branches: list[tuple[float, RankedProjector]] = [(-1.0, minus), (1.0, plus)]
-
-    if spectator_indices is None:
-        if spectator_scheme is not None:
-            spectator_indices = [
-                index
-                for index in itertools.product(*(range(d) for d in registry.dimensions))
-                if index not in (lo, hi)
-            ]
+    if spectator_scheme is None:
+        return Observable(tuple(branches))
+    closed = False
+    for index in itertools.product(*(range(d) for d in registry.dimensions)):
+        if index in (lo, hi):
+            continue
+        eigenvalue = spectator_scheme(index)
+        if eigenvalue is None:
+            closed = True
         else:
-            spectator_indices = []
-    for index in spectator_indices:
-        index = _normalize_index(index)
-        if spectator_scheme is None:
-            raise ValueError("spectator indices given without an eigenvalue scheme")
-        branches.append(
-            (float(spectator_scheme(index)), span_projector([SparseState(registry, {index: 1.0})]))
-        )
-    if closure_eigenvalue is not None:
-        return complete_with_complement(branches, closure_eigenvalue)
+            branches.append(
+                (float(eigenvalue), span_projector([SparseState(registry, {index: 1.0})]))
+            )
+    if closed:
+        return complete_with_complement(branches, 0.0)
     return Observable(tuple(branches))
 
 
@@ -169,8 +157,6 @@ def chain_observables(
             spec.pair,
             registry,
             spectator_scheme=spec.eigenvalue_scheme,
-            spectator_indices=spec.spectator_indices,
-            closure_eigenvalue=spec.closure_eigenvalue,
         )
         for setting in settings
     }
@@ -195,18 +181,14 @@ def _assert_terminal_flip(first: Observable, last: Observable) -> None:
     for eigenvalue in (-1.0, 1.0):
         p_last = last.projector_for(eigenvalue)
         p_first = first.projector_for(-eigenvalue)
-        overlap = abs(inner_between_rank_one(p_last, p_first))
+        if p_last.rank_of_span != 1 or p_first.rank_of_span != 1:
+            raise ValueError("flip check applies to rank-one branches")
+        overlap = abs(inner_product(p_last.kets[0], p_first.kets[0]))
         if abs(overlap - 1.0) > 1e-9:
             raise AssertionError(
                 f"terminal chain observable does not negate the first one "
                 f"(branch {eigenvalue}: |overlap| = {overlap})"
             )
-
-
-def inner_between_rank_one(p: RankedProjector, q: RankedProjector) -> complex:
-    if p.rank_of_span != 1 or q.rank_of_span != 1:
-        raise ValueError("flip check applies to rank-one branches")
-    return inner_product(p.kets[0], q.kets[0])
 
 
 def disagreement_probability(

@@ -371,18 +371,6 @@ class EmbezzlementFidelityReport:
     lower_bound_holds: bool
 
 
-def direct_fidelity_sum(spec: EmbezzleSpec) -> float:
-    """The extraction fidelity as an explicit sum,
-    sum_i c_i^2 / (C_n sqrt(m_i)) * sum_{k<n} ((k+1)(floor(k/m_i)+1))^{-1/2}."""
-    c_n = harmonic_number(spec.n)
-    total = 0.0
-    for c_i, m_i in zip(spec.c, spec.m):
-        k = np.arange(spec.n)
-        inner = np.sum(1.0 / np.sqrt((k + 1.0) * (k // m_i + 1.0)))
-        total += (c_i**2) / (c_n * math.sqrt(m_i)) * float(inner)
-    return total
-
-
 def _chi_overlap_with_embezzled(spec: EmbezzleSpec, mapped: SparseState) -> float:
     """<chi | U (x) U psi> evaluated over the support of the embezzled state
     `mapped`, using the analytic chi amplitudes; avoids materializing chi at
@@ -511,22 +499,14 @@ def pair_chain_observables(
     side: str,
 ) -> dict[int, Observable]:
     """Chained family rotating two pair slots, with distinct spectator eigenvalues
-    2^i 3^j + 2 on the remaining slots and a zero-eigenvalue complement branch
-    closing the unused part of the pointer register."""
+    2^i 3^j + 2 on the remaining slots; the unused part of the pointer register
+    maps to no eigenvalue, so it shares the zero-eigenvalue complement branch."""
     acting = slot_registry(host, side)
-    key_lo = slot_key(pair_lo, acting, side)
-    key_hi = slot_key(pair_hi, acting, side)
-    spectators = tuple(
-        slot_key(p, acting, side) for p in spec.pairs if p not in (pair_lo, pair_hi)
-    )
-    scheme_by_key = {slot_key(p, acting, side): pair_eigenvalue_scheme(p) for p in spec.pairs}
-    closure = None if len(spec.pairs) == acting.total_dimension else 0.0
+    scheme = {slot_key(p, acting, side): pair_eigenvalue_scheme(p) for p in spec.pairs}
     chain_spec = cb.ChainSpec(
         N=N,
-        pair=(key_lo, key_hi),
-        eigenvalue_scheme=lambda key: scheme_by_key[tuple(key)],
-        spectator_indices=spectators,
-        closure_eigenvalue=closure,
+        pair=(slot_key(pair_lo, acting, side), slot_key(pair_hi, acting, side)),
+        eigenvalue_scheme=scheme.get,
     )
     return cb.chain_observables(chain_spec, acting, side)
 

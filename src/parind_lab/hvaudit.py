@@ -31,7 +31,7 @@ import functools
 import math
 import random
 import types
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
 from typing import Protocol, runtime_checkable
@@ -90,6 +90,8 @@ class LambdaSpace:
             raise ValueError("hidden-parameter points must be distinct")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
+        if any(w == 0 for w in self.weights):
+            raise ValueError("weights must be nonzero: drop the zero-weight points")
         total = sum(self.weights)
         if all(isinstance(w, Rational) for w in self.weights):
             if total != 1:
@@ -327,26 +329,33 @@ class SignallingToyModel:
         return shifted
 
 
+def _local_cosine_fixture(params: dict) -> tuple[HVModel, LambdaSpace]:
+    grid = int(params.get("grid_points", 32))
+    return LocalCosineResponseModel(grid_points=grid), LambdaSpace.uniform(tuple(range(grid)))
+
+
+# Built-in fixture name -> constructor of (model, hidden-parameter space) from
+# the fixture's parameters; parameters a fixture does not read are ignored.
+_FIXTURES: dict[str, Callable[[dict], tuple[HVModel, LambdaSpace]]] = {
+    "trivial": lambda params: (TrivialModel(), LambdaSpace((0,), (Fraction(1),))),
+    "deterministic-chain": lambda params: (
+        DeterministicChainModel(),
+        LambdaSpace.uniform((1.0, -1.0)),
+    ),
+    "local-cosine": _local_cosine_fixture,
+    "signalling-toy": lambda params: (
+        SignallingToyModel(shift=float(params.get("shift", 0.1))),
+        LambdaSpace.uniform((0, 1)),
+    ),
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
 def fixture_model(name: str, **params: float) -> tuple[HVModel, LambdaSpace]:
     """Instantiate a built-in model together with its hidden-parameter space."""
-    if name == "trivial":
-        return TrivialModel(), LambdaSpace((0,), (Fraction(1),))
-    if name == "deterministic-chain":
-        return DeterministicChainModel(), LambdaSpace.uniform((1.0, -1.0))
-    if name == "local-cosine":
-        grid = int(params.pop("grid_points", 32))
-        model = LocalCosineResponseModel(grid_points=grid)
-        return model, LambdaSpace.uniform(tuple(range(grid)))
-    if name == "signalling-toy":
-        model = SignallingToyModel(shift=float(params.pop("shift", 0.1)))
-        return model, LambdaSpace.uniform((0, 1))
-    raise ValueError(
-        f"unknown fixture {name!r}; available: trivial, deterministic-chain, "
-        "local-cosine, signalling-toy"
-    )
-
-
-FIXTURE_NAMES = ("trivial", "deterministic-chain", "local-cosine", "signalling-toy")
+    if name not in FIXTURE_NAMES:
+        raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    return _FIXTURES[name](params)
 
 
 # ---------------------------------------------------------------------------

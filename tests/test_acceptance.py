@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from parind_lab import chained_bell as cb
 from parind_lab import couplings
@@ -264,12 +263,11 @@ def test_acceptance_09_fixture_refutations(acceptance):
     start = time.perf_counter()
     state = cb.bell_state()
     chain2 = cb.ChainSpec(N=2, pair=(0, 1))
-    a_family = cb.chain_observables(chain2, state.registry.restrict(("A",)), "A")
-    b_family = cb.chain_observables(chain2, state.registry.restrict(("B",)), "B")
+    a_family, b_family = cb.chain_families(chain2, state.registry)
     pair = hv.Scenario(state, (a_family[0], b_family[1]), description="settings (0, 1)")
     idle = hv.Scenario(
         state,
-        (a_family[0], hv.identity_observable(state.registry.restrict(("B",)))),
+        (a_family[0], hv.identity_observable(b_family[1].registry)),
         description="remote idle",
     )
 

@@ -7,7 +7,7 @@ import pytest
 from parind_lab import chained_bell as cb
 from parind_lab import embezzle as ez
 from parind_lab.embezzle import phi_schmidt
-from parind_lab.qcore import SparseState, SystemRegistry, joint_probability
+from parind_lab.qcore import SparseState, SystemRegistry, joint_probability, outcome_distribution
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32, 64])
@@ -78,8 +78,7 @@ def test_chain_triangle_inequality_holds(alpha):
     state = SparseState(
         registry, {(0, 0): math.cos(alpha), (1, 1): math.sin(alpha)}
     )
-    a_family = cb.chain_observables(spec, state.registry.restrict(("A",)), "A")
-    b_family = cb.chain_observables(spec, state.registry.restrict(("B",)), "B")
+    a_family, b_family = cb.chain_families(spec, state.registry)
     result = cb.chain_triangle_check(state, 3, a_family, b_family)
     assert result["holds"]
     # setting 0 assigns +1 to (a tilt of) index 1, the terminal setting to index 0
@@ -150,6 +149,28 @@ def test_dimension_scheme_distinguishes_indices():
     assert len(set(values)) == len(values)
 
 
+def test_spectator_rule_closes_none_indices_in_one_zero_branch():
+    """Indices the scheme maps to None share one complemented branch at 0.0;
+    the others get their own branch, and without a scheme only the rotated pair
+    is resolved, so a larger register is refused."""
+    registry = SystemRegistry((("A", 5),))
+    obs = cb.o_theta(
+        0.3, (0, 1), registry, spectator_scheme=lambda index: 5.0 if index == (2,) else None
+    )
+    assert obs.eigenvalues == (-1.0, 1.0, 5.0, 0.0)
+    assert [e for e, p in obs.branches if p.complemented] == [0.0]
+    for k in (3, 4):
+        state = SparseState(registry, {(k,): 1.0})
+        assert outcome_distribution(state, obs)[0.0] == 1.0
+
+    qutrit = SystemRegistry((("A", 3),))
+    full = cb.o_theta(0.3, (0, 1), qutrit, spectator_scheme=cb.dimension_scheme)
+    assert full.eigenvalues == (-1.0, 1.0, 4.0)
+    assert not any(p.complemented for _, p in full.branches)
+    with pytest.raises(ValueError, match="resolve the identity"):
+        cb.o_theta(0.3, (0, 1), qutrit)
+
+
 def literal_disagreement(state, obs_a, obs_b):
     """Pr(A != B) the literal way: one `joint_probability` per unequal pair."""
     return math.fsum(
@@ -164,8 +185,7 @@ def literal_disagreement(state, obs_a, obs_b):
 def test_disagreement_matches_literal_oracle_on_bell_chain(N):
     state = cb.bell_state()
     spec = cb.ChainSpec(N=N, pair=(0, 1))
-    a_family = cb.chain_observables(spec, state.registry.restrict(("A",)), "A")
-    b_family = cb.chain_observables(spec, state.registry.restrict(("B",)), "B")
+    a_family, b_family = cb.chain_families(spec, state.registry)
     for a, b in cb.adjacent_setting_pairs(N):
         assert cb.disagreement_probability(
             state, a_family[a], b_family[b]

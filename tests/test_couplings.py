@@ -10,9 +10,6 @@ from parind_lab.qcore import (
     SparseState,
     SystemRegistry,
     basis_span_projector,
-    basis_state,
-    born_probability,
-    span_projector,
     squared_norm,
 )
 

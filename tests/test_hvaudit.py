@@ -24,8 +24,7 @@ from parind_lab.qcore import (
 def bell_families(N):
     state = cb.bell_state()
     spec = cb.ChainSpec(N=N, pair=(0, 1))
-    a = cb.chain_observables(spec, state.registry.restrict(("A",)), "A")
-    b = cb.chain_observables(spec, state.registry.restrict(("B",)), "B")
+    a, b = cb.chain_families(spec, state.registry)
     return state, a, b
 
 
@@ -40,6 +39,8 @@ def test_lambda_space_validates_weights():
         hv.LambdaSpace((0, 0), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError, match="nonnegative"):
         hv.LambdaSpace((0, 1), (Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ValueError, match="nonzero"):
+        hv.LambdaSpace((0, 1), (Fraction(1), Fraction(0)))
 
 
 def test_lambda_space_uniform_and_min_weight():
