@@ -17,12 +17,9 @@ def main() -> None:
         print(f"{'n':>6}  {'I_N,n':>10}  {'reference':>10}  {'|gap|':>9}  {'2N*D':>9}")
         for n in (100, 400, 1000, 2000):
             spec = ez.EmbezzleSpec.from_exact(("1/3", "2/3"), n=n)
-            state = ez.embezzled_state(spec)
-            stats = ez.slot_statistics(state, spec)
+            stats = ez.slot_statistics_from_spec(spec)
             ordered = sorted(spec.pairs, key=lambda p: stats.weights[p])
-            report = ez.correlation_measure_INn(
-                spec, N, ordered[0], ordered[-1], state=state
-            )
+            report = ez.correlation_measure_INn(spec, N, ordered[0], ordered[-1])
             gap = abs(report.value - report.reference_value)
             assert gap <= report.deviation_bound
             print(

@@ -444,13 +444,12 @@ def run_dim(cfg: dict) -> dict:
 def _sqrt_rational_point(args: tuple[tuple[str, ...], int, int, float]) -> dict:
     squares_text, N, n, tol = args
     spec = ez.EmbezzleSpec.from_exact([Fraction(s) for s in squares_text], n)
-    state = ez.embezzled_state(spec)
-    stats = ez.slot_statistics(state, spec)
+    stats = ez.slot_statistics_from_spec(spec)
     ordered = sorted(spec.pairs, key=lambda p: stats.weights[p])
     lo, hi = ordered[0], ordered[-1]
     measured = ez.fast_pair_chain(spec, N, lo, hi, stats).value
     reference = 2 * N * ez.chi_pair_disagreement_closed_form(spec, N)
-    d1, _ = ez.extraction_distances(spec, state=state)
+    d1, _ = ez.extraction_distances(spec)
     bound = 2 * N * d1
     gap = abs(measured - reference)
     return {

@@ -22,13 +22,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 
 import numpy as np
 
 from . import chained_bell as cb
 from .qcore import (
+    DROP_TOL,
     MultiIndex,
     Observable,
     PROB_TOL,
@@ -326,6 +327,26 @@ def embezzled_state(spec: EmbezzleSpec) -> SparseState:
     return state
 
 
+def _embezzled_terms(spec: EmbezzleSpec) -> Iterator[tuple[int, int, int, float]]:
+    """The support of `embezzled_state(spec)` as (q, j, i, amplitude) -- aux
+    level, pointer, system -- without building the state.
+
+    The state relabels |k>|0>|i> of tau_n (x) phi to |k // m_i>|k mod m_i>|i>
+    on both sides, so term (k, i) has amplitude c_i / sqrt(C_n (k + 1)).  The
+    terms come in the state's key order (k outer, i inner) and from the same
+    float operations, so any sum over them equals the same sum over the state
+    bit for bit."""
+    if spec.n < spec.max_m:
+        raise ValueError(f"precision n={spec.n} must be at least max numerator {spec.max_m}")
+    c_n = harmonic_number(spec.n)
+    for k in range(spec.n):
+        a = 1.0 / math.sqrt(c_n * (k + 1))
+        for i, (c_i, m_i) in enumerate(zip(spec.c, spec.m)):
+            amplitude = a * c_i
+            if abs(amplitude) > DROP_TOL:
+                yield k // m_i, k % m_i, i, amplitude
+
+
 def _slot_pair_state(spec: EmbezzleSpec, amplitudes: Sequence[float]) -> SparseState:
     """tau_n on the aux registers tensored with sum_{(i,j)} a_ij |i,j>|i,j> on
     the (ptr, sys) registers, one amplitude per slot in `spec.pairs` order."""
@@ -371,19 +392,13 @@ class EmbezzlementFidelityReport:
     lower_bound_holds: bool
 
 
-def _chi_overlap_with_embezzled(spec: EmbezzleSpec, mapped: SparseState) -> float:
-    """<chi | U (x) U psi> evaluated over the support of the embezzled state
-    `mapped`, using the analytic chi amplitudes; avoids materializing chi at
-    large n."""
-    axes = mapped.registry.axes(SIDES["A"] + SIDES["B"])
+def _chi_overlap(spec: EmbezzleSpec) -> float:
+    """<chi | U (x) U psi>: the analytic chi amplitudes summed against
+    `_embezzled_terms`, so neither state is built."""
     c_n = harmonic_number(spec.n)
     total = 0.0
-    for key, amp in mapped.amplitudes.items():
-        q_a, j_a, i_a, q_b, j_b, i_b = (key[axis] for axis in axes)
-        if (q_a, j_a, i_a) != (q_b, j_b, i_b) or j_a >= spec.m[i_a]:
-            continue
-        chi_amp = spec.c[i_a] / math.sqrt(c_n * (q_a + 1) * spec.m[i_a])
-        total += chi_amp * amp.real
+    for q, _, i, amp in _embezzled_terms(spec):
+        total += spec.c[i] / math.sqrt(c_n * (q + 1) * spec.m[i]) * amp
     return total
 
 
@@ -423,7 +438,7 @@ def embezzlement_fidelity(spec: EmbezzleSpec) -> EmbezzlementFidelityReport:
     """
     if spec.n < spec.max_m:
         raise ValueError(f"needs n >= max m, got n={spec.n}, max m={spec.max_m}")
-    computed = _chi_overlap_with_embezzled(spec, embezzled_state(spec))
+    computed = _chi_overlap(spec)
     z_form = z_form_fidelity(spec)
     distance = math.sqrt(max(0.0, 1.0 - computed * computed))
     bound = embezzlement_distance_bound(spec)
@@ -445,10 +460,9 @@ def chi_phi_fidelity(spec: EmbezzleSpec) -> float:
     return math.fsum(cl * ci for cl, ci in zip(spec.c_l, spec.c))
 
 
-def extraction_distances(spec: EmbezzleSpec, state: SparseState) -> tuple[float, float]:
-    """(D(U psi, chi), D(chi, uniform slot state)) for chained deviation bounds;
-    `state` must be `embezzled_state(spec)`."""
-    f1 = _chi_overlap_with_embezzled(spec, state)
+def extraction_distances(spec: EmbezzleSpec) -> tuple[float, float]:
+    """(D(U psi, chi), D(chi, uniform slot state)) for chained deviation bounds."""
+    f1 = _chi_overlap(spec)
     f2 = chi_phi_fidelity(spec)
     d1 = math.sqrt(max(0.0, 1.0 - f1 * f1))
     d2 = math.sqrt(max(0.0, 1.0 - f2 * f2))
@@ -529,8 +543,9 @@ def correlation_measure_INn(
     two pair slots, with the extraction-target reference chain and the certified
     deviation bound 2N * D(U psi, chi).
 
-    `state`, if given, must be `embezzled_state(spec)`; the deviation bound is
-    computed on it.  It is built here otherwise."""
+    `state`, if given, must be `embezzled_state(spec)`; it feeds only the
+    literal chain, and is built here otherwise.  The deviation bound comes from
+    the spec."""
     for pair in (pair_lo, pair_hi):
         if pair not in spec.pairs:
             raise ValueError(f"pair slot {pair} is not among the spec's slots")
@@ -540,7 +555,7 @@ def correlation_measure_INn(
     b_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, "B")
 
     reference = cb.chain_correlation(chi_state(spec), N, a_family, b_family)
-    d1, _ = extraction_distances(spec, state)
+    d1, _ = extraction_distances(spec)
     return cb.chain_correlation(
         state,
         N,
@@ -640,7 +655,7 @@ def correlation_measure_IJlNnl(
     state = embezzled_state(spec)
     a_family = half_subset_observables(spec, N, subset, pairing, state.registry, "A")
     b_family = half_subset_observables(spec, N, subset, pairing, state.registry, "B")
-    d1, d2 = extraction_distances(spec, state)
+    d1, d2 = extraction_distances(spec)
     return cb.chain_correlation(
         state,
         N,
@@ -700,6 +715,18 @@ def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
         value = value.real
         weights[slot] += value * value
         aux[slot][q_a] = aux[slot].get(q_a, 0.0) + value
+    return SlotStatistics(pairs=spec.pairs, weights=weights, aux_vectors=aux)
+
+
+def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
+    """`slot_statistics(embezzled_state(spec), spec)` summed straight over
+    `_embezzled_terms`: the same weights and aux vectors, bit for bit and in
+    the same key order, without building the state."""
+    weights: dict[Pair, float] = {s: 0.0 for s in spec.pairs}
+    aux: dict[Pair, dict[int, float]] = {s: {} for s in spec.pairs}
+    for q, j, i, amp in _embezzled_terms(spec):
+        weights[(i, j)] += amp * amp
+        aux[(i, j)][q] = amp
     return SlotStatistics(pairs=spec.pairs, weights=weights, aux_vectors=aux)
 
 

@@ -334,28 +334,39 @@ def _local_cosine_fixture(params: dict) -> tuple[HVModel, LambdaSpace]:
     return LocalCosineResponseModel(grid_points=grid), LambdaSpace.uniform(tuple(range(grid)))
 
 
-# Built-in fixture name -> constructor of (model, hidden-parameter space) from
-# the fixture's parameters; parameters a fixture does not read are ignored.
-_FIXTURES: dict[str, Callable[[dict], tuple[HVModel, LambdaSpace]]] = {
-    "trivial": lambda params: (TrivialModel(), LambdaSpace((0,), (Fraction(1),))),
-    "deterministic-chain": lambda params: (
-        DeterministicChainModel(),
-        LambdaSpace.uniform((1.0, -1.0)),
+# Built-in fixture name -> (the parameters it reads, constructor of (model,
+# hidden-parameter space) from them); any other parameter is refused.
+_FIXTURES: dict[str, tuple[tuple[str, ...], Callable[[dict], tuple[HVModel, LambdaSpace]]]] = {
+    "trivial": ((), lambda params: (TrivialModel(), LambdaSpace((0,), (Fraction(1),)))),
+    "deterministic-chain": (
+        (),
+        lambda params: (DeterministicChainModel(), LambdaSpace.uniform((1.0, -1.0))),
     ),
-    "local-cosine": _local_cosine_fixture,
-    "signalling-toy": lambda params: (
-        SignallingToyModel(shift=float(params.get("shift", 0.1))),
-        LambdaSpace.uniform((0, 1)),
+    "local-cosine": (("grid_points",), _local_cosine_fixture),
+    "signalling-toy": (
+        ("shift",),
+        lambda params: (
+            SignallingToyModel(shift=float(params.get("shift", 0.1))),
+            LambdaSpace.uniform((0, 1)),
+        ),
     ),
 }
 FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def fixture_model(name: str, **params: float) -> tuple[HVModel, LambdaSpace]:
-    """Instantiate a built-in model together with its hidden-parameter space."""
+    """Instantiate a built-in model together with its hidden-parameter space;
+    a parameter the fixture does not read is an error."""
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    return _FIXTURES[name](params)
+    accepted, build = _FIXTURES[name]
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise ValueError(
+            f"fixture {name!r} does not read {', '.join(map(repr, unknown))}; "
+            f"accepted parameters: {', '.join(accepted) or 'none'}"
+        )
+    return build(params)
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +968,7 @@ def triviality_bound(
     chain contribution counted once more on the way to the block.
     """
     state = ez.embezzled_state(spec)
-    stats = ez.slot_statistics(state, spec)
+    stats = ez.slot_statistics_from_spec(spec)
     slot_a = ez.slot_observable(spec, state.registry, "A")
     slot_b = ez.slot_observable(spec, state.registry, "B")
     scenario_a = Scenario(state, (slot_a,), description="extraction-side slots")

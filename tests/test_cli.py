@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from parind_lab import cli
+from parind_lab import hvaudit as hv
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -212,6 +213,34 @@ def test_audit_model_file_and_findings(capsys, tmp_path):
     report = json.loads(out)
     assert report["findings"]["refuting_N"] == 2
     assert not report["findings"]["compquant_passed"]
+
+
+def test_audit_model_file_sets_the_fixture_parameters(capsys, tmp_path, monkeypatch):
+    built = []
+    original = hv.fixture_model
+
+    def recording(name, **params):
+        built.append(original(name, **params))
+        return built[-1]
+
+    monkeypatch.setattr(hv, "fixture_model", recording)
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps({"fixture": "local-cosine", "grid_points": 4}))
+    code, _, _ = run(capsys, "audit", "--model", str(model_file), "--N-max", "2")
+    assert code == 0
+    [(model, space)] = built
+    assert model.grid_points == 4
+    assert space.points == (0, 1, 2, 3)
+
+
+def test_audit_model_file_with_an_unknown_parameter_is_config_error(capsys, tmp_path):
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps({"fixture": "local-cosine", "grid_point": 4}))
+    code, out, err = run(capsys, "audit", "--model", str(model_file), "--N-max", "2")
+    assert code == 2
+    assert out == ""
+    assert "'grid_point'" in err
+    assert "accepted parameters: grid_points" in err
 
 
 def test_audit_reports_model_refusals(capsys):

@@ -1,10 +1,9 @@
 """Smoke test of the narrative demos: each runs as a script and prints.
 
 The demos call the package's public names, so a renamed or moved function
-fails here rather than only when a demo is run by hand.  Three demos are left
+fails here rather than only when a demo is run by hand.  Two demos are left
 out because they take several seconds each as a subprocess:
-`approximate_chain` (about 8 s), `extraction_fidelity` (about 21 s) and
-`resource_ledger` (about 7 s).
+`approximate_chain` (about 7 s) and `resource_ledger` (about 5 s).
 """
 
 import runpy
@@ -22,6 +21,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
         "chain_sweep",
         "couplings_tour",
         "dimension_chain",
+        "extraction_fidelity",
         "half_subset_chain",
         "half_subset_lemma",
         "perfect_correlation",

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from parind_lab import chained_bell as cb
+from parind_lab import cli
 from parind_lab import embezzle as ez
 from parind_lab.qcore import SparseState, fidelity, squared_norm
 
@@ -241,16 +244,16 @@ def test_distance_bound_requires_enough_levels():
 def test_chi_phi_fidelity_is_one_for_exact_specs():
     spec = ez.EmbezzleSpec.from_exact(["1/6", "1/3", "1/2"], n=8)
     assert ez.chi_phi_fidelity(spec) == pytest.approx(1.0)
-    d1, d2 = ez.extraction_distances(spec, ez.embezzled_state(spec))
+    d1, d2 = ez.extraction_distances(spec)
     assert d2 == pytest.approx(0.0, abs=1e-7)
     assert 0.0 < d1 < 1.0
 
 
-def test_extraction_distances_reuse_a_given_embezzled_state():
-    """D(U psi, chi) read off the given state is the fidelity report's trace
-    distance, which builds its own embezzled state."""
+def test_extraction_distances_match_the_fidelity_report():
+    """D(U psi, chi) is the fidelity report's trace distance, and D(chi,
+    uniform) comes from `chi_phi_fidelity`."""
     spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=5, n=20)
-    d1, d2 = ez.extraction_distances(spec, ez.embezzled_state(spec))
+    d1, d2 = ez.extraction_distances(spec)
     assert d1 == ez.embezzlement_fidelity(spec).trace_distance
     f2 = ez.chi_phi_fidelity(spec)
     assert d2 == math.sqrt(1.0 - f2 * f2)
@@ -378,3 +381,81 @@ def test_embezzled_state_fidelity_against_chi_matches_report():
     report = ez.embezzlement_fidelity(spec)
     direct = fidelity(ez.embezzled_state(spec), ez.chi_state(spec))
     assert direct == pytest.approx(report.computed_fidelity, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Spec-only routes against the embezzled state
+
+
+def _chi_overlap_on_state(spec, mapped):
+    """<chi | U (x) U psi> summed over the support of the embezzled state
+    `mapped` with the analytic chi amplitudes: the state-loop oracle of the
+    spec-only overlap."""
+    axes = mapped.registry.axes(ez.SIDES["A"] + ez.SIDES["B"])
+    c_n = ez.harmonic_number(spec.n)
+    total = 0.0
+    for key, amp in mapped.amplitudes.items():
+        q_a, j_a, i_a, q_b, j_b, i_b = (key[axis] for axis in axes)
+        if (q_a, j_a, i_a) != (q_b, j_b, i_b) or j_a >= spec.m[i_a]:
+            continue
+        chi_amp = spec.c[i_a] / math.sqrt(c_n * (q_a + 1) * spec.m[i_a])
+        total += chi_amp * amp.real
+    return total
+
+
+@st.composite
+def embezzle_specs(draw):
+    """Small specs of both kinds: exact squares with 1-4 coefficients, and
+    real squares through the denominator-2l approximants."""
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+        squares = [Fraction(w, sum(weights)) for w in weights]
+        spec = ez.EmbezzleSpec.from_exact(squares, n=1)
+        return spec.with_n(draw(st.integers(spec.max_m, max(spec.max_m, 500))))
+    l = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.integers(1, 9), min_size=2, max_size=3))
+    squares = [w / sum(weights) for w in weights]
+    try:
+        spec = ez.EmbezzleSpec.from_reals(squares, l, n=1)
+    except ValueError:  # l below the smallest workable index
+        reject()
+    return spec.with_n(draw(st.integers(spec.max_m, max(spec.max_m, 500))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(embezzle_specs())
+def test_spec_only_routes_equal_the_state_routes(spec):
+    """Slot statistics and the chi overlap summed from the spec are the state
+    routes' floats, in the same key order: no tolerance."""
+    state = ez.embezzled_state(spec)
+    expected = ez.slot_statistics(state, spec)
+    got = ez.slot_statistics_from_spec(spec)
+    assert got.pairs == expected.pairs
+    assert got.weights == expected.weights
+    assert list(got.weights) == list(expected.weights)
+    assert got.aux_vectors == expected.aux_vectors
+    for slot, vector in expected.aux_vectors.items():
+        assert list(got.aux_vectors[slot]) == list(vector)
+    assert ez._chi_overlap(spec) == _chi_overlap_on_state(spec, state)
+
+
+def test_spec_only_slot_statistics_refuse_too_few_levels():
+    spec = ez.EmbezzleSpec.from_exact(["1/6", "5/6"], n=3)
+    with pytest.raises(ValueError, match="at least max numerator"):
+        ez.slot_statistics_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sqrt-rational", "--coeffs", "1/3,2/3", "--N", "2", "--n", "50,100"],
+        ["embezzle", "--coeffs", "1/3,2/3", "--n", "50,100"],
+    ],
+)
+def test_fidelity_commands_build_no_embezzled_state(argv, monkeypatch, capsys):
+    builds = []
+    original = ez.embezzled_state
+    monkeypatch.setattr(ez, "embezzled_state", lambda spec: builds.append(spec) or original(spec))
+    assert cli.main([*argv, "--workers", "1"]) == 0
+    assert capsys.readouterr().out
+    assert len(builds) == 0

@@ -219,6 +219,20 @@ def test_fixture_model_rejects_unknown_names():
         hv.fixture_model("bohmian")
 
 
+@pytest.mark.parametrize(
+    "name, accepted",
+    [
+        ("trivial", "none"),
+        ("deterministic-chain", "none"),
+        ("local-cosine", "grid_points"),
+        ("signalling-toy", "shift"),
+    ],
+)
+def test_fixture_model_rejects_parameters_the_fixture_does_not_read(name, accepted):
+    with pytest.raises(ValueError, match=f"'grid_point'; accepted parameters: {accepted}$"):
+        hv.fixture_model(name, grid_point=4)
+
+
 def test_model_average_validates_model_output():
     class Broken:
         name = "broken"
