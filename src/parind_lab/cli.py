@@ -797,15 +797,7 @@ def run_audit(cfg: dict) -> dict:
         (a_family[0], hv.identity_observable(b_family[1].registry)),
         description="remote idle",
     )
-    def guarded(check, *args, **kwargs):
-        try:
-            return check(*args, **kwargs)
-        except hv.ModelUndefinedError as err:
-            return {"passed": False, "first_failure": {"undefined": str(err)}}
-
-    compquant = guarded(hv.check_compquant, model, space, [single, pair], tol=tol)
-    parind = guarded(hv.check_parind, model, space, [pair, idle], tol=tol)
-    pe = guarded(hv.pe_invariance_check, model, space, pair)
+    premises = hv.preaudit(model, space, [single, pair, idle], tol=tol)
 
     rows = []
     for report in scan["reports"]:
@@ -839,11 +831,11 @@ def run_audit(cfg: dict) -> dict:
             "refuting_N": scan["refuting_N"],
             "refuted": scan["refuted"],
             "undefined_N": list(scan["undefined_N"]),
-            "compquant_passed": compquant["passed"],
-            "compquant_first_failure": compquant["first_failure"],
-            "parind_passed": parind["passed"],
-            "parind_first_failure": parind["first_failure"],
-            "pe_passed": pe["passed"],
+            "compquant_passed": premises["quantum completeness"]["passed"],
+            "compquant_first_failure": premises["quantum completeness"]["first_failure"],
+            "parind_passed": premises["parameter independence"]["passed"],
+            "parind_first_failure": premises["parameter independence"]["first_failure"],
+            "pe_passed": premises["spectator invariance"]["passed"],
         },
         scan=scan,
     )
@@ -1088,6 +1080,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _merge_config(args, parser.config_keys)
         # resolved by name at call time, see `_Command`
         report = globals()[_COMMANDS[args.command].handler](cfg)
+    except (hv.PremiseError, hv.ModelUndefinedError) as exc:
+        # The model, not the user's numbers, failed: nothing is certified.
+        print(f"verdict failure: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
     except ValueError as exc:
         # ConfigError plus domain validation raised by the constructions
         # themselves (chain depth, coefficient shapes, ...) on user numbers.

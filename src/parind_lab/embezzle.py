@@ -55,8 +55,6 @@ def harmonic_number(k: int) -> float:
     """C_k = sum_{j=1}^{k} 1/j."""
     if k < 0:
         raise ValueError(f"harmonic number needs k >= 0, got {k}")
-    if k > 10_000:
-        return float(np.sum(1.0 / np.arange(1, k + 1)))
     return math.fsum(1.0 / j for j in range(1, k + 1))
 
 

@@ -10,6 +10,13 @@ two structural premises such a model can claim:
 * parameter independence -- for fixed lambda, the marginal on one wing does not
   move when a remote wing switches measurements or measures nothing at all.
 
+`preaudit` derives both checks, plus spectator invariance, from the list of
+scenarios a certified number reads: quantum completeness on every scenario,
+parameter independence within each group sharing the index-0 observable,
+spectator invariance on the first.  The CLI's `audit` findings and the
+`triviality_bound` ledger both go through it; the ledger leaves the remote
+variants of half-subset links 1-6 unaudited (see its docstring).
+
 On top of the checks sit the refutation tools.  `chained_audit` runs the
 chained-correlation argument: a parameter-independent model whose setting-0
 marginals are near-deterministic must violate the chain's measured correlation
@@ -33,7 +40,7 @@ import random
 import types
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import Protocol, runtime_checkable
 
 from . import chained_bell as cb
@@ -259,8 +266,9 @@ class LocalCosineResponseModel:
     name = "local-cosine"
 
     def __init__(self, grid_points: int = 32):
-        if grid_points < 1:
-            raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+        # bool is an int subclass, but True is no grid size
+        if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 1:
+            raise ValueError(f"grid_points must be an integer >= 1, got {grid_points!r}")
         self.grid_points = grid_points
 
     def distribution(self, scenario: Scenario, lam: Hashable) -> Distribution:
@@ -298,8 +306,8 @@ class SignallingToyModel:
     name = "signalling-toy"
 
     def __init__(self, shift: float = 0.1):
-        if not 0 <= shift <= 1:
-            raise ValueError(f"shift must lie in [0, 1], got {shift}")
+        if isinstance(shift, bool) or not isinstance(shift, Real) or not 0 <= shift <= 1:
+            raise ValueError(f"shift must be a real number in [0, 1], got {shift!r}")
         self.shift = shift
 
     def distribution(self, scenario: Scenario, lam: Hashable) -> Distribution:
@@ -330,8 +338,8 @@ class SignallingToyModel:
 
 
 def _local_cosine_fixture(params: dict) -> tuple[HVModel, LambdaSpace]:
-    grid = int(params.get("grid_points", 32))
-    return LocalCosineResponseModel(grid_points=grid), LambdaSpace.uniform(tuple(range(grid)))
+    model = LocalCosineResponseModel(**params)
+    return model, LambdaSpace.uniform(tuple(range(model.grid_points)))
 
 
 # Built-in fixture name -> (the parameters it reads, constructor of (model,
@@ -346,7 +354,7 @@ _FIXTURES: dict[str, tuple[tuple[str, ...], Callable[[dict], tuple[HVModel, Lamb
     "signalling-toy": (
         ("shift",),
         lambda params: (
-            SignallingToyModel(shift=float(params.get("shift", 0.1))),
+            SignallingToyModel(**params),
             LambdaSpace.uniform((0, 1)),
         ),
     ),
@@ -556,13 +564,53 @@ def pe_invariance_check(
             deviation = abs(bare.get(outcome, 0.0) - dressed.get(outcome, 0.0))
             if deviation > max_deviation:
                 max_deviation, worst = deviation, (lam, outcome)
+    passed = max_deviation <= 1e-12
     return {
         "model": model.name,
         "scenario": scenario.description,
         "max_deviation": max_deviation,
-        "worst": worst,
-        "passed": max_deviation <= 1e-12,
+        "first_failure": None if passed else worst,
+        "passed": passed,
     }
+
+
+class PremiseError(ValueError):
+    """A model fails a premise the refutation rests on, so nothing it reads
+    can be certified."""
+
+
+def preaudit(
+    model: HVModel, space: LambdaSpace, scenarios: Sequence[Scenario], *, tol: float
+) -> dict[str, dict]:
+    """Premise -> report, each with `passed` and `first_failure`, for the
+    scenarios a certified number reads: quantum completeness on every scenario,
+    parameter independence within each group sharing its index-0 `Observable`
+    object (groups of one are skipped), spectator invariance on the first
+    scenario.  A model refusal (`ModelUndefinedError`) fails its premise."""
+    groups: dict[int, list[Scenario]] = {}
+    for scenario in scenarios:
+        groups.setdefault(id(scenario.observables[0]), []).append(scenario)
+
+    def parind() -> dict:
+        # the first failing group's report, else the last group's
+        report = {"passed": True, "first_failure": None}
+        for group in groups.values():
+            if len(group) > 1 and report["passed"]:
+                report = check_parind(model, space, group, tol=tol)
+        return report
+
+    checks = {
+        "quantum completeness": lambda: check_compquant(model, space, scenarios, tol=tol),
+        "parameter independence": parind,
+        "spectator invariance": lambda: pe_invariance_check(model, space, scenarios[0]),
+    }
+    reports = {}
+    for premise, check in checks.items():
+        try:
+            reports[premise] = check()
+        except ModelUndefinedError as err:
+            reports[premise] = {"passed": False, "first_failure": {"undefined": str(err)}}
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +988,16 @@ def triviality_bound(
 ) -> dict:
     """Certified bound on a compliant model's block probabilities.
 
-    Prerequisite: the model passes quantum completeness, parameter
-    independence and spectator invariance on the audit scenarios, within
-    1e-7 whatever `tol` is; a failure raises with the localized check.  The
-    ledger audits six half-subsets (plus the sorted extreme) and six slot
-    pairs, both drawn with `seed`.
+    Prerequisite: `preaudit` passes, within 1e-7 whatever `tol` is, on the
+    scenarios the ledger reads: the two slot scenarios, one setting-0
+    scenario per audited half-subset link, and three remote variants (link
+    0's observable against remote setting 1, and the extraction-side slots
+    against remote setting 1 and against an idle remote).  So quantum
+    completeness covers every read, and parameter independence covers the
+    slots and link 0; the remote variants of links 1-6 stay unaudited (one
+    more pair of two-observable Born tables per link).  The first failed
+    premise raises `PremiseError`.  The ledger audits six half-subsets (plus
+    the sorted extreme) and six slot pairs, both drawn with `seed`.
 
     The ledger then assembles, per lambda, the model's slot probabilities on
     the extraction-side and remote-side pointer registers of the embezzled
@@ -984,37 +1037,27 @@ def triviality_bound(
         idx: ez.half_subset_observable(spec, N, J, pairing, state.registry, "A", 0)
         for idx, (J, pairing) in enumerate(family)
     }
-
+    link_scenarios = [
+        Scenario(state, (obs,), description=f"half-subset {idx} at setting 0")
+        for idx, obs in j0_observables.items()
+    ]
     remote_b = ez.half_subset_observable(
         spec, N, family[0][0], family[0][1], state.registry, "B", 1
     )
     pair_scenario = Scenario(
         state, (j0_observables[0], remote_b), description="half-subset settings (0, 1)"
     )
-    compquant = check_compquant(
-        model, space, [scenario_a, scenario_b, pair_scenario], tol=_PREAUDIT_TOL
-    )
-    if not compquant["passed"]:
-        raise ValueError(
-            f"model {model.name!r} fails quantum completeness: "
-            f"{compquant['first_failure']}"
-        )
     remote_idle = identity_observable(ez.slot_registry(state.registry, "B"))
     remote_variants = [
         Scenario(state, (slot_a, remote_b), description="remote measures setting 1"),
         Scenario(state, (slot_a, remote_idle), description="remote measures nothing"),
     ]
-    parind = check_parind(model, space, remote_variants, tol=_PREAUDIT_TOL)
-    if not parind["passed"]:
-        raise ValueError(
-            f"model {model.name!r} fails parameter independence: "
-            f"{parind['first_failure']}"
-        )
-    pe = pe_invariance_check(model, space, scenario_a)
-    if not pe["passed"]:
-        raise ValueError(
-            f"model {model.name!r} fails spectator invariance: {pe['worst']}"
-        )
+    scenarios = [scenario_a, scenario_b, *link_scenarios, pair_scenario, *remote_variants]
+    for premise, report in preaudit(model, space, scenarios, tol=_PREAUDIT_TOL).items():
+        if not report["passed"]:
+            raise PremiseError(
+                f"model {model.name!r} fails {premise}: {report['first_failure']}"
+            )
 
     # Per-lambda slot probabilities on both wings.
     p_a, p_b = [], []
@@ -1079,11 +1122,8 @@ def triviality_bound(
         subsets=[tuple(ps) for ps in block_positions.values()],
     )
     j_links = []
-    for idx, (J, pairing) in enumerate(family):
+    for (J, pairing), scenario_j in zip(family, link_scenarios):
         budget = ez.fast_half_subset_chain(spec, N, J, pairing, stats).value / 2.0
-        scenario_j = Scenario(
-            state, (j0_observables[idx],), description=f"half-subset {idx} at setting 0"
-        )
         lhs_terms, bridge = [], 0.0
         subset_positions = [position[tuple(s)] for s in J]
         for (lam, weight), vec in zip(space.items(), p_a):

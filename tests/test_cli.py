@@ -233,14 +233,36 @@ def test_audit_model_file_sets_the_fixture_parameters(capsys, tmp_path, monkeypa
     assert space.points == (0, 1, 2, 3)
 
 
-def test_audit_model_file_with_an_unknown_parameter_is_config_error(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "payload, messages",
+    [
+        pytest.param(
+            {"fixture": "local-cosine", "grid_point": 4},
+            ["'grid_point'", "accepted parameters: grid_points"],
+            id="unknown-key",
+        ),
+        pytest.param({"fixture": "local-cosine", "grid_points": 4.5}, ["got 4.5"], id="float-grid"),
+        pytest.param(
+            {"fixture": "local-cosine", "grid_points": True}, ["got True"], id="bool-grid"
+        ),
+        pytest.param({"fixture": "local-cosine", "grid_points": "3"}, ["got '3'"], id="text-grid"),
+        pytest.param({"fixture": "signalling-toy", "shift": True}, ["got True"], id="bool-shift"),
+        pytest.param(
+            {"fixture": "signalling-toy", "shift": "0.1"}, ["got '0.1'"], id="text-shift"
+        ),
+    ],
+)
+def test_audit_model_file_with_a_bad_parameter_is_config_error(
+    capsys, tmp_path, payload, messages
+):
     model_file = tmp_path / "model.json"
-    model_file.write_text(json.dumps({"fixture": "local-cosine", "grid_point": 4}))
+    model_file.write_text(json.dumps(payload))
     code, out, err = run(capsys, "audit", "--model", str(model_file), "--N-max", "2")
     assert code == 2
     assert out == ""
-    assert "'grid_point'" in err
-    assert "accepted parameters: grid_points" in err
+    assert err.startswith("config error: ")
+    for message in messages:
+        assert message in err
 
 
 def test_audit_reports_model_refusals(capsys):
@@ -296,6 +318,23 @@ def test_arbitrary_epsilon_ledger(capsys):
     assert report["passed"]
     eps = [row["achieved_epsilon"] for row in report["rows"]]
     assert eps[1] < eps[0]
+
+
+@pytest.mark.parametrize(
+    "model, premise",
+    [
+        ("signalling-toy", "parameter independence"),
+        ("deterministic-chain", "quantum completeness"),
+    ],
+)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_arbitrary_refuses_non_compliant_fixtures_as_verdict_failures(
+    capsys, model, premise, workers
+):
+    code, out, err = run(capsys, "arbitrary", "--model", model, "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"verdict failure: model {model!r} fails {premise}: ")
 
 
 # ---------------------------------------------------------------------------

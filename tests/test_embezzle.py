@@ -25,6 +25,10 @@ def test_harmonic_number_small_values():
     assert ez.harmonic_number(4) == pytest.approx(25.0 / 12.0, abs=1e-15)
 
 
+def test_harmonic_number_is_the_exactly_rounded_sum_at_large_k():
+    assert ez.harmonic_number(10**5) == math.fsum(1.0 / j for j in range(1, 10**5 + 1))
+
+
 def test_harmonic_number_rejects_negative():
     with pytest.raises(ValueError):
         ez.harmonic_number(-1)

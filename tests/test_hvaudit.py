@@ -17,6 +17,7 @@ from parind_lab.qcore import (
     SystemRegistry,
     basis_span_projector,
     born_table,
+    complete_with_complement,
     joint_probability,
 )
 
@@ -233,6 +234,52 @@ def test_fixture_model_rejects_parameters_the_fixture_does_not_read(name, accept
         hv.fixture_model(name, grid_point=4)
 
 
+@pytest.mark.parametrize(
+    "name, params, match",
+    [
+        ("local-cosine", {"grid_points": 4.5}, "grid_points must be an integer >= 1, got 4.5"),
+        ("local-cosine", {"grid_points": True}, "got True"),
+        ("local-cosine", {"grid_points": "3"}, "got '3'"),
+        ("local-cosine", {"grid_points": 0}, "got 0"),
+        ("signalling-toy", {"shift": True}, "shift must be a real number in \\[0, 1\\], got True"),
+        ("signalling-toy", {"shift": "0.2"}, "got '0.2'"),
+        ("signalling-toy", {"shift": 1.5}, "got 1.5"),
+    ],
+)
+def test_fixture_model_rejects_bad_parameter_values(name, params, match):
+    with pytest.raises(ValueError, match=match):
+        hv.fixture_model(name, **params)
+
+
+def test_preaudit_derives_its_checks_from_the_scenarios():
+    model, space = hv.fixture_model("signalling-toy")
+    state, a_family, b_family = bell_families(2)
+    idle = hv.identity_observable(state.registry.restrict(("B",)))
+    single = hv.Scenario(state, (a_family[0],), description="single")
+    pair = hv.Scenario(state, (a_family[0], b_family[1]), description="pair")
+    other = hv.Scenario(state, (a_family[2], idle), description="other")
+    # a scenario alone in its index-0 group is not compared with anything
+    alone = hv.preaudit(model, space, [pair, other], tol=1e-9)
+    assert list(alone) == [
+        "quantum completeness", "parameter independence", "spectator invariance"
+    ]
+    assert all(report["passed"] for report in alone.values())
+    grouped = hv.preaudit(model, space, [single, pair, other], tol=1e-9)
+    assert grouped["quantum completeness"]["passed"]
+    failure = grouped["parameter independence"]["first_failure"]
+    assert (failure["scenario_a"], failure["scenario_b"]) == ("single", "pair")
+    assert failure["deviation"] == pytest.approx(0.1, abs=1e-15)
+    # a refusal fails each premise it reaches instead of raising
+    model, space = hv.fixture_model("deterministic-chain")
+    index = basis_span_projector(state.registry.restrict(("A",)), [(0,)])
+    two_valued = complete_with_complement([(2.0, index)], 0.0)
+    refused = hv.preaudit(model, space, [hv.Scenario(state, (two_valued,))], tol=1e-9)
+    assert not refused["quantum completeness"]["passed"]
+    assert "undefined" in refused["quantum completeness"]["first_failure"]
+    assert refused["parameter independence"]["passed"]  # nothing to compare
+    assert "undefined" in refused["spectator invariance"]["first_failure"]
+
+
 def test_model_average_validates_model_output():
     class Broken:
         name = "broken"
@@ -418,8 +465,8 @@ def test_triviality_bound_on_trivial_model():
 
 def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
     """A ledger pass asks for each distinct scenario's Born table once: the
-    three pre-audit scenarios, two remote variants, the spectator-extended
-    scenario and one per audited half-subset (seven here)."""
+    two slot scenarios, one per audited half-subset (seven here), three remote
+    variants and the spectator-extended scenario."""
     calls = []
     original = hv.born_joint_distribution
 
@@ -458,6 +505,17 @@ def test_triviality_bound_rejects_parameter_dependent_models():
     space = hv.LambdaSpace.uniform((0, 1))
     with pytest.raises(ValueError, match="parameter independence"):
         hv.triviality_bound(_RemoteSensitiveModel(), space, spec, 2)
+
+
+def test_triviality_bound_rejects_the_shipped_signalling_toy():
+    """The toy signals only on +/-1 local observables, so the slot observable
+    alone never catches it: the half-subset link 0 group does."""
+    model, space = hv.fixture_model("signalling-toy")
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=30, even_denominator=True)
+    with pytest.raises(hv.PremiseError, match="fails parameter independence") as raised:
+        hv.triviality_bound(model, space, spec, 2)
+    assert "'scenario_b': 'half-subset settings (0, 1)'" in str(raised.value)
+    assert isinstance(raised.value, ValueError)
 
 
 def test_slot_observable_resolves_slots():
