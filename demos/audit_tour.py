@@ -34,8 +34,9 @@ def main() -> None:
     for name in ("trivial", "deterministic-chain", "signalling-toy"):
         model, space = hv.fixture_model(name)
         scan = hv.refutation_scan(model, space, state, (1, 2, 3, 4))
-        compquant = hv.check_compquant(model, space, [pair])
-        parind = hv.check_parind(model, space, [pair, idle])
+        premises = hv.preaudit(model, space, [pair, idle], tol=1e-9)
+        compquant = premises["quantum completeness"]
+        parind = premises["parameter independence"]
         print(f"{name}:")
         print(f"  refuted: {scan['refuted']} (refuting N: {scan['refuting_N']})")
         if scan["undefined_N"]:

@@ -209,12 +209,13 @@ class PairTerm:
 @dataclasses.dataclass(frozen=True)
 class ChainReport:
     """Correlation-measure report: adjacent-setting disagreement probabilities,
-    their sum I, a closed-form value, the analytic bound, and (for approximate
-    chains) a reference value with a certified deviation bound."""
+    their fsum I (`value`, derived, never passed in), a closed-form value, the
+    analytic bound, and (for approximate chains) a reference value with a
+    certified deviation bound."""
 
     N: int
     pair_terms: tuple[PairTerm, ...]
-    value: float
+    value: float = dataclasses.field(init=False)
     closed_form: float | None = None
     bound: float | None = None
     reference_value: float | None = None
@@ -224,9 +225,7 @@ class ChainReport:
         for term in self.pair_terms:
             if not -PROB_TOL <= term.probability <= 1.0 + PROB_TOL:
                 raise ValueError(f"pair probability {term.probability} outside [0, 1]")
-        recomputed = math.fsum(t.probability for t in self.pair_terms)
-        if abs(recomputed - self.value) > 1e-9:
-            raise ValueError("chain value does not equal the sum of its pair terms")
+        object.__setattr__(self, "value", math.fsum(t.probability for t in self.pair_terms))
 
 
 def adjacent_setting_pairs(N: int) -> tuple[tuple[int, int], ...]:
@@ -254,11 +253,9 @@ def chain_correlation(
         PairTerm(a, b, disagreement_probability(state, a_observables[a], b_observables[b]))
         for a, b in adjacent_setting_pairs(N)
     )
-    value = float(math.fsum(t.probability for t in terms))
     return ChainReport(
         N=N,
         pair_terms=terms,
-        value=value,
         closed_form=closed_form,
         bound=bound,
         reference_value=reference_value,

@@ -215,23 +215,29 @@ def _lemma_coefficient(row: dict) -> Fraction:
     return halfsum.bound_coefficient(int(row["r"]), size)
 
 
-_SWEEP_FLAGS = (
-    ("--N", {"help": "comma list of chain depths"}),
-    ("--n", {"help": "comma list of precisions"}),
-    ("--l", {"help": "comma list of approximant levels"}),
-    ("--coeffs", {"help": "comma list of squared coefficients (fractions)"}),
-    ("--model", {"help": "model fixture name or JSON file path"}),
-    ("--seed", {"type": int, "help": "seed for randomized audits"}),
-    ("--tol", {"type": float, "help": "verdict tolerance"}),
-)
-_IO_FLAGS = (
-    ("--format", {"choices": ("csv", "json"), "help": "report format"}),
-    ("--out", {"help": "output path (default: stdout)"}),
-    ("--workers", {"type": int, "help": "worker pool size"}),
-    ("--config", {"help": "JSON config file mirroring the flags"}),
-)
-_SHARED_FLAGS = (*_SWEEP_FLAGS, *_IO_FLAGS)
-_STATE_FLAG = ("--state", {"help": "preparation (built-in: bell)"})
+# Every flag, keyed by its destination.  A subcommand takes the flags its
+# `_Command.flags` names plus `_REPORT_FLAGS`; any other flag is a usage error.
+_FLAGS = {
+    "file": ("file", {"help": "report file to validate (.csv or .json)"}),
+    "N": ("--N", {"help": "comma list of chain depths"}),
+    "n": ("--n", {"help": "comma list of precisions"}),
+    "l": ("--l", {"help": "comma list of approximant levels"}),
+    "coeffs": ("--coeffs", {"help": "comma list of squared coefficients (fractions)"}),
+    "model": ("--model", {"help": "model fixture name or JSON file path"}),
+    "r": ("--r", {"type": int, "help": "even sequence length"}),
+    "J": ("--J", {"help": "comma list of distinguished indices"}),
+    "instances": ("--instances", {"type": int, "help": "random instances to run"}),
+    "N_max": ("--N-max", {"type": int, "help": "audit chains up to this depth"}),
+    "seed": ("--seed", {"type": int, "help": "seed for randomized audits"}),
+    "tol": ("--tol", {"type": float, "help": "verdict tolerance"}),
+    "lenient": ("--lenient", {"action": "store_true", "default": None,
+                              "help": "tolerate added columns"}),
+    "format": ("--format", {"choices": ("csv", "json"), "help": "report format"}),
+    "out": ("--out", {"help": "output path (default: stdout)"}),
+    "workers": ("--workers", {"type": int, "help": "worker pool size"}),
+    "config": ("--config", {"help": "JSON config file mirroring the flags"}),
+}
+_REPORT_FLAGS = ("format", "out", "workers", "config")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,13 +249,14 @@ class _Command:
     (as `bench/tracer.py` installs) is what runs.  `columns` lists the report
     columns in order: a derived column is a (name, rule) pair, where the rule
     recomputes the cell from the row's other cells and `validate` checks it.
-    `flags` are the subcommand's flags in `--help` order.
+    `flags` names the `_FLAGS` destinations the handler reads, in `--help`
+    order; every subcommand also takes `_REPORT_FLAGS`.
     """
 
     handler: str
     format: str
     columns: tuple
-    flags: tuple = _SHARED_FLAGS
+    flags: tuple[str, ...]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -267,7 +274,7 @@ _COMMANDS: dict[str, _Command] = {
             lambda row: cb.bell_chain_closed_form(int(row["N"])),
             lambda row: cb.bell_chain_bound(int(row["N"])),
         )),
-        flags=(*_SHARED_FLAGS, _STATE_FLAG),
+        flags=("N", "tol"),
     ),
     "dim": _Command(
         "run_dim", "csv",
@@ -275,6 +282,7 @@ _COMMANDS: dict[str, _Command] = {
             lambda row: cb.ddim_chain_closed_form(int(row["N"]), float(row["pair_square"])),
             lambda row: cb.ddim_chain_bound(int(row["N"]), float(row["pair_square"])),
         )),
+        flags=("coeffs", "N", "tol"),
     ),
     "sqrt-rational": _Command(
         "run_sqrt_rational", "csv",
@@ -286,22 +294,20 @@ _COMMANDS: dict[str, _Command] = {
             ("gap", _abs_difference("value", "reference")),
             "gap_bound", "level_gap", "verdict",
         ),
+        flags=("coeffs", "N", "n", "tol"),
     ),
     "arbitrary": _Command(
         "run_arbitrary", "csv",
         ("command", "model", "N", "l", "n", "r", "achieved_epsilon",
          "epsilon_pair", "epsilon_half", "epsilon_coefficient",
          "links_hold", "conclusion_holds", "level_gap", "verdict"),
+        flags=("coeffs", "model", "N", "l", "n", "tol"),
     ),
     "lemma": _Command(
         "run_lemma", "json",
         ("command", "r", "J", "check", "lhs", "rhs", "exact",
          ("coefficient", _lemma_coefficient), "verdict"),
-        flags=(
-            *_SHARED_FLAGS,
-            ("--r", {"type": int, "help": "even sequence length"}),
-            ("--J", {"help": "comma list of distinguished indices"}),
-        ),
+        flags=("r", "J", "seed"),
     ),
     "embezzle": _Command(
         "run_embezzle", "csv",
@@ -312,37 +318,28 @@ _COMMANDS: dict[str, _Command] = {
             "trace_distance", "distance_bound", "lower_bound_holds",
             "distance_bound_holds", "level_gap", "verdict",
         ),
+        # --N is read by nothing; the pinned benchmark argv still passes it
+        flags=("coeffs", "N", "l", "n", "tol"),
     ),
     "pc": _Command(
-        "run_pc", "csv", ("command", "family", "n", "event", "mismatch", "verdict")
+        "run_pc", "csv", ("command", "family", "n", "event", "mismatch", "verdict"),
+        flags=("coeffs", "n", "seed", "tol"),
     ),
     "couple": _Command(
         "run_couple", "csv",
         ("command", "instance", "kind", "dimension", "max_deviation", "verdict"),
-        flags=(
-            *_SHARED_FLAGS,
-            ("--instances", {"type": int, "help": "random instances to run"}),
-        ),
+        flags=("instances", "seed", "tol"),
     ),
     "audit": _Command(
         "run_audit", "json",
         ("command", "model", "N", "chain_value",
          ("chain_closed_form", lambda row: cb.bell_chain_closed_form(int(row["N"]))),
          "lhs", "model_chain_value", "refuted", "undefined", "verdict"),
-        flags=(
-            *_SHARED_FLAGS, _STATE_FLAG,
-            ("--N-max", {"dest": "N_max", "type": int,
-                         "help": "audit chains up to this depth"}),
-        ),
+        flags=("model", "N_max", "tol"),
     ),
     "validate": _Command(
         "run_validate", "json", ("command", "file", "valid", "diagnostics"),
-        flags=(
-            ("file", {"help": "report file to validate (.csv or .json)"}),
-            ("--lenient", {"action": "store_true", "default": None,
-                           "help": "tolerate added columns"}),
-            *_IO_FLAGS,
-        ),
+        flags=("file", "lenient"),
     ),
 }
 
@@ -366,13 +363,6 @@ def _report(
 # chain: two-outcome chained correlations on the Bell state
 
 
-def _require_bell(cfg: dict) -> SparseState:
-    state = cfg.get("state") or "bell"
-    if state != "bell":
-        raise ConfigError(f"only the built-in 'bell' state is available, got {state!r}")
-    return cb.bell_state()
-
-
 def _closed_form_row(command: str, head: tuple, report: cb.ChainReport, tol: float) -> dict:
     """A chain or dim row: the `head` cells, then the `_closed_form_columns`
     cells of `report`."""
@@ -392,7 +382,6 @@ def _chain_point(args: tuple[int, float]) -> dict:
 
 
 def run_chain(cfg: dict) -> dict:
-    _require_bell(cfg)
     Ns = _parse_int_list(_option(cfg, "N", "1,2,4,8,16"), "--N")
     tol = float(_option(cfg, "tol", 1e-12))
     rows = _map_grid(_chain_point, [(N, tol) for N in Ns], _resolve_workers(cfg))
@@ -780,7 +769,7 @@ def _load_model(cfg: dict) -> tuple[hv.HVModel, hv.LambdaSpace]:
 
 
 def run_audit(cfg: dict) -> dict:
-    state = _require_bell(cfg)
+    state = cb.bell_state()
     model, space = _load_model(cfg)
     n_max = int(_option(cfg, "N_max", 8))
     if n_max < 1:
@@ -1039,9 +1028,12 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     dests = set()
     for name, command in _COMMANDS.items():
-        sub = subparsers.add_parser(name)
-        for flag, options in command.flags:
-            dests.add(sub.add_argument(flag, **options).dest)
+        # no prefix matching: `audit --N 4` must not read as `--N-max 4`
+        sub = subparsers.add_parser(name, allow_abbrev=False)
+        for dest in (*command.flags, *_REPORT_FLAGS):
+            flag, options = _FLAGS[dest]
+            sub.add_argument(flag, **options)
+            dests.add(dest)
     parser.config_keys = frozenset(dests - {"config"})
     return parser
 

@@ -325,9 +325,10 @@ def embezzled_state(spec: EmbezzleSpec) -> SparseState:
     return state
 
 
-def _embezzled_terms(spec: EmbezzleSpec) -> Iterator[tuple[int, int, int, float]]:
+def _embezzled_terms(spec: EmbezzleSpec, c_n: float) -> Iterator[tuple[int, int, int, float]]:
     """The support of `embezzled_state(spec)` as (q, j, i, amplitude) -- aux
-    level, pointer, system -- without building the state.
+    level, pointer, system -- without building the state; `c_n` is
+    `harmonic_number(spec.n)`, summed once by the caller.
 
     The state relabels |k>|0>|i> of tau_n (x) phi to |k // m_i>|k mod m_i>|i>
     on both sides, so term (k, i) has amplitude c_i / sqrt(C_n (k + 1)).  The
@@ -336,7 +337,6 @@ def _embezzled_terms(spec: EmbezzleSpec) -> Iterator[tuple[int, int, int, float]
     bit for bit."""
     if spec.n < spec.max_m:
         raise ValueError(f"precision n={spec.n} must be at least max numerator {spec.max_m}")
-    c_n = harmonic_number(spec.n)
     for k in range(spec.n):
         a = 1.0 / math.sqrt(c_n * (k + 1))
         for i, (c_i, m_i) in enumerate(zip(spec.c, spec.m)):
@@ -390,12 +390,11 @@ class EmbezzlementFidelityReport:
     lower_bound_holds: bool
 
 
-def _chi_overlap(spec: EmbezzleSpec) -> float:
+def _chi_overlap(spec: EmbezzleSpec, c_n: float) -> float:
     """<chi | U (x) U psi>: the analytic chi amplitudes summed against
-    `_embezzled_terms`, so neither state is built."""
-    c_n = harmonic_number(spec.n)
+    `_embezzled_terms`, so neither state is built; `c_n` is C_n."""
     total = 0.0
-    for q, _, i, amp in _embezzled_terms(spec):
+    for q, _, i, amp in _embezzled_terms(spec, c_n):
         total += spec.c[i] / math.sqrt(c_n * (q + 1) * spec.m[i]) * amp
     return total
 
@@ -419,9 +418,13 @@ def z_form_fidelity(spec: EmbezzleSpec) -> float:
     equality exactly when every numerator m_i is 1; see the module tests for the
     per-term comparison.
     """
-    z_n = interpolated_harmonic(spec.n)
+    return _z_form(spec, harmonic_number(spec.n))
+
+
+def _z_form(spec: EmbezzleSpec, c_n: float) -> float:
+    """`z_form_fidelity` with Z(n) = C_n passed in."""
     return math.fsum(
-        (c_i**2) * interpolated_harmonic(Fraction(spec.n, m_i)) / z_n
+        (c_i**2) * interpolated_harmonic(Fraction(spec.n, m_i)) / c_n
         for c_i, m_i in zip(spec.c, spec.m)
     )
 
@@ -436,8 +439,9 @@ def embezzlement_fidelity(spec: EmbezzleSpec) -> EmbezzlementFidelityReport:
     """
     if spec.n < spec.max_m:
         raise ValueError(f"needs n >= max m, got n={spec.n}, max m={spec.max_m}")
-    computed = _chi_overlap(spec)
-    z_form = z_form_fidelity(spec)
+    c_n = harmonic_number(spec.n)
+    computed = _chi_overlap(spec, c_n)
+    z_form = _z_form(spec, c_n)
     distance = math.sqrt(max(0.0, 1.0 - computed * computed))
     bound = embezzlement_distance_bound(spec)
     return EmbezzlementFidelityReport(
@@ -460,7 +464,7 @@ def chi_phi_fidelity(spec: EmbezzleSpec) -> float:
 
 def extraction_distances(spec: EmbezzleSpec) -> tuple[float, float]:
     """(D(U psi, chi), D(chi, uniform slot state)) for chained deviation bounds."""
-    f1 = _chi_overlap(spec)
+    f1 = _chi_overlap(spec, harmonic_number(spec.n))
     f2 = chi_phi_fidelity(spec)
     d1 = math.sqrt(max(0.0, 1.0 - f1 * f1))
     d2 = math.sqrt(max(0.0, 1.0 - f2 * f2))
@@ -722,7 +726,7 @@ def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
     the same key order, without building the state."""
     weights: dict[Pair, float] = {s: 0.0 for s in spec.pairs}
     aux: dict[Pair, dict[int, float]] = {s: {} for s in spec.pairs}
-    for q, j, i, amp in _embezzled_terms(spec):
+    for q, j, i, amp in _embezzled_terms(spec, harmonic_number(spec.n)):
         weights[(i, j)] += amp * amp
         aux[(i, j)][q] = amp
     return SlotStatistics(pairs=spec.pairs, weights=weights, aux_vectors=aux)
@@ -776,7 +780,6 @@ def fast_half_subset_chain(
     return cb.ChainReport(
         N=N,
         pair_terms=tuple(terms),
-        value=math.fsum(t.probability for t in terms),
         closed_form=2 * N * math.sin(math.pi / (4 * N)) ** 2,
     )
 
@@ -800,7 +803,6 @@ def fast_pair_chain(
     return cb.ChainReport(
         N=N,
         pair_terms=tuple(terms),
-        value=math.fsum(t.probability for t in terms),
         closed_form=2 * N * chi_pair_disagreement_closed_form(spec, N),
     )
 

@@ -280,7 +280,8 @@ def test_acceptance_09_fixture_refutations(acceptance):
         and det_report["chain_value"] < 1.0
         and det_report["lhs"] > det_report["chain_value"]
     )
-    localized = hv.check_compquant(det_model, det_space, [pair])["first_failure"]
+    det_premises = hv.preaudit(det_model, det_space, [pair, idle], tol=1e-9)
+    localized = det_premises["quantum completeness"]["first_failure"]
     det_ok &= (
         localized is not None
         and localized["scenario"] == "settings (0, 1)"
@@ -289,18 +290,17 @@ def test_acceptance_09_fixture_refutations(acceptance):
 
     triv_model, triv_space = hv.fixture_model("trivial")
     triv_ok = not hv.refutation_scan(triv_model, triv_space, state, (1, 2, 3, 4))["refuted"]
-    triv_ok &= hv.check_compquant(triv_model, triv_space, [pair])["passed"]
-    triv_ok &= hv.check_parind(triv_model, triv_space, [pair, idle])["passed"]
-    triv_ok &= hv.pe_invariance_check(triv_model, triv_space, pair)["passed"]
+    triv_premises = hv.preaudit(triv_model, triv_space, [pair, idle], tol=1e-9)
+    triv_ok &= all(report["passed"] for report in triv_premises.values())
     for n in (60, 120):
         spec = ez.EmbezzleSpec.from_exact(("1/3", "2/3"), n=n, even_denominator=True)
         triv_ok &= hv.triviality_bound(triv_model, triv_space, spec, 2)["passed"]
 
     toy_model, toy_space = hv.fixture_model("signalling-toy")
-    toy_compquant = hv.check_compquant(toy_model, toy_space, [pair])["passed"]
-    toy_parind = hv.check_parind(toy_model, toy_space, [pair, idle])
+    toy_premises = hv.preaudit(toy_model, toy_space, [pair, idle], tol=1e-9)
+    toy_parind = toy_premises["parameter independence"]
     toy_ok = (
-        toy_compquant
+        toy_premises["quantum completeness"]["passed"]
         and not toy_parind["passed"]
         and abs(toy_parind["first_failure"]["deviation"] - 0.1) <= 1e-15
         and not hv.refutation_scan(toy_model, toy_space, state, (1, 2))["refuted"]

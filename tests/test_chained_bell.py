@@ -112,12 +112,6 @@ def test_ddim_chain_on_other_equal_pair():
     assert abs(report.value - cb.ddim_chain_closed_form(2, 0.25)) < 1e-12
 
 
-def test_chain_report_rejects_inconsistent_value():
-    term = cb.PairTerm(0, 1, 0.25)
-    with pytest.raises(ValueError):
-        cb.ChainReport(N=1, pair_terms=(term, term), value=0.9)
-
-
 def test_observable_families_cover_all_settings():
     spec = cb.ChainSpec(N=4, pair=(0, 1))
     registry = SystemRegistry((("A", 2),))

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface: exit codes, report formats,
 determinism, configuration layering, and the report validator."""
 
+import ast
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -160,7 +162,7 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
 def test_config_file_takes_the_flags_of_every_subcommand(capsys, tmp_path):
     config = tmp_path / "shared.json"
     config.write_text(json.dumps({
-        "N": "1", "state": "bell", "r": 10, "J": "0,1", "N_max": 2, "instances": 2,
+        "N": "1", "r": 10, "J": "0,1", "N_max": 2, "instances": 2,
         "file": "report.csv", "lenient": True, "format": "csv",
     }))
     code, out, _ = run(capsys, "chain", "--config", str(config))
@@ -181,6 +183,114 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""  # nothing on stdout when writing to a file
     assert target.read_text().startswith("command,")
+
+
+# ---------------------------------------------------------------------------
+# Flags: each subcommand takes only the flags its handler reads
+
+# (subcommand, destination) pairs declared but never read, with the reason
+UNREAD_FLAGS = {
+    ("embezzle", "N"): "the pinned benchmark argv and the README example pass --N",
+}
+
+
+def config_reads(source: str, handler: str) -> set[str]:
+    """The config keys `handler` in module `source` reads, through
+    `cfg.get("k")`, `_option(cfg, "k", ...)` or `cfg["k"]`, in the handler and
+    in the module-level functions it calls."""
+    functions = {
+        node.name: node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def key(node: ast.expr) -> str | None:
+        return node.value if isinstance(node, ast.Constant) else None
+
+    reads: set[str] = set()
+    pending, seen = [handler], set()
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg":
+                reads.add(key(node.slice))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute) and func.attr == "get"
+                    and getattr(func.value, "id", None) == "cfg"
+                ):
+                    reads.add(key(node.args[0]))
+                elif isinstance(func, ast.Name) and func.id in functions:
+                    if func.id == "_option":
+                        reads.add(key(node.args[1]))
+                    pending.append(func.id)
+    return reads - {None}
+
+
+def test_scan_follows_helpers_and_every_read_form():
+    source = (
+        "def _option(cfg, key, default):\n    return cfg.get(key)\n"
+        "def _helper(cfg):\n    return cfg['b']\n"
+        "def _unused(cfg):\n    return cfg.get('z')\n"
+        "def run_x(cfg):\n"
+        "    other = {}\n"
+        "    return cfg.get('a'), _helper(cfg), _option(cfg, 'c', 1), other.get('y')\n"
+    )
+    assert config_reads(source, "run_x") == {"a", "b", "c"}
+
+
+def declared_flags() -> dict[str, set[str]]:
+    parser = cli.build_parser()
+    [subparsers] = [a for a in parser._actions if a.dest == "command"]
+    return {
+        name: {a.dest for a in sub._actions if a.dest != "help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_every_declared_flag_is_read():
+    source = inspect.getsource(cli)
+    expected = {
+        name: config_reads(source, command.handler)
+        | set(cli._REPORT_FLAGS)
+        | {dest for sub, dest in UNREAD_FLAGS if sub == name}
+        for name, command in cli._COMMANDS.items()
+    }
+    assert declared_flags() == expected
+
+
+REMOVED_FLAGS = {
+    "chain": ("--n", "--l", "--coeffs", "--model", "--seed", "--state"),
+    "dim": ("--n", "--l", "--model", "--seed"),
+    "sqrt-rational": ("--l", "--model", "--seed"),
+    "arbitrary": ("--seed",),
+    "lemma": ("--N", "--n", "--l", "--coeffs", "--model", "--tol"),
+    "embezzle": ("--model", "--seed"),
+    "pc": ("--N", "--l", "--model"),
+    "couple": ("--N", "--n", "--l", "--coeffs", "--model"),
+    "audit": ("--N", "--n", "--l", "--coeffs", "--seed", "--state"),
+}
+SAMPLE_VALUES = {
+    "--N": "4", "--n": "60", "--l": "3", "--coeffs": "1/2,1/2", "--model": "x",
+    "--seed": "5", "--tol": "0", "--state": "bell",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in REMOVED_FLAGS.items() for flag in flags],
+)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, flag, SAMPLE_VALUES[flag]])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -440,7 +440,52 @@ def test_spec_only_routes_equal_the_state_routes(spec):
     assert got.aux_vectors == expected.aux_vectors
     for slot, vector in expected.aux_vectors.items():
         assert list(got.aux_vectors[slot]) == list(vector)
-    assert ez._chi_overlap(spec) == _chi_overlap_on_state(spec, state)
+    c_n = ez.harmonic_number(spec.n)
+    assert ez._chi_overlap(spec, c_n) == _chi_overlap_on_state(spec, state)
+
+
+# (spec, fidelity, z-form, trace distance, extraction distances), frozen
+FIDELITY_GOLDENS = [
+    (ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=100),
+     0.94969166822114, 0.9115581136492605, 0.3131864226165434, (0.3131864226165434, 0.0)),
+    (ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=1000),
+     0.9649371287129292, 0.9383118360475993, 0.2624811186185547, (0.2624811186185547, 0.0)),
+    (ez.EmbezzleSpec.from_exact(["1/6", "1/3", "1/2"], n=120),
+     0.9151203961115479, 0.8556812086138269, 0.4031806798702582, (0.4031806798702582, 0.0)),
+    (ez.EmbezzleSpec.from_reals([1 / math.pi, 1 - 1 / math.pi], 10, 100),
+     0.7962051214629882, 0.6813014933028636, 0.6050267800321802,
+     (0.6050267800321802, 0.01981033242044546)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, fidelity, z_form, distance, distances",
+    FIDELITY_GOLDENS,
+    ids=["exact-d2-n100", "exact-d2-n1000", "exact-d3-n120", "reals-l10-n100"],
+)
+def test_fidelity_reports_sum_the_harmonic_number_once(
+    monkeypatch, spec, fidelity, z_form, distance, distances
+):
+    """C_n is summed once per report and shared by the chi overlap, the
+    embezzled terms and the Z(n) of the z-form; only the d values Z(n/m_i)
+    add their own harmonic sums.  Every float stays frozen."""
+    calls = []
+    original = ez.harmonic_number
+
+    def counting(k):
+        calls.append(k)
+        return original(k)
+
+    monkeypatch.setattr(ez, "harmonic_number", counting)
+    report = ez.embezzlement_fidelity(spec)
+    assert len(calls) == spec.d + 1
+    calls.clear()
+    assert ez.extraction_distances(spec) == distances
+    assert calls == [spec.n]
+    assert report.computed_fidelity == fidelity
+    assert report.z_form_fidelity == z_form == ez.z_form_fidelity(spec)
+    assert report.z_form_gap == fidelity - z_form
+    assert report.trace_distance == distance
 
 
 def test_spec_only_slot_statistics_refuse_too_few_levels():
