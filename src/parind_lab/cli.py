@@ -56,11 +56,17 @@ class ConfigError(ValueError):
 
 
 def _parse_int_list(text: str | list | tuple, flag: str) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
+    tokens = (
+        list(text)
+        if isinstance(text, (list, tuple))
+        else [tok for tok in str(text).split(",") if tok.strip()]
+    )
     try:
-        values = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
+        # int() would truncate a float and read a bool as 0 or 1
+        if any(isinstance(tok, (bool, float)) for tok in tokens):
+            raise ValueError
+        values = tuple(int(tok) for tok in tokens)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{flag} expects a comma list of integers, got {text!r}") from exc
     if not values:
         raise ConfigError(f"{flag} must not be empty")
@@ -218,12 +224,12 @@ def _lemma_coefficient(row: dict) -> Fraction:
 # Every flag, keyed by its destination.  A subcommand takes the flags its
 # `_Command.flags` names plus `_REPORT_FLAGS`; any other flag is a usage error.
 _FLAGS = {
-    "file": ("file", {"help": "report file to validate (.csv or .json)"}),
+    "file": ("file", {"type": str, "help": "report file to validate (.csv or .json)"}),
     "N": ("--N", {"help": "comma list of chain depths"}),
     "n": ("--n", {"help": "comma list of precisions"}),
     "l": ("--l", {"help": "comma list of approximant levels"}),
     "coeffs": ("--coeffs", {"help": "comma list of squared coefficients (fractions)"}),
-    "model": ("--model", {"help": "model fixture name or JSON file path"}),
+    "model": ("--model", {"type": str, "help": "model fixture name or JSON file path"}),
     "r": ("--r", {"type": int, "help": "even sequence length"}),
     "J": ("--J", {"help": "comma list of distinguished indices"}),
     "instances": ("--instances", {"type": int, "help": "random instances to run"}),
@@ -233,7 +239,7 @@ _FLAGS = {
     "lenient": ("--lenient", {"action": "store_true", "default": None,
                               "help": "tolerate added columns"}),
     "format": ("--format", {"choices": ("csv", "json"), "help": "report format"}),
-    "out": ("--out", {"help": "output path (default: stdout)"}),
+    "out": ("--out", {"type": str, "help": "output path (default: stdout)"}),
     "workers": ("--workers", {"type": int, "help": "worker pool size"}),
     "config": ("--config", {"help": "JSON config file mirroring the flags"}),
 }
@@ -928,41 +934,45 @@ def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"report file {path} does not exist")
+
+    def malformed(diagnostic: str) -> dict:
+        return {"file": str(path), "valid": False, "diagnostics": [diagnostic]}
+
     diagnostics: list[str] = []
     if path.suffix == ".json":
         try:
             report = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
-            return {"file": str(path), "valid": False, "diagnostics": [f"not valid JSON: {exc}"]}
+            return malformed(f"not valid JSON: {exc}")
+        if not isinstance(report, dict):
+            return malformed("top level is not a JSON object")
         command = report.get("command")
-        if command not in _COMMANDS:
-            return {
-                "file": str(path), "valid": False,
-                "diagnostics": [f"unknown or missing command {command!r}"],
-            }
+        if not isinstance(command, str) or command not in _COMMANDS:
+            return malformed(f"unknown or missing command {command!r}")
         for key in ("parameters", "columns", "rows", "passed"):
             if key not in report:
                 diagnostics.append(f"missing top-level field {key!r}")
         columns = report.get("columns", [])
         rows = report.get("rows", [])
+        if not isinstance(columns, list) or not isinstance(rows, list) or not all(
+            isinstance(row, dict) for row in rows
+        ):
+            return malformed("columns must be a list and rows a list of objects")
     else:
         with path.open(newline="") as handle:
             reader = list(csv.reader(handle))
         if not reader:
-            return {"file": str(path), "valid": False, "diagnostics": ["empty file"]}
+            return malformed("empty file")
         columns = reader[0]
         if "command" not in columns or not reader[1:]:
-            return {
-                "file": str(path), "valid": False,
-                "diagnostics": ["missing command column or data rows"],
-            }
+            return malformed("missing command column or data rows")
+        for index, row in enumerate(reader[1:]):
+            if len(row) != len(columns):
+                return malformed(f"row {index} has {len(row)} cells under {len(columns)} columns")
         rows = [dict(zip(columns, row)) for row in reader[1:]]
         command = rows[0]["command"]
         if command not in _COMMANDS:
-            return {
-                "file": str(path), "valid": False,
-                "diagnostics": [f"unknown command {command!r}"],
-            }
+            return malformed(f"unknown command {command!r}")
 
     schema = _COMMANDS[command]
     expected = schema.names
@@ -1016,29 +1026,48 @@ def run_validate(cfg: dict) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The `parind-lab` parser, with one subparser per `_COMMANDS` entry.
-
-    `config_keys` on the returned parser holds the destinations of every
-    subcommand's flags except `--config`: the keys a config file may set."""
+    """The `parind-lab` parser, with one subparser per `_COMMANDS` entry."""
     parser = argparse.ArgumentParser(
         prog="parind-lab",
         description="Deterministic sweep and audit reports for the chained-"
         "correlation laboratory.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    dests = set()
     for name, command in _COMMANDS.items():
         # no prefix matching: `audit --N 4` must not read as `--N-max 4`
         sub = subparsers.add_parser(name, allow_abbrev=False)
         for dest in (*command.flags, *_REPORT_FLAGS):
             flag, options = _FLAGS[dest]
             sub.add_argument(flag, **options)
-            dests.add(dest)
-    parser.config_keys = frozenset(dests - {"config"})
     return parser
 
 
-def _merge_config(args: argparse.Namespace, known: frozenset[str]) -> dict:
+_CONFIG_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_config_value(key: str, value: object) -> None:
+    """Give a config-file value the checks argparse gives its flag: `type`,
+    `choices`, and a bool for a `store_true` flag.  A null leaves it unset."""
+    options = _FLAGS[key][1]
+    if value is None:
+        return
+    if "choices" in options and value not in options["choices"]:
+        raise ConfigError(
+            f"config key {key!r} must be one of {list(options['choices'])}, got {value!r}"
+        )
+    kind = bool if options.get("action") == "store_true" else options.get("type")
+    # bool is an int subclass; a float flag also takes an integer
+    accepted = (int, float) if kind is float else kind
+    if kind is not None and (
+        not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool)
+    ):
+        raise ConfigError(f"config key {key!r} must be {_CONFIG_TYPES[kind]}, got {value!r}")
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The config file's values under the flags given on the command line.  The
+    file may set exactly the flags the subcommand declares, except `--config`."""
+    known = set(vars(args)) - {"command", "config"}
     cfg: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -1052,7 +1081,9 @@ def _merge_config(args: argparse.Namespace, known: frozenset[str]) -> dict:
             raise ConfigError("config file must contain a JSON object")
         unknown = set(payload) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+        for key, value in payload.items():
+            _check_config_value(key, value)
         cfg.update(payload)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -1069,7 +1100,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, parser.config_keys)
+        cfg = _merge_config(args)
         # resolved by name at call time, see `_Command`
         report = globals()[_COMMANDS[args.command].handler](cfg)
     except (hv.PremiseError, hv.ModelUndefinedError) as exc:

@@ -28,7 +28,10 @@ embezzlement-extracted state: measured chain budgets bound how far per-lambda
 slot probabilities can spread, the half-subset deviation lemma converts the
 spread into block-level bounds, and the rational-approximant error is added on
 top, yielding a certified epsilon such that every compliant model's block
-probabilities sit within 3*epsilon of the squared target coefficients.
+probabilities sit within 3*epsilon of the squared target coefficients.  The
+ledger is a measurement (`triviality_bound` reads the model) followed by a
+pure arithmetic (`_certify`) on the numbers read and the spec's slot
+statistics.
 """
 
 from __future__ import annotations
@@ -931,21 +934,19 @@ def perfect_correlation_check(
 # The finite-resource triviality ledger
 
 
-def _slot_vector(
-    spec: ez.EmbezzleSpec, dist: Distribution
-) -> tuple[list[float], float]:
-    """Distribution over slot eigenvalues -> ordered slot probabilities plus the
-    mass the model put outside the slots."""
-    by_eigenvalue = {ez.pair_eigenvalue_scheme(p): p for p in spec.pairs}
-    values = {pair: 0.0 for pair in spec.pairs}
-    leak = 0.0
-    for outcome, value in dist.items():
-        pair = by_eigenvalue.get(outcome[0])
-        if pair is None:
-            leak += value
-        else:
-            values[pair] += value
-    return [values[pair] for pair in spec.pairs], leak
+def _slot_vectors(
+    model: HVModel, space: LambdaSpace, spec: ez.EmbezzleSpec, scenario: Scenario
+) -> tuple[list[list[float]], float]:
+    """One wing's read: per-lambda slot probabilities in `spec.pairs` order,
+    plus the mu-weighted mass the model put outside the slots."""
+    eigenvalues = [ez.pair_eigenvalue_scheme(p) for p in spec.pairs]
+    slots = set(eigenvalues)
+    vectors, leak_terms = [], []
+    for lam, weight in space.items():
+        marginal = _local_marginal(_validated_distribution(model, scenario, lam), 0)
+        vectors.append([marginal.get(e, 0.0) for e in eigenvalues])
+        leak_terms.append(weight * sum(v for e, v in marginal.items() if e not in slots))
+    return vectors, math.fsum(leak_terms)
 
 
 def _audited_slot_pairs(
@@ -963,12 +964,8 @@ def _audited_slot_pairs(
     while len(chosen) < count:
         s, t = rng.sample(spec.pairs, 2)
         chosen.append((s, t))
-    unique = []
-    for s, t in chosen:
-        key = (tuple(s), tuple(t))
-        if key[0] != key[1] and key not in [(tuple(a), tuple(b)) for a, b in unique]:
-            unique.append((s, t))
-    return unique[:count]
+    # first occurrence wins; a slot paired with itself is no link
+    return list(dict.fromkeys((s, t) for s, t in chosen if s != t))[:count]
 
 
 # The pre-audit has its own tolerance, not the ledger's `tol`: a tighter ledger
@@ -999,10 +996,12 @@ def triviality_bound(
     premise raises `PremiseError`.  The ledger audits six half-subsets (plus
     the sorted extreme) and six slot pairs, both drawn with `seed`.
 
-    The ledger then assembles, per lambda, the model's slot probabilities on
-    the extraction-side and remote-side pointer registers of the embezzled
-    state, and certifies two routes from measured chain budgets to block-level
-    bounds:
+    This function is the measurement: it reads, per lambda, the model's slot
+    probabilities on the extraction-side and remote-side pointer registers of
+    the embezzled state and each half-subset link's setting-0 marginal.  A
+    pure arithmetic (`_certify`) then turns those numbers and the spec's slot
+    statistics into the report, seeing no model, state or Born table.  It
+    certifies two routes from measured chain budgets to block-level bounds:
 
     * pair route -- epsilon_pair is the worst mu-averaged gap between two slot
       probabilities; each audited slot pair's gap is checked against its own
@@ -1027,19 +1026,19 @@ def triviality_bound(
     scenario_a = Scenario(state, (slot_a,), description="extraction-side slots")
     scenario_b = Scenario(state, (slot_b,), description="remote-side slots")
 
-    # The audit counts (six here, six slot pairs below) set how many chain
-    # links are checked, not the certified epsilon.
+    # The audit counts (six here, six slot pairs in `_certify`) set how many
+    # chain links are checked, not the certified epsilon.
     family = ez.half_subset_family(spec, 6, seed)
     extreme = ez.sorted_extreme_half_subset(spec, stats)
     if not any(set(J) == set(extreme) for J, _ in family):
         family.insert(0, (extreme, ez.default_pairing(spec, extreme)))
-    j0_observables = {
-        idx: ez.half_subset_observable(spec, N, J, pairing, state.registry, "A", 0)
-        for idx, (J, pairing) in enumerate(family)
-    }
+    j0_observables = [
+        ez.half_subset_observable(spec, N, J, pairing, state.registry, "A", 0)
+        for J, pairing in family
+    ]
     link_scenarios = [
         Scenario(state, (obs,), description=f"half-subset {idx} at setting 0")
-        for idx, obs in j0_observables.items()
+        for idx, obs in enumerate(j0_observables)
     ]
     remote_b = ez.half_subset_observable(
         spec, N, family[0][0], family[0][1], state.registry, "B", 1
@@ -1059,42 +1058,49 @@ def triviality_bound(
                 f"model {model.name!r} fails {premise}: {report['first_failure']}"
             )
 
-    # Per-lambda slot probabilities on both wings.
-    p_a, p_b = [], []
-    leak_a_terms, leak_b_terms = [], []
-    weights = []
-    for lam, weight in space.items():
-        vec_a, leak_a = _slot_vector(
-            spec, _validated_distribution(model, scenario_a, lam)
-        )
-        vec_b, leak_b = _slot_vector(
-            spec, _validated_distribution(model, scenario_b, lam)
-        )
-        p_a.append(vec_a)
-        p_b.append(vec_b)
-        leak_a_terms.append(weight * leak_a)
-        leak_b_terms.append(weight * leak_b)
-        weights.append(weight)
-    leak_a = math.fsum(leak_a_terms)
-    leak_b = math.fsum(leak_b_terms)
+    sides = tuple(_slot_vectors(model, space, spec, sc) for sc in (scenario_a, scenario_b))
+    marginals = [
+        [
+            _local_marginal(_validated_distribution(model, scenario, lam), 0).get(1.0, 0.0)
+            for lam, _ in space.items()
+        ]
+        for scenario in link_scenarios
+    ]
+    weights = [weight for _, weight in space.items()]
+    report = _certify(spec, stats, N, seed, family, weights, sides, marginals, tol)
+    return {"model": model.name, **report}
+
+
+def _certify(
+    spec: ez.EmbezzleSpec, stats: ez.SlotStatistics, N: int, seed: int, family: list,
+    weights: list[float], sides: tuple, marginals: list[list[float]], tol: float,
+) -> dict:
+    """The ledger's arithmetic, from measured numbers to links, blocks and epsilon.
+
+    `sides` holds the extraction side's (wing A) and then the remote side's
+    (wing B) `_slot_vectors` read; `marginals[k]` holds the per-lambda setting-0
+    +1 marginal of link `family[k]`.  The chain budgets come from `stats`; no
+    model, state or Born table is read."""
+    (p_a, leak_a), (p_b, leak_b) = sides
+    position = {pair: k for k, pair in enumerate(spec.pairs)}
+    block_positions: dict[int, list[int]] = {}
+    for pair in spec.pairs:
+        block_positions.setdefault(pair[0], []).append(position[pair])
 
     def averaged_gap(vectors: list[list[float]], s: int, t: int) -> float:
+        return math.fsum(w * abs(vec[s] - vec[t]) for w, vec in zip(weights, vectors))
+
+    def block_deviation(vectors: list[list[float]], i: int, target: float) -> float:
         return math.fsum(
-            w * abs(vec[s] - vec[t]) for w, vec in zip(weights, vectors)
+            w * abs(math.fsum(vec[k] for k in block_positions[i]) - target)
+            for w, vec in zip(weights, vectors)
         )
 
-    # Pair route: worst mu-averaged slot gap, plus audited chain links.
-    position = {pair: k for k, pair in enumerate(spec.pairs)}
-    eps_pair_a = max(
-        averaged_gap(p_a, s, t)
-        for s in range(spec.r)
-        for t in range(s + 1, spec.r)
-    )
-    eps_pair_b = max(
-        averaged_gap(p_b, s, t)
-        for s in range(spec.r)
-        for t in range(s + 1, spec.r)
-    )
+    # Pair route: worst mu-averaged slot gap per side, plus audited chain links.
+    eps_pairs = [
+        max(averaged_gap(vectors, s, t) for s in range(spec.r) for t in range(s + 1, spec.r))
+        for vectors, _ in sides
+    ]
     pair_links = []
     for s_pair, t_pair in _audited_slot_pairs(spec, stats, 6, seed):
         budget = ez.fast_pair_chain(spec, N, s_pair, t_pair, stats).value
@@ -1113,27 +1119,20 @@ def triviality_bound(
         weights=tuple(weights), sequences=tuple(tuple(vec) for vec in p_a)
     )
     eps_half = float(sequence_family.sorted_extreme_deviation())
-    block_positions = {}
-    for pair in spec.pairs:
-        block_positions.setdefault(pair[0], []).append(position[pair])
     lemma = halfsum.lemma_bound_check(
         sequence_family,
         eps_half + tol,
         subsets=[tuple(ps) for ps in block_positions.values()],
     )
     j_links = []
-    for (J, pairing), scenario_j in zip(family, link_scenarios):
+    for (J, pairing), plus in zip(family, marginals):
         budget = ez.fast_half_subset_chain(spec, N, J, pairing, stats).value / 2.0
-        lhs_terms, bridge = [], 0.0
         subset_positions = [position[tuple(s)] for s in J]
-        for (lam, weight), vec in zip(space.items(), p_a):
-            dist = _validated_distribution(model, scenario_j, lam)
-            plus = _local_marginal(dist, 0).get(1.0, 0.0)
-            lhs_terms.append(weight * abs(plus - 0.5))
-            bridge = max(
-                bridge, abs(plus - math.fsum(vec[k] for k in subset_positions))
-            )
-        lhs = math.fsum(lhs_terms)
+        lhs = math.fsum(w * abs(p - 0.5) for w, p in zip(weights, plus))
+        bridge = max(
+            abs(p - math.fsum(vec[k] for k in subset_positions))
+            for p, vec in zip(plus, p_a)
+        )
         j_links.append(
             {
                 "subset": tuple(tuple(s) for s in J),
@@ -1148,44 +1147,34 @@ def triviality_bound(
     eps_coeff = spec.coefficient_error
     target_squares = [c * c for c in spec.c]
     blocks = []
-    final_bounds = []
     for i, m_i in enumerate(spec.m):
-        positions = block_positions[i]
-        approx_target = m_i / spec.r
-        six_dev = math.fsum(
-            w * abs(math.fsum(vec[k] for k in positions) - approx_target)
-            for w, vec in zip(weights, p_b)
+        pair_bound, remote_bound = (
+            m_i * (eps + leak / spec.r) for eps, (_, leak) in zip(eps_pairs, sides)
         )
-        six_bound = m_i * (eps_pair_b + leak_b / spec.r)
-        seven_dev = math.fsum(
-            w * abs(math.fsum(vec[k] for k in positions) - target_squares[i])
-            for w, vec in zip(weights, p_a)
-        )
-        pair_bound = m_i * (eps_pair_a + leak_a / spec.r)
-        coefficient = halfsum.bound_coefficient(spec.r, m_i)
-        half_bound = float(coefficient) * eps_half + (leak_a if m_i > spec.r // 2 else 0.0)
+        remote_dev = block_deviation(p_b, i, m_i / spec.r)
+        target_dev = block_deviation(p_a, i, target_squares[i])
+        coefficient = float(halfsum.bound_coefficient(spec.r, m_i))
+        half_bound = coefficient * eps_half + (leak_a if m_i > spec.r // 2 else 0.0)
         block_bound = min(pair_bound, half_bound)
         final_bound = block_bound + eps_coeff
-        final_bounds.append(final_bound)
         blocks.append(
             {
                 "system_index": i,
                 "numerator": m_i,
                 "pair_route_bound": pair_bound,
-                "half_route_coefficient": float(coefficient),
+                "half_route_coefficient": coefficient,
                 "half_route_bound": half_bound,
                 "block_bound": block_bound,
                 "final_bound": final_bound,
-                "remote_deviation": six_dev,
-                "remote_bound": six_bound,
-                "remote_holds": six_dev <= six_bound + tol,
+                "remote_deviation": remote_dev,
+                "remote_bound": remote_bound,
+                "remote_holds": remote_dev <= remote_bound + tol,
                 "target_square": target_squares[i],
-                "target_deviation": seven_dev,
-                "target_holds": seven_dev <= final_bound + tol,
+                "target_deviation": target_dev,
+                "target_holds": target_dev <= final_bound + tol,
             }
         )
 
-    achieved = max(final_bounds) / 3.0
     links_hold = (
         all(link["holds"] for link in pair_links)
         and all(link["holds"] for link in j_links)
@@ -1193,7 +1182,6 @@ def triviality_bound(
     )
     conclusion_holds = all(b["remote_holds"] and b["target_holds"] for b in blocks)
     return {
-        "model": model.name,
         "parameters": {
             "N": N,
             "n": spec.n,
@@ -1204,9 +1192,9 @@ def triviality_bound(
             "target_squares": tuple(target_squares),
             "approximant_squares": tuple(m_i / spec.r for m_i in spec.m),
         },
-        "epsilon_pair": max(eps_pair_a, eps_pair_b),
-        "epsilon_pair_extraction_side": eps_pair_a,
-        "epsilon_pair_remote_side": eps_pair_b,
+        "epsilon_pair": max(eps_pairs),
+        "epsilon_pair_extraction_side": eps_pairs[0],
+        "epsilon_pair_remote_side": eps_pairs[1],
         "epsilon_half": eps_half,
         "epsilon_coefficient": eps_coeff,
         "slot_leakage": {"extraction_side": leak_a, "remote_side": leak_b},
@@ -1214,7 +1202,7 @@ def triviality_bound(
         "half_subset_links": j_links,
         "lemma": lemma,
         "blocks": blocks,
-        "achieved_epsilon": achieved,
+        "achieved_epsilon": max(b["final_bound"] for b in blocks) / 3.0,
         "links_hold": links_hold,
         "conclusion_holds": conclusion_holds,
         "passed": links_hold and conclusion_holds,

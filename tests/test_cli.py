@@ -159,20 +159,54 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     assert "depth" in err
 
 
-def test_config_file_takes_the_flags_of_every_subcommand(capsys, tmp_path):
-    config = tmp_path / "shared.json"
-    config.write_text(json.dumps({
-        "N": "1", "r": 10, "J": "0,1", "N_max": 2, "instances": 2,
-        "file": "report.csv", "lenient": True, "format": "csv",
-    }))
-    code, out, _ = run(capsys, "chain", "--config", str(config))
+@pytest.mark.parametrize(
+    "command, own, rows, foreign",
+    [
+        ("chain", {"N": "1", "tol": 1e-9, "format": "csv", "workers": 1}, 1,
+         {"seed": 5, "model": "bohmian", "r": 10, "N_max": 2, "file": "report.csv",
+          "lenient": True, "config": "x", "command": "x", "help": "x"}),
+        ("lemma", {"r": 10, "J": "0,1", "seed": 1, "format": "csv"}, 3,
+         {"N": "1", "tol": 0.0, "instances": 2, "model": "trivial"}),
+    ],
+    ids=["chain", "lemma"],
+)
+def test_config_file_takes_only_the_subcommand_flags(capsys, tmp_path, command, own, rows, foreign):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(own))
+    code, out, _ = run(capsys, command, "--config", str(config))
     assert code == 0
-    assert out.count("\n") == 2
-    for key in ("config", "command", "help"):
-        config.write_text(json.dumps({key: "x"}))
-        code, _, err = run(capsys, "chain", "--config", str(config))
-        assert code == 2
-        assert key in err
+    assert out.count("\n") == rows + 1
+    for key, value in foreign.items():
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert f"unknown config keys for {command}: [{key!r}]" in err
+
+
+@pytest.mark.parametrize(
+    "argv, payload, key",
+    [
+        (("chain",), {"N": [1.9]}, "N"),
+        (("chain",), {"N": [True, 2]}, "N"),
+        (("lemma",), {"r": 10.5}, "r"),
+        (("couple",), {"instances": True}, "instances"),
+        (("couple",), {"tol": True}, "tol"),
+        (("audit",), {"N_max": 2.7}, "N_max"),
+        (("chain",), {"workers": 1.5}, "workers"),
+        (("chain",), {"format": "xml"}, "format"),
+        (("chain",), {"out": 5}, "out"),
+        (("validate", "report.csv"), {"lenient": 1}, "lenient"),
+    ],
+    ids=["N-float", "N-bool", "r-float", "instances-bool", "tol-bool", "N_max-float",
+         "workers-float", "format-choice", "out-int", "lenient-int"],
+)
+def test_config_value_gets_the_checks_of_its_flag(capsys, tmp_path, argv, payload, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ")
+    assert key in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -496,6 +530,35 @@ def test_validate_missing_file_is_config_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "absent.csv"))
     assert code == 2
     assert "does not exist" in err
+
+
+_CHAIN_JSON_FIELDS = {"command": "chain", "parameters": {}, "passed": True}
+
+
+@pytest.mark.parametrize(
+    "name, text, diagnostic",
+    [
+        ("blank.csv", "command,N,value\n\nchain,1,0.5\n", "row 0 has 0 cells under 3 columns"),
+        ("ragged.csv", "command,N\nchain,1,0.5\n", "row 0 has 3 cells under 2 columns"),
+        ("list.json", "[1, 2]", "top level is not a JSON object"),
+        ("command.json", json.dumps({"command": ["chain"]}), "unknown or missing command"),
+        ("columns.json", json.dumps({**_CHAIN_JSON_FIELDS, "columns": 5, "rows": []}),
+         "columns must be a list and rows a list of objects"),
+        ("rows.json", json.dumps({**_CHAIN_JSON_FIELDS, "columns": [], "rows": [1]}),
+         "columns must be a list and rows a list of objects"),
+    ],
+    ids=["blank-csv-row", "ragged-csv-row", "json-list", "json-command-list",
+         "json-columns-int", "json-rows-int"],
+)
+def test_validate_reports_a_malformed_file(capsys, tmp_path, name, text, diagnostic):
+    target = tmp_path / name
+    target.write_text(text)
+    code, out, _ = run(capsys, "validate", str(target), "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert not report["passed"]
+    [recorded] = report["diagnostics"]
+    assert recorded.startswith(diagnostic)
 
 
 def test_validate_json_report_roundtrip(capsys, tmp_path):

@@ -484,6 +484,34 @@ def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
     assert len({(id(state), tuple(map(id, obs))) for state, obs in calls}) == 13
 
 
+@pytest.mark.parametrize("l, n", [(10, 100), (10, 1000), (50, 100), (3, 100)])
+def test_ledger_arithmetic_on_spec_weights_matches_the_born_table_route(monkeypatch, l, n):
+    """The ledger's pure arithmetic, fed the spec-only slot weights as the
+    reads of a one-lambda Born-echo model, certifies the epsilon that
+    `triviality_bound` reads off the Born tables, without building a state or
+    a Born table."""
+    model, space = hv.fixture_model("trivial")
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=l, n=n)
+    oracle = hv.triviality_bound(model, space, spec, 2)
+
+    def refuse(*args):
+        raise AssertionError("the ledger arithmetic must not build a state or a Born table")
+
+    monkeypatch.setattr(hv, "born_table", refuse)
+    monkeypatch.setattr(ez, "embezzled_state", refuse)
+    stats = ez.slot_statistics_from_spec(spec)
+    weights = [stats.weights[p] for p in spec.pairs]
+    family = ez.half_subset_family(spec, 6, 7)
+    marginals = [[math.fsum(stats.weights[tuple(s)] for s in J)] for J, _ in family]
+    side = ([weights], 0.0)
+    report = hv._certify(spec, stats, 2, 7, family, [1.0], (side, side), marginals, 1e-9)
+    assert report["passed"]
+    assert report["achieved_epsilon"] == pytest.approx(oracle["achieved_epsilon"], rel=0, abs=1e-14)
+    for block, expected in zip(report["blocks"], oracle["blocks"], strict=True):
+        for key in ("final_bound", "remote_deviation", "target_deviation"):
+            assert block[key] == pytest.approx(expected[key], rel=0, abs=1e-14)
+
+
 def test_triviality_bound_shrinks_with_resources():
     model, space = hv.fixture_model("trivial")
     coarse = ez.EmbezzleSpec.from_reals([1.0 / 3.0, 2.0 / 3.0], l=3, n=60)
