@@ -172,7 +172,7 @@ def _monotone_decreasing(values: list[float], strict: bool = True) -> bool:
 
 def _squares(cfg: dict, default: str) -> tuple[Fraction, ...]:
     """`--coeffs` as exact squared coefficients, which must sum to exactly 1."""
-    squares = _parse_fraction_list(cfg.get("coeffs") or default, "--coeffs")
+    squares = _parse_fraction_list(_option(cfg, "coeffs", default), "--coeffs")
     if sum(squares) != 1:
         raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
     return squares
@@ -749,9 +749,17 @@ def run_couple(cfg: dict) -> dict:
 # audit: hidden-variable model audits on the Bell chain
 
 
+def _model_name(cfg: dict) -> str:
+    """`--model`, "trivial" where unset; an explicit empty value is refused."""
+    name = str(_option(cfg, "model", "trivial"))
+    if not name:
+        raise ConfigError("--model must not be empty")
+    return name
+
+
 def _load_model(cfg: dict) -> tuple[hv.HVModel, hv.LambdaSpace]:
-    name = cfg.get("model") or "trivial"
-    if isinstance(name, str) and name.endswith(".json"):
+    name = _model_name(cfg)
+    if name.endswith(".json"):
         path = Path(name)
         if not path.exists():
             raise ConfigError(f"model file {name!r} does not exist")
@@ -769,7 +777,7 @@ def _load_model(cfg: dict) -> tuple[hv.HVModel, hv.LambdaSpace]:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     try:
-        return hv.fixture_model(str(name))
+        return hv.fixture_model(name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -866,14 +874,14 @@ def _arbitrary_point(
 
 
 def run_arbitrary(cfg: dict) -> dict:
-    squares = _parse_fraction_list(cfg.get("coeffs") or "1/3,2/3", "--coeffs")
+    squares = _parse_fraction_list(_option(cfg, "coeffs", "1/3,2/3"), "--coeffs")
     if abs(float(sum(squares)) - 1.0) > 1e-12:
         raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
     Ns = _parse_int_list(_option(cfg, "N", "2"), "--N")
     ls = _parse_int_list(_option(cfg, "l", "3"), "--l")
     ns = _parse_int_list(_option(cfg, "n", "100"), "--n")
     tol = float(_option(cfg, "tol", 1e-9))
-    model_name = str(cfg.get("model") or "trivial")
+    model_name = _model_name(cfg)
     if model_name not in hv.FIXTURE_NAMES:
         raise ConfigError(
             f"arbitrary sweeps run built-in fixtures only, got {model_name!r}"

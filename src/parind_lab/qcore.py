@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import operator
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -516,14 +515,22 @@ class _BornPlan:
 
     Each distinct ket (by identity, so a closing branch shares the kets of the
     spans it closes) is stored once, aligned to the host's subsystem order,
-    with the branches it belongs to.  `index` inverts the kets: acting key ->
-    the kets whose support holds it, so a group vector only meets the kets it
-    overlaps.
+    with the branches it belongs to.  `alphabet` numbers the acting keys the
+    kets hold, in ket order, so those keys are the first `width` columns of
+    every acting alphabet this observable sees.
+
+    Two step lists turn the ket arithmetic into column operations:
+    `coefficient_steps[j]` holds the j-th entry of every ket that has one, so
+    adding the steps in order accumulates each coefficient in ket-entry order;
+    `image_steps[b]` holds, per rank r, the entries of the branch's kets that
+    are the r-th (in branch-position order) to touch their column, so adding
+    the ranks in order accumulates each image entry in branch-position order.
     """
 
     def __init__(self, host: SystemRegistry, observable: Observable):
         host_order = _host_order(host, observable.registry)
         self.axes = host.axes(host_order.labels)
+        self.dims = host_order.dimensions
         self.branch_count = len(observable.branches)
         self.residual_branches = [
             b for b, (_, p) in enumerate(observable.branches) if p.complemented
@@ -542,96 +549,206 @@ class _BornPlan:
                     self.kets.append(tuple((a, v, v.conjugate()) for a, v in amps.items()))
                     self.members.append([])
                 self.members[k].append((b, position))
-        self.index: dict[MultiIndex, list[int]] = {}
-        for k, items in enumerate(self.kets):
-            for acting, _, _ in items:
-                self.index.setdefault(acting, []).append(k)
-
-    def split(self, vec: Mapping[MultiIndex, complex]) -> dict[int, dict[MultiIndex, complex]]:
-        """Branch -> projected group vector, for the branches that meet `vec`
-        (an image may be empty).
-
-        Every entry is the float `_ProjectionEngine.apply` gives for the same
-        group: each (group, ket) coefficient accumulates in ket order, images
-        accumulate in ket order within a branch, DROP_TOL filters both, and a
-        complemented branch is the literal residual of `vec` minus its image.
-        """
-        kets, index, members = self.kets, self.index, self.members
-        coefficients: dict[int, complex] = {}
-        hits: dict[int, list[tuple[int, int]]] = {}
-        for acting in vec:
-            for k in index.get(acting, ()):
-                if k in coefficients:
-                    continue
-                coeff = 0.0 + 0.0j
-                for key, _, conj in kets[k]:
-                    value = vec.get(key)
-                    if value is not None:
-                        coeff += conj * value
-                coefficients[k] = coeff
-                if abs(coeff) > DROP_TOL:
-                    for b, position in members[k]:
-                        hits.setdefault(b, []).append((position, k))
-        images: dict[int, dict[MultiIndex, complex]] = {}
-        for b, hit in hits.items():
-            if len(hit) > 1:
-                hit.sort()
-            image: dict[MultiIndex, complex] = {}
-            for _, k in hit:
-                coeff = coefficients[k]
-                for key, amp, _ in kets[k]:
-                    image[key] = image.get(key, 0.0) + coeff * amp
-            images[b] = {key: v for key, v in image.items() if abs(v) > DROP_TOL}
-        for b in self.residual_branches:
-            residual = dict(vec)
-            for key, value in images.get(b, {}).items():
-                left = residual.get(key, 0.0) - value
-                if abs(left) > DROP_TOL:
-                    residual[key] = left
-                else:
-                    del residual[key]
-            images[b] = residual
-        return images
+        self.alphabet: dict[MultiIndex, int] = {}
+        for items in self.kets:
+            for key, _, _ in items:
+                self.alphabet.setdefault(key, len(self.alphabet))
+        self.width = len(self.alphabet)
+        self.coefficient_steps = _steps(
+            (j, k, self.alphabet[key], conj)
+            for k, items in enumerate(self.kets)
+            for j, (key, _, conj) in enumerate(items)
+        )
+        # branch -> (alphabet column of each image slot, image steps)
+        self.image_steps: list[tuple[np.ndarray, list[_Step]]] = []
+        hits: list[list[tuple[int, int]]] = [[] for _ in observable.branches]
+        for k, member in enumerate(self.members):
+            for b, position in member:
+                hits[b].append((position, k))
+        for branch_hits in hits:
+            slots: dict[int, int] = {}
+            touches: list[int] = []
+            entries = []
+            for _, k in sorted(branch_hits):
+                for key, amp, _ in self.kets[k]:
+                    slot = slots.setdefault(self.alphabet[key], len(slots))
+                    if slot == len(touches):
+                        touches.append(0)
+                    entries.append((touches[slot], k, slot, amp))
+                    touches[slot] += 1
+            self.image_steps.append((np.array(list(slots), dtype=np.intp), _steps(entries)))
 
 
-def _picker(axes: Sequence[int]):
-    """key -> tuple(key[i] for i in axes), without a generator per call."""
-    if len(axes) > 1:
-        return operator.itemgetter(*axes)
-    if axes:
-        axis = axes[0]
-        return lambda key: (key[axis],)
-    return lambda key: ()
+# (kets, columns, weight real parts, weight imaginary parts) of one step
+_Step = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _sweep(
+def _steps(entries: Iterable[tuple[int, int, int, complex]]) -> list[_Step]:
+    """(step, ket, column, weight) entries -> one `_Step` per step, in step
+    order, each keeping the entries in the order given."""
+    grouped: list[tuple[list[tuple[int, int]], list[complex]]] = []
+    for step, k, column, weight in entries:
+        if step == len(grouped):
+            grouped.append(([], []))
+        grouped[step][0].append((k, column))
+        grouped[step][1].append(weight)
+    steps = []
+    for pairs, weights in grouped:
+        kets, columns = np.array(pairs, dtype=np.intp).T
+        w = np.array(weights, dtype=complex)
+        steps.append((kets, columns, w.real, w.imag))
+    return steps
+
+
+# Radix codes stay below this bound, so no int64 product can overflow.
+_RADIX_LIMIT = 1 << 62
+
+
+def _dense(code: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of `code`, and their count:
+    `np.unique(code, return_inverse=True)` without its per-call overhead."""
+    order = code.argsort()
+    ranked = code[order]
+    fresh = np.empty(len(code), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    ranks = fresh.cumsum()
+    inverse = np.empty(len(code), dtype=np.intp)
+    inverse[order] = ranks - 1
+    return inverse, int(ranks[-1])
+
+
+def _row_codes(rows: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Dense codes of the rows of an int64 matrix whose column i is below
+    dims[i]: one radix code per row, compressed whenever the next column
+    could push it past `_RADIX_LIMIT`."""
+    code, bound = np.zeros(len(rows), dtype=np.int64), 1
+    for column, dim in zip(rows.T, dims):
+        if bound * dim > _RADIX_LIMIT:
+            code, bound = _dense(code)
+            if bound * dim > _RADIX_LIMIT:
+                column, dim = _dense(column)
+        code, bound = code * dim + column, bound * dim
+    return _dense(code)
+
+
+def _acting_codes(plan: _BornPlan, support: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each support entry's column in the observable's acting alphabet (the
+    plan's ket keys first, then the keys found only in the state), and the
+    alphabet's size."""
+    ket_rows = np.array(list(plan.alphabet), dtype=np.int64).reshape(plan.width, len(plan.axes))
+    rows = np.concatenate([ket_rows, support[:, plan.axes]])
+    inverse, count = _row_codes(rows, plan.dims)
+    lut = np.full(count, -1, dtype=np.int64)
+    lut[inverse[: plan.width]] = np.arange(plan.width)
+    state_only = lut < 0
+    lut[state_only] = np.arange(plan.width, count)
+    return lut[inverse[plan.width :]], count
+
+
+def _complex_product(ar, ai, br, bi):
+    """CPython's complex product (a * b) on float components."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _keep(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Where |re + i im| exceeds DROP_TOL, with `abs(complex)`'s hypot."""
+    return np.hypot(re, im) > DROP_TOL
+
+
+def _cell_sum(re: np.ndarray, im: np.ndarray) -> float:
+    """fsum of |v|^2 as `squared_norm` forms each term: abs(v) is
+    hypot(re, im), squared as a Python float (`h ** 2` is pow, not h * h)."""
+    return math.fsum([h**2 for h in np.hypot(re, im).tolist()])
+
+
+def _descend(
     plans: Sequence[_BornPlan],
+    sizes: Sequence[int],
     level: int,
     cell: tuple[int, ...],
-    groups: Mapping[tuple[MultiIndex, ...], Mapping[MultiIndex, complex]],
-    terms: dict[tuple[int, ...], list[float]],
+    prefix: np.ndarray,
+    prefix_count: int,
+    tails: Sequence[np.ndarray],
+    column: np.ndarray,
+    re: np.ndarray,
+    im: np.ndarray,
+    sums: dict[tuple[int, ...], float],
 ) -> None:
-    """Project every group through observables `level`, `level + 1`, ... in
-    order, filing each final |amplitude|^2 under its branch-index cell.
+    """Project entries through observables `level`, `level + 1`, ... in order,
+    storing each final cell's fsum of |amplitude|^2 under its branch indices.
 
-    A split key is (rest, x_1, ..., x_m), x_i the acting key of observable i;
-    `groups` maps the key without x_{level+1} to the vector over x_{level+1}.
+    Entry i sits at `column[i]` of observable `level`'s alphabet; its group is
+    (prefix[i], tails[0][i], ...), where the prefix codes the untouched rest
+    and the columns already projected, and tails[j] is the entry's column of
+    observable level + 1 + j.
     """
     plan = plans[level]
+    group, count = prefix, prefix_count
+    for tail, size in zip(tails, sizes[level + 1 :]):
+        group, count = _dense(group * size + tail)
+    # the group vectors over the kets' columns; a zero stands for an absent key
+    on_kets = column < plan.width
+    occupied = group[on_kets], column[on_kets]
+    dr = np.zeros((count, plan.width))
+    di = np.zeros((count, plan.width))
+    dr[occupied] = re[on_kets]
+    di[occupied] = im[on_kets]
+    off_kets = ~on_kets
+    # each (group, ket) coefficient <ket|vec>, accumulated in ket-entry order
+    cr = ci = np.zeros((count, 0))
+    for j, (kets, columns, wr, wi) in enumerate(plan.coefficient_steps):
+        pr, pi = _complex_product(wr, wi, dr[:, columns], di[:, columns])
+        if j == 0:  # every ket has a first entry, in ket order
+            cr, ci = pr, pi
+        else:
+            cr[:, kets] += pr
+            ci[:, kets] += pi
+    dropped = ~_keep(cr, ci)
+    cr[dropped] = 0.0
+    ci[dropped] = 0.0
     last = level + 1 == len(plans)
-    deeper: dict[int, dict[tuple[MultiIndex, ...], dict[MultiIndex, complex]]] = {}
-    for other, vec in groups.items():
-        for b, image in plan.split(vec).items():
-            if last:
-                terms.setdefault(cell + (b,), []).extend(abs(v) ** 2 for v in image.values())
-                continue
-            # regroup by the key without x_{level+2}, for the next observable
-            target = deeper.setdefault(b, {})
-            head, acting_next, tail = other[: level + 1], other[level + 1], other[level + 2 :]
-            for acting, v in image.items():
-                target.setdefault(head + (acting,) + tail, {})[acting_next] = v
-    for b, projected in deeper.items():
-        _sweep(plans, level + 1, cell + (b,), projected, terms)
+    if not last:
+        rep = np.empty(count, dtype=np.intp)
+        rep[group] = np.arange(len(group))
+        group_prefix = prefix[rep]
+        group_tails = [tail[rep] for tail in tails]
+    for b, (slots, steps) in enumerate(plan.image_steps):
+        ir = ii = np.zeros((count, 0))
+        for r, (kets, positions, ar, ai) in enumerate(steps):
+            pr, pi = _complex_product(cr[:, kets], ci[:, kets], ar, ai)
+            if r == 0:  # the first touches fill the slots in order
+                ir, ii = pr, pi
+            else:
+                ir[:, positions] += pr
+                ii[:, positions] += pi
+        kept = _keep(ir, ii)
+        if b in plan.residual_branches:
+            # the literal residual: vec minus its image, DROP_TOL-filtered
+            ir[~kept] = 0.0
+            ii[~kept] = 0.0
+            rr, ri = dr.copy(), di.copy()
+            rr[:, slots] -= ir
+            ri[:, slots] -= ii
+            g, c = np.nonzero(_keep(rr, ri))
+            # keys no ket holds pass through unchanged
+            vr = np.concatenate([rr[g, c], re[off_kets]])
+            vi = np.concatenate([ri[g, c], im[off_kets]])
+            g = np.concatenate([g, group[off_kets]])
+            c = np.concatenate([c, column[off_kets]])
+        else:
+            g, s = np.nonzero(kept)
+            c, vr, vi = slots[s], ir[g, s], ii[g, s]
+        if not len(g):
+            continue
+        if last:
+            sums[cell + (b,)] = _cell_sum(vr, vi)
+            continue
+        next_prefix, next_count = _dense(group_prefix[g] * sizes[level] + c)
+        _descend(
+            plans, sizes, level + 1, cell + (b,), next_prefix, next_count,
+            [tail[g] for tail in group_tails[1:]], group_tails[0][g], vr, vi, sums,
+        )
 
 
 def born_table(
@@ -640,12 +757,19 @@ def born_table(
     """Born probabilities of every eigenvalue tuple of observables on pairwise
     disjoint subsystems, from one pass over the state.
 
-    Each support key is split once into the part no observable touches and one
-    acting key per observable; the groups are then projected through the
-    observables in the given order.  Every cell equals
-    `joint_probability(state, [projectors in that order])` (for one observable,
-    `born_probability`) as a float, complemented branches included: they are
-    literal residuals, never one minus the other cells.
+    The support is encoded once as int64 codes: one for the part no
+    observable touches and one acting column per observable.  The groups are
+    then projected through the observables in the given order, one numpy pass
+    per observable and branch, depth first.  Every cell equals
+    `joint_probability(state, [projectors in that order])` (for one
+    observable, `born_probability`) as a float, complemented branches
+    included: they are literal residuals, never one minus the other cells.
+    The kernel does the oracle's float operations in the oracle's order, with
+    three rules where numpy and CPython round differently: complex products
+    are CPython's, spelled out on float64 components; |z| is `np.hypot`, as
+    `abs()` computes it (not `np.abs`); and each final |v|^2 is `h ** 2` on a
+    Python float (not `h * h`).  A zero stands for an absent key, which can
+    only change the sign of an exact zero.
     """
     obs = tuple(observables)
     if not obs:
@@ -653,19 +777,24 @@ def born_table(
     _check_disjoint(observable.registry for observable in obs)
     host = state.registry
     plans = [_BornPlan(host, observable) for observable in obs]
+    n, width = len(state.amplitudes), len(host.labels)
+    support = np.fromiter(
+        itertools.chain.from_iterable(state.amplitudes), dtype=np.int64, count=n * width
+    ).reshape(n, width)
+    values = np.fromiter(state.amplitudes.values(), dtype=np.complex128, count=n)
     acting_axes = {axis for plan in plans for axis in plan.axes}
-    rest_axes = tuple(i for i in range(len(host.labels)) if i not in acting_axes)
-    first = _picker(plans[0].axes)
-    others = [_picker(rest_axes)] + [_picker(plan.axes) for plan in plans[1:]]
-    groups: dict[tuple[MultiIndex, ...], dict[MultiIndex, complex]] = {}
-    for key, amp in state.amplitudes.items():
-        groups.setdefault(tuple([pick(key) for pick in others]), {})[first(key)] = amp
-    terms: dict[tuple[int, ...], list[float]] = {}
-    _sweep(plans, 0, (), groups, terms)
+    rest_axes = [i for i in range(width) if i not in acting_axes]
+    rest, rest_count = _row_codes(support[:, rest_axes], [host.dimensions[i] for i in rest_axes])
+    columns, sizes = zip(*(_acting_codes(plan, support) for plan in plans))
+    sums: dict[tuple[int, ...], float] = {}
+    _descend(
+        plans, sizes, 0, (), rest, rest_count, columns[1:], columns[0],
+        values.real, values.imag, sums,
+    )
     table: dict[tuple[float, ...], float] = {}
     for cell in itertools.product(*(range(plan.branch_count) for plan in plans)):
         eigenvalues = tuple(o.branches[b][0] for o, b in zip(obs, cell))
-        table[eigenvalues] = min(1.0, max(0.0, math.fsum(terms.get(cell, ()))))
+        table[eigenvalues] = min(1.0, max(0.0, sums.get(cell, 0.0)))
     return table
 
 

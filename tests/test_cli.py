@@ -84,6 +84,22 @@ def test_unknown_fixture_is_config_error(capsys):
     assert "config error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("dim", "--N", "1", "--coeffs", ""), "--coeffs"),
+        (("arbitrary", "--coeffs", ""), "--coeffs"),
+        (("audit", "--N-max", "1", "--model", ""), "--model"),
+        (("arbitrary", "--model", ""), "--model"),
+    ],
+)
+def test_empty_value_is_config_error_not_the_default(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"config error: {flag} must not be empty")
+    assert out == ""
+
+
 def test_zero_instances_is_config_error_not_the_default(capsys):
     code, out, err = run(capsys, "couple", "--instances", "0")
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parind_lab import qcore
 from parind_lab.qcore import (
     DROP_TOL,
     PROB_TOL,
@@ -484,6 +485,112 @@ def test_born_table_sums_overlapping_kets_in_ket_order():
         table = born_table(state, (observable,))
         for (eigenvalue,), value in table.items():
             assert value == born_probability(state, observable.projector_for(eigenvalue))
+
+
+def _two_ket_observable(registry, rng, keys=((0,), (1,))):
+    """+1 and 0 on two orthonormal kets over `keys` with random complex
+    amplitudes, -1 on the complement, so every other key meets no ket."""
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    a, b = complex(a / norm), complex(b / norm)
+    u = _ket(registry, {keys[0]: a, keys[1]: b})
+    v = _ket(registry, {keys[0]: -b.conjugate(), keys[1]: a.conjugate()})
+    return complete_with_complement(
+        [(1.0, span_projector([u])), (0.0, span_projector([v]))], -1.0
+    )
+
+
+def _cells_off_oracle(state, observables):
+    """The eigenvalue tuples whose `born_table` cell is not the oracle's float."""
+    off = []
+    for combo, value in born_table(state, observables).items():
+        projectors = [o.projector_for(e) for o, e in zip(observables, combo)]
+        if len(projectors) == 1:
+            oracle = born_probability(state, projectors[0])
+        else:
+            oracle = joint_probability(state, projectors)
+        if value != oracle:
+            off.append(combo)
+    return off
+
+
+def _numpy_product(ar, ai, br, bi):
+    """numpy's complex128 product, which rounds differently from CPython's."""
+    z = (ar + 1j * ai) * (br + 1j * bi)
+    return z.real, z.imag
+
+
+def _numpy_abs_cell_sum(re, im):
+    return math.fsum([h**2 for h in np.abs(re + 1j * im).tolist()])
+
+
+def _numpy_square_cell_sum(re, im):
+    return math.fsum((np.hypot(re, im) ** 2).tolist())
+
+
+NUMPY_STAND_INS = {
+    "complex product": ("_complex_product", _numpy_product),
+    "np.abs": ("_cell_sum", _numpy_abs_cell_sum),
+    "h * h": ("_cell_sum", _numpy_square_cell_sum),
+}
+
+
+def test_born_table_keeps_the_three_float_rules(monkeypatch):
+    """States and kets are searched (seeded) until the kernel with numpy's
+    complex product, with np.abs for abs(), or with h * h for h ** 2 gets some
+    cell wrong; the kernel as written must get every cell of each right."""
+    rng = np.random.default_rng(13)
+    registry = SystemRegistry((("S", 3), ("T", 3), ("U", 2)))
+    keys = list(np.ndindex(*registry.dimensions))
+    witnesses = {}
+    for _ in range(500):
+        values = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        values /= np.linalg.norm(values)
+        state = SparseState(registry, dict(zip(keys, values)))
+        observables = tuple(
+            _two_ket_observable(registry.restrict((label,)), rng) for label in ("S", "T")
+        )
+        for rule, (name, stand_in) in NUMPY_STAND_INS.items():
+            if rule in witnesses:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(qcore, name, stand_in)
+                if any(_cells_off_oracle(state, observables[:k]) for k in (1, 2)):
+                    witnesses[rule] = state, observables
+        if len(witnesses) == len(NUMPY_STAND_INS):
+            break
+    assert sorted(witnesses) == sorted(NUMPY_STAND_INS)
+    for state, observables in witnesses.values():
+        assert _cells_off_oracle(state, observables[:1]) == []
+        assert _cells_off_oracle(state, observables) == []
+
+
+def test_born_table_beyond_int64_and_on_groups_that_meet_no_ket():
+    """Eight registers of dimension 1000 (10^24 > 2^63 basis states).  Two
+    rests differ by exactly 2^64 as base-1000 numbers, so an int64 radix code
+    of R0..R6 would wrap them onto one group; codes must be compressed first.
+    Groups whose R7 key is 2, 500 or 999 meet no ket of the R7 observable and
+    land only in its complemented cell."""
+    registry = SystemRegistry(tuple((f"R{i}", 1000) for i in range(8)))
+    assert registry.total_dimension > 2**63
+    far = (18, 446, 744, 73, 709, 551, 616)
+    assert sum(d * 1000 ** (6 - i) for i, d in enumerate(far)) == 2**64
+    rng = np.random.default_rng(7)
+    keys = [rest + (k,) for rest in (far, (0,) * 7) for k in (0, 1)]
+    keys += [
+        tuple(int(i) for i in rng.integers(0, 1000, size=7)) + (k,)
+        for k in (0, 1, 2, 500, 999, 2, 999)
+    ]
+    values = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    values /= np.linalg.norm(values)
+    state = SparseState(registry, dict(zip(keys, values)))
+    last = _two_ket_observable(registry.restrict(("R7",)), rng)
+    first = _two_ket_observable(registry.restrict(("R0",)), rng, keys=((0,), (18,)))
+    for observables in ((last,), (last, first), (first, last)):
+        assert _cells_off_oracle(state, observables) == []
+    # the complemented cell holds the no-ket groups' whole weight, and more
+    no_ket = math.fsum(abs(v) ** 2 for key, v in state.amplitudes.items() if key[7] >= 2)
+    assert born_table(state, (last,))[(-1.0,)] >= no_ket > 0
 
 
 def test_born_table_rejects_overlapping_observables():
