@@ -119,6 +119,11 @@ def lcd(
     return r, tuple(numerators)
 
 
+# Indices tried from the bound the squares force before giving up.  For d = 2
+# l_min lies within a few indices of that bound; only d >= 3 can exhaust it.
+_L_MIN_SCAN = 10_000
+
+
 def rational_approximants(
     c_squares: Sequence[float], l: int
 ) -> tuple[Fraction, ...]:
@@ -144,13 +149,18 @@ def rational_approximants(
 
     numerators = numerators_for(l)
     if numerators is None:
-        l_min = l
-        while numerators_for(l_min) is None:
-            l_min += 1
-        raise ValueError(
-            f"approximation index l={l} produces a nonpositive numerator; "
-            f"smallest workable index is l_min={l_min}"
-        )
+        problem = f"approximation index l={l} produces a nonpositive numerator"
+        # round(2l c) >= 1 needs 2l c > 1/2, so no index below 1/(4c) - 1 works
+        # for a rounded entry; for d = 2 the last numerator is
+        # round(2l (1 - c_0)) and obeys the same bound.
+        shares = squares[:-1] + ([1.0 - squares[0]] if len(squares) == 2 else [])
+        if min(shares) <= 0 or 0.25 / min(shares) == math.inf:
+            raise ValueError(f"{problem}; no approximation index is workable")
+        start = max(l, *(int(0.25 / c) - 1 for c in shares))
+        for l_min in range(start, start + _L_MIN_SCAN):
+            if numerators_for(l_min) is not None:
+                raise ValueError(f"{problem}; smallest workable index is l_min={l_min}")
+        raise ValueError(f"{problem}; no index below l={start + _L_MIN_SCAN} is workable")
     return tuple(Fraction(m, 2 * l) for m in numerators)
 
 

@@ -514,17 +514,14 @@ class _BornPlan:
     """One observable prepared for the Born sweep.
 
     Each distinct ket (by identity, so a closing branch shares the kets of the
-    spans it closes) is stored once, aligned to the host's subsystem order,
-    with the branches it belongs to.  `alphabet` numbers the acting keys the
-    kets hold, in ket order, so those keys are the first `width` columns of
-    every acting alphabet this observable sees.
-
-    Two step lists turn the ket arithmetic into column operations:
-    `coefficient_steps[j]` holds the j-th entry of every ket that has one, so
-    adding the steps in order accumulates each coefficient in ket-entry order;
-    `image_steps[b]` holds, per rank r, the entries of the branch's kets that
-    are the r-th (in branch-position order) to touch their column, so adding
-    the ranks in order accumulates each image entry in branch-position order.
+    spans it closes) is stored once, aligned to the host's subsystem order.
+    `alphabet` numbers the acting keys the kets hold, in ket order, so those
+    keys are the first `width` columns of every acting alphabet this
+    observable sees.  `coefficients` fans each ket key out to the ket entries
+    holding it, as (ket, position in the ket, conjugate amplitude), and keys
+    no ket holds to nothing; `images` fans each ket out to its image entries,
+    as (branch, column, 1 + position of the ket in the branch, amplitude).
+    These positions order the oracle's running sums.
     """
 
     def __init__(self, host: SystemRegistry, observable: Observable):
@@ -532,104 +529,106 @@ class _BornPlan:
         self.axes = host.axes(host_order.labels)
         self.dims = host_order.dimensions
         self.branch_count = len(observable.branches)
-        self.residual_branches = [
-            b for b, (_, p) in enumerate(observable.branches) if p.complemented
-        ]
-        # ket -> ((acting key, amplitude, conjugate), ...) in the ket's own order
-        self.kets: list[tuple[tuple[MultiIndex, complex, complex], ...]] = []
-        # ket -> [(branch, position of the ket in that branch)]
-        self.members: list[list[tuple[int, int]]] = []
+        self.residual = next(
+            (b for b, (_, p) in enumerate(observable.branches) if p.complemented), None
+        )
+        kets: list[list[tuple[MultiIndex, complex]]] = []
+        members: list[list[tuple[int, int]]] = []  # ket -> [(branch, position)]
         ket_ids: dict[int, int] = {}
         for b, (_, projector) in enumerate(observable.branches):
             for position, ket in enumerate(projector.kets):
                 k = ket_ids.get(id(ket))
                 if k is None:
-                    k = ket_ids[id(ket)] = len(self.kets)
-                    amps = aligned_amplitudes(ket, host_order)
-                    self.kets.append(tuple((a, v, v.conjugate()) for a, v in amps.items()))
-                    self.members.append([])
-                self.members[k].append((b, position))
+                    k = ket_ids[id(ket)] = len(kets)
+                    kets.append(list(aligned_amplitudes(ket, host_order).items()))
+                    members.append([])
+                members[k].append((b, position))
         self.alphabet: dict[MultiIndex, int] = {}
-        for items in self.kets:
-            for key, _, _ in items:
-                self.alphabet.setdefault(key, len(self.alphabet))
-        self.width = len(self.alphabet)
-        self.coefficient_steps = _steps(
-            (j, k, self.alphabet[key], conj)
-            for k, items in enumerate(self.kets)
-            for j, (key, _, conj) in enumerate(items)
-        )
-        # branch -> (alphabet column of each image slot, image steps)
-        self.image_steps: list[tuple[np.ndarray, list[_Step]]] = []
-        hits: list[list[tuple[int, int]]] = [[] for _ in observable.branches]
-        for k, member in enumerate(self.members):
-            for b, position in member:
-                hits[b].append((position, k))
-        for branch_hits in hits:
-            slots: dict[int, int] = {}
-            touches: list[int] = []
-            entries = []
-            for _, k in sorted(branch_hits):
-                for key, amp, _ in self.kets[k]:
-                    slot = slots.setdefault(self.alphabet[key], len(slots))
-                    if slot == len(touches):
-                        touches.append(0)
-                    entries.append((touches[slot], k, slot, amp))
-                    touches[slot] += 1
-            self.image_steps.append((np.array(list(slots), dtype=np.intp), _steps(entries)))
+        by_key: dict[int, list[tuple[int, int, complex]]] = {}
+        by_ket: list[list[tuple[int, int, int, complex]]] = []
+        for k, (items, member) in enumerate(zip(kets, members)):
+            for j, (key, amp) in enumerate(items):
+                column = self.alphabet.setdefault(key, len(self.alphabet))
+                by_key.setdefault(column, []).append((k, j, amp.conjugate()))
+            by_ket.append(
+                [(b, self.alphabet[key], p + 1, a) for b, p in member for key, a in items]
+            )
+        self.width, self.ket_count = len(self.alphabet), len(kets)
+        self.coefficients = _Fanout([by_key.get(c, []) for c in range(self.width + 1)], 2)
+        self.images = _Fanout(by_ket, 3)
 
 
-# (kets, columns, weight real parts, weight imaginary parts) of one step
-_Step = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+class _Fanout:
+    """Per source, a list of (field, ..., order, weight) entries, packed as
+    one int64 row per field, the weights' parts, and each source's first
+    entry and entry count."""
 
+    def __init__(self, lists: Sequence[Sequence[tuple]], fields: int):
+        self.counts = np.array([len(entries) for entries in lists], dtype=np.intp)
+        self.starts = self.counts.cumsum() - self.counts
+        flat = [entry for entries in lists for entry in entries]
+        columns = list(zip(*flat)) or [()] * (fields + 1)
+        self.fields = np.array(columns[:-1], dtype=np.int64).reshape(fields, -1)
+        self.span = max(columns[-2], default=0) + 1
+        weights = np.array(columns[-1], dtype=complex)
+        self.wr, self.wi = weights.real, weights.imag
 
-def _steps(entries: Iterable[tuple[int, int, int, complex]]) -> list[_Step]:
-    """(step, ket, column, weight) entries -> one `_Step` per step, in step
-    order, each keeping the entries in the order given."""
-    grouped: list[tuple[list[tuple[int, int]], list[complex]]] = []
-    for step, k, column, weight in entries:
-        if step == len(grouped):
-            grouped.append(([], []))
-        grouped[step][0].append((k, column))
-        grouped[step][1].append(weight)
-    steps = []
-    for pairs, weights in grouped:
-        kets, columns = np.array(pairs, dtype=np.intp).T
-        w = np.array(weights, dtype=complex)
-        steps.append((kets, columns, w.real, w.imag))
-    return steps
+    def expand(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One term per entry of each source in turn: how many terms each
+        source has (for `np.repeat`) and each term's entry."""
+        counts = self.counts[sources]
+        shift = self.starts[sources] - counts.cumsum() + counts
+        return counts, np.arange(counts.sum()) + np.repeat(shift, counts)
 
 
 # Radix codes stay below this bound, so no int64 product can overflow.
 _RADIX_LIMIT = 1 << 62
 
 
+def _fresh(ranked: np.ndarray) -> np.ndarray:
+    """Where a sorted array differs from its predecessor (always at 0)."""
+    fresh = np.empty(len(ranked), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    return fresh
+
+
 def _dense(code: np.ndarray) -> tuple[np.ndarray, int]:
     """Each entry's rank among the distinct values of `code`, and their count:
     `np.unique(code, return_inverse=True)` without its per-call overhead."""
     order = code.argsort()
-    ranked = code[order]
-    fresh = np.empty(len(code), dtype=bool)
-    fresh[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
-    ranks = fresh.cumsum()
+    ranks = _fresh(code[order]).cumsum()
     inverse = np.empty(len(code), dtype=np.intp)
     inverse[order] = ranks - 1
-    return inverse, int(ranks[-1])
+    return inverse, int(ranks[-1]) if len(ranks) else 0
+
+
+def _pair(
+    major: np.ndarray, major_bound: int, minor: np.ndarray, minor_bound: int
+) -> tuple[np.ndarray, int]:
+    """The radix code of each (major, minor) pair and its bound, compressing
+    `major`, then `minor`, whenever the product could pass `_RADIX_LIMIT`.
+    Compression keeps the order, so codes sort as the pairs do."""
+    if major_bound * minor_bound > _RADIX_LIMIT:
+        major, major_bound = _dense(major)
+        if major_bound * minor_bound > _RADIX_LIMIT:
+            minor, minor_bound = _dense(minor)
+    return major * minor_bound + minor, major_bound * minor_bound
+
+
+def _radix(rows: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
+    """One code per row of an int64 matrix whose column i is below dims[i],
+    ordered as the rows are, and the codes' bound."""
+    code, bound = np.zeros(len(rows), dtype=np.int64), 1
+    for column, dim in zip(rows.T, dims):
+        code, bound = _pair(code, bound, column, dim)
+    return code, bound
 
 
 def _row_codes(rows: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
     """Dense codes of the rows of an int64 matrix whose column i is below
-    dims[i]: one radix code per row, compressed whenever the next column
-    could push it past `_RADIX_LIMIT`."""
-    code, bound = np.zeros(len(rows), dtype=np.int64), 1
-    for column, dim in zip(rows.T, dims):
-        if bound * dim > _RADIX_LIMIT:
-            code, bound = _dense(code)
-            if bound * dim > _RADIX_LIMIT:
-                column, dim = _dense(column)
-        code, bound = code * dim + column, bound * dim
-    return _dense(code)
+    dims[i]."""
+    return _dense(_radix(rows, dims)[0])
 
 
 def _acting_codes(plan: _BornPlan, support: np.ndarray) -> tuple[np.ndarray, int]:
@@ -658,97 +657,87 @@ def _keep(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _cell_sum(re: np.ndarray, im: np.ndarray) -> float:
     """fsum of |v|^2 as `squared_norm` forms each term: abs(v) is
-    hypot(re, im), squared as a Python float (`h ** 2` is pow, not h * h)."""
-    return math.fsum([h**2 for h in np.hypot(re, im).tolist()])
+    hypot(re, im), squared by libm's pow as `h ** 2` is on a Python float
+    (`math.pow(h, 2.0)` calls the same pow; h * h rounds differently)."""
+    return math.fsum(map(math.pow, np.hypot(re, im).tolist(), itertools.repeat(2.0)))
 
 
-def _descend(
-    plans: Sequence[_BornPlan],
-    sizes: Sequence[int],
-    level: int,
-    cell: tuple[int, ...],
-    prefix: np.ndarray,
-    prefix_count: int,
-    tails: Sequence[np.ndarray],
-    column: np.ndarray,
-    re: np.ndarray,
-    im: np.ndarray,
-    sums: dict[tuple[int, ...], float],
-) -> None:
-    """Project entries through observables `level`, `level + 1`, ... in order,
-    storing each final cell's fsum of |amplitude|^2 under its branch indices.
+def _ordered_sums(
+    bins: np.ndarray, bound: int, order: np.ndarray, span: int, *weights: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The oracle's running sums: per distinct bin (`bins` below `bound`),
+    0.0 plus its terms' weights one by one in ascending `order` (distinct
+    within a bin, below `span`), as `np.bincount` adds them in array order.
+    Returns each bin's first term and, per weight array, the sums, bins
+    ascending."""
+    key, _ = _pair(bins, bound, order, span)
+    perm = key.argsort(kind="stable")
+    fresh = _fresh(bins[perm])
+    ids = fresh.cumsum() - 1
+    return perm[fresh], [np.bincount(ids, w[perm]) for w in weights]
 
-    Entry i sits at `column[i]` of observable `level`'s alphabet; its group is
-    (prefix[i], tails[0][i], ...), where the prefix codes the untouched rest
-    and the columns already projected, and tails[j] is the entry's column of
-    observable level + 1 + j.
+
+def _project(
+    plan: _BornPlan, level: int, rows: np.ndarray, bounds: Sequence[int],
+    re: np.ndarray, im: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project every row through every branch of observable `level` at once.
+
+    Row i is amplitude re[i] + i im[i] with codes rows[i] below `bounds`: the
+    branches taken so far, the untouched rest, and one acting column per
+    observable.  A group is the rows that agree on every code but this
+    observable's column.  Returns the projected rows and amplitudes.
     """
-    plan = plans[level]
-    group, count = prefix, prefix_count
-    for tail, size in zip(tails, sizes[level + 1 :]):
-        group, count = _dense(group * size + tail)
-    # the group vectors over the kets' columns; a zero stands for an absent key
-    on_kets = column < plan.width
-    occupied = group[on_kets], column[on_kets]
-    dr = np.zeros((count, plan.width))
-    di = np.zeros((count, plan.width))
-    dr[occupied] = re[on_kets]
-    di[occupied] = im[on_kets]
-    off_kets = ~on_kets
-    # each (group, ket) coefficient <ket|vec>, accumulated in ket-entry order
-    cr = ci = np.zeros((count, 0))
-    for j, (kets, columns, wr, wi) in enumerate(plan.coefficient_steps):
-        pr, pi = _complex_product(wr, wi, dr[:, columns], di[:, columns])
-        if j == 0:  # every ket has a first entry, in ket order
-            cr, ci = pr, pi
-        else:
-            cr[:, kets] += pr
-            ci[:, kets] += pi
-    dropped = ~_keep(cr, ci)
-    cr[dropped] = 0.0
-    ci[dropped] = 0.0
-    last = level + 1 == len(plans)
-    if not last:
-        rep = np.empty(count, dtype=np.intp)
-        rep[group] = np.arange(len(group))
-        group_prefix = prefix[rep]
-        group_tails = [tail[rep] for tail in tails]
-    for b, (slots, steps) in enumerate(plan.image_steps):
-        ir = ii = np.zeros((count, 0))
-        for r, (kets, positions, ar, ai) in enumerate(steps):
-            pr, pi = _complex_product(cr[:, kets], ci[:, kets], ar, ai)
-            if r == 0:  # the first touches fill the slots in order
-                ir, ii = pr, pi
-            else:
-                ir[:, positions] += pr
-                ii[:, positions] += pi
-        kept = _keep(ir, ii)
-        if b in plan.residual_branches:
-            # the literal residual: vec minus its image, DROP_TOL-filtered
-            ir[~kept] = 0.0
-            ii[~kept] = 0.0
-            rr, ri = dr.copy(), di.copy()
-            rr[:, slots] -= ir
-            ri[:, slots] -= ii
-            g, c = np.nonzero(_keep(rr, ri))
-            # keys no ket holds pass through unchanged
-            vr = np.concatenate([rr[g, c], re[off_kets]])
-            vi = np.concatenate([ri[g, c], im[off_kets]])
-            g = np.concatenate([g, group[off_kets]])
-            c = np.concatenate([c, column[off_kets]])
-        else:
-            g, s = np.nonzero(kept)
-            c, vr, vi = slots[s], ir[g, s], ii[g, s]
-        if not len(g):
-            continue
-        if last:
-            sums[cell + (b,)] = _cell_sum(vr, vi)
-            continue
-        next_prefix, next_count = _dense(group_prefix[g] * sizes[level] + c)
-        _descend(
-            plans, sizes, level + 1, cell + (b,), next_prefix, next_count,
-            [tail[g] for tail in group_tails[1:]], group_tails[0][g], vr, vi, sums,
-        )
+    n, at, size = len(rows), 2 + level, bounds[2 + level]
+    others = [i for i in range(len(bounds)) if i != at]
+    group, groups = _radix(rows[:, others], [bounds[i] for i in others])
+    column = rows[:, at]
+    # each (group, ket) coefficient <ket|vec>, summed in ket-entry order
+    coefficients = plan.coefficients
+    counts, entry = coefficients.expand(np.minimum(column, plan.width))
+    ket, order = coefficients.fields[:, entry]
+    bins, bound = _pair(np.repeat(group, counts), groups, ket, plan.ket_count)
+    first, (cr, ci) = _ordered_sums(
+        bins, bound, order, coefficients.span,
+        *_complex_product(
+            coefficients.wr[entry], coefficients.wi[entry],
+            np.repeat(re, counts), np.repeat(im, counts),
+        ),
+    )
+    kept = _keep(cr, ci)
+    row = np.repeat(np.arange(n), counts)[first[kept]]
+    # each (group, slot) image entry, slot = branch * size + column, summed
+    # in branch-position order
+    images = plan.images
+    counts, entry = images.expand(ket[first[kept]])
+    branch, image_column, order = images.fields
+    slot, order = (branch * size + image_column)[entry], order[entry]
+    row = np.repeat(row, counts)
+    wr, wi = _complex_product(
+        np.repeat(cr[kept], counts), np.repeat(ci[kept], counts),
+        images.wr[entry], images.wi[entry],
+    )
+    if plan.residual is not None:
+        # Each row enters its complemented cell as the first term (order 0)
+        # of its bin, with weight 0.0, so the sums stay the image's.
+        row = np.concatenate([np.arange(n), row])
+        slot = np.concatenate([plan.residual * size + column, slot])
+        order = np.concatenate([np.zeros(n, dtype=np.int64), order])
+        wr, wi = np.concatenate([np.zeros(n), wr]), np.concatenate([np.zeros(n), wi])
+    bins, bound = _pair(group[row], groups, slot, plan.branch_count * size)
+    first, (ir, ii) = _ordered_sums(bins, bound, order, images.span, wr, wi)
+    row, (branch, image_column) = row[first], np.divmod(slot[first], size)
+    if plan.residual is not None:
+        # The literal residual vec - image, with the image DROP_TOL-filtered,
+        # as -image + vec; span bins keep their image and hold no row.
+        sign = np.where(branch == plan.residual, -1.0, 1.0) * _keep(ir, ii)
+        has_row = first < n
+        ir, ii = ir * sign + re[row] * has_row, ii * sign + im[row] * has_row
+    kept = _keep(ir, ii)
+    projected = rows[row[kept]]
+    projected[:, at] = image_column[kept]
+    projected[:, 0] = projected[:, 0] * plan.branch_count + branch[kept]
+    return projected, ir[kept], ii[kept]
 
 
 def born_table(
@@ -757,19 +746,18 @@ def born_table(
     """Born probabilities of every eigenvalue tuple of observables on pairwise
     disjoint subsystems, from one pass over the state.
 
-    The support is encoded once as int64 codes: one for the part no
-    observable touches and one acting column per observable.  The groups are
-    then projected through the observables in the given order, one numpy pass
-    per observable and branch, depth first.  Every cell equals
-    `joint_probability(state, [projectors in that order])` (for one
-    observable, `born_probability`) as a float, complemented branches
-    included: they are literal residuals, never one minus the other cells.
-    The kernel does the oracle's float operations in the oracle's order, with
-    three rules where numpy and CPython round differently: complex products
-    are CPython's, spelled out on float64 components; |z| is `np.hypot`, as
-    `abs()` computes it (not `np.abs`); and each final |v|^2 is `h ** 2` on a
-    Python float (not `h * h`).  A zero stands for an absent key, which can
-    only change the sign of an exact zero.
+    Each support entry becomes a row of int64 codes: the branches taken so
+    far, the part no observable touches, and one acting column per
+    observable.  One flat numpy pass per observable projects every row
+    through every branch at once; only keys the state or a ket holds are
+    ever formed.  Every cell equals `joint_probability(state, [projectors in
+    that order])` (for one observable, `born_probability`) as a float,
+    complemented branches included: they are literal residuals, never one
+    minus the other cells.  The kernel does the oracle's float operations in
+    the oracle's order, with three rules where numpy and CPython round
+    differently: complex products are CPython's, spelled out on float64
+    components; |z| is `np.hypot`, as `abs()` computes it (not `np.abs`);
+    and each final |v|^2 is `h ** 2` on a Python float (not `h * h`).
     """
     obs = tuple(observables)
     if not obs:
@@ -786,15 +774,21 @@ def born_table(
     rest_axes = [i for i in range(width) if i not in acting_axes]
     rest, rest_count = _row_codes(support[:, rest_axes], [host.dimensions[i] for i in rest_axes])
     columns, sizes = zip(*(_acting_codes(plan, support) for plan in plans))
-    sums: dict[tuple[int, ...], float] = {}
-    _descend(
-        plans, sizes, 0, (), rest, rest_count, columns[1:], columns[0],
-        values.real, values.imag, sums,
-    )
+    rows = np.stack([np.zeros(n, dtype=np.int64), rest, *columns], axis=1)
+    re, im = values.real, values.imag
+    for level, plan in enumerate(plans):
+        bounds = [math.prod(p.branch_count for p in plans[:level]), rest_count, *sizes]
+        rows, re, im = _project(plan, level, rows, bounds, re, im)
+    order = rows[:, 0].argsort()
+    cells, re, im = rows[order, 0], re[order], im[order]
+    starts = np.flatnonzero(_fresh(cells)).tolist()
+    sums = {
+        int(cells[a]): _cell_sum(re[a:b], im[a:b])
+        for a, b in zip(starts, starts[1:] + [len(cells)])
+    }
     table: dict[tuple[float, ...], float] = {}
-    for cell in itertools.product(*(range(plan.branch_count) for plan in plans)):
-        eigenvalues = tuple(o.branches[b][0] for o, b in zip(obs, cell))
-        table[eigenvalues] = min(1.0, max(0.0, sums.get(cell, 0.0)))
+    for cell, combo in enumerate(itertools.product(*(o.branches for o in obs))):
+        table[tuple(e for e, _ in combo)] = min(1.0, max(0.0, sums.get(cell, 0.0)))
     return table
 
 

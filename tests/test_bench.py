@@ -28,3 +28,15 @@ def test_benchmark_workload_runs_correct_at_tiny_size(workload):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"]
     assert result["failed"] == 0
+
+
+def test_benchmark_selftest_reports_no_problem():
+    """`bench/selftest.py` end to end: every metric printed with its unit,
+    traced counts repeating exactly, a corrupted golden caught and a checkout
+    without the program refused.  It writes only under bench/.work/."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "0 problem(s)"

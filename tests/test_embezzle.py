@@ -2,7 +2,12 @@
 sums, rational approximants, fidelity reports, and the approximate chains."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +106,26 @@ def test_rational_approximants_reports_smallest_workable_index():
     squares = [0.01, 0.99]
     with pytest.raises(ValueError, match="l_min"):
         ez.rational_approximants(squares, 2)
+
+
+@pytest.mark.parametrize("coeffs", ["0.000000001,0.999999999", "0.999999999,0.000000001"])
+def test_tiny_squared_coefficient_fails_at_once_with_the_exact_l_min(coeffs):
+    """l_min is about 2.5e8 here, so a search that steps l up by one never
+    returns; the CLI must exit 2 at once, naming an l_min that is workable
+    while l_min - 1 is not."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "parind_lab.cli", "arbitrary", "--coeffs", coeffs,
+         "--l", "3", "--n", "60", "--workers", "1"],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert done.returncode == 2, done.stderr
+    l_min = int(re.search(r"l_min=(\d+)", done.stderr).group(1))
+    squares = [float(Fraction(c)) for c in coeffs.split(",")]
+    assert sum(ez.rational_approximants(squares, l_min)) == 1
+    with pytest.raises(ValueError, match=f"l_min={l_min}$"):
+        ez.rational_approximants(squares, l_min - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 observables, Schmidt decomposition, and structured basis maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parind_lab import embezzle as ez
 from parind_lab import qcore
 from parind_lab.qcore import (
     DROP_TOL,
@@ -591,6 +593,68 @@ def test_born_table_beyond_int64_and_on_groups_that_meet_no_ket():
     # the complemented cell holds the no-ket groups' whole weight, and more
     no_ket = math.fsum(abs(v) ** 2 for key, v in state.amplitudes.items() if key[7] >= 2)
     assert born_table(state, (last,))[(-1.0,)] >= no_ket > 0
+
+
+def test_born_table_complement_subtracts_only_the_kept_image():
+    """The oracle drops image entries at or below DROP_TOL before it forms
+    the residual vec - image.  Here <u|psi> is about 1e-13, so the image is
+    about 1e-16 at key 0 (dropped: the amplitude passes unchanged) and about
+    1e-13 at key 1 (kept and subtracted)."""
+    registry = SystemRegistry((("S", 3),))
+    x = 1e-3
+    y = math.sqrt(1.0 - x * x)
+    observable = two_outcome_observable([_ket(registry, {(0,): x, (1,): y})])
+    for a in np.linspace(0.5, 0.9, 9):
+        b = (1e-13 - x * a) / y
+        state = SparseState(registry, {(0,): a, (1,): b, (2,): math.sqrt(1 - a * a - b * b)})
+        assert _cells_off_oracle(state, (observable,)) == []
+
+
+def test_born_table_matches_the_oracle_on_wide_slot_observables_three_deep():
+    """Both wings' 11-branch slot observables of an embezzled state and a
+    seeded two-outcome observable on A2, in two orders: wider and deeper
+    tables than `born_cases` draws, every cell the oracle's float."""
+    spec = ez.EmbezzleSpec.from_reals((1 / math.pi, 1 - 1 / math.pi), l=10, n=60)
+    state = ez.embezzled_state(spec)
+    rng = np.random.default_rng(5)
+    aux = state.registry.restrict(("A2",))
+    keys = rng.choice(aux.dimension("A2"), size=6, replace=False)
+    amps = rng.normal(size=6) + 1j * rng.normal(size=6)
+    ket = _ket(aux, {(int(k),): a for k, a in zip(keys, amps / np.linalg.norm(amps))})
+    slot_a, slot_b = (ez.slot_observable(spec, state.registry, side) for side in "AB")
+    assert len(slot_a.branches) == len(slot_b.branches) == 11
+    aux_observable = two_outcome_observable([ket])
+    for observables in ((slot_a, slot_b, aux_observable), (aux_observable, slot_b, slot_a)):
+        assert _cells_off_oracle(state, observables) == []
+
+
+@settings(deadline=None, max_examples=100)
+@given(born_cases(), st.randoms(use_true_random=False))
+def test_born_table_does_not_depend_on_the_support_order(case, random):
+    """The same amplitudes inserted in another order give the same table,
+    cell for cell: the kernel's sums follow ket and branch order only."""
+    state, observables = case
+    keys = list(state.amplitudes)
+    random.shuffle(keys)
+    shuffled = SparseState(state.registry, {key: state.amplitudes[key] for key in keys})
+    assert born_table(shuffled, observables) == born_table(state, observables)
+
+
+def test_born_table_of_a_51_branch_slot_observable_peaks_below_20_mb():
+    """One A-side slot table at (l, n) = (50, 10^4): 51 branches over a
+    20 000-entry state.  Dense groups x ket-column float arrays would peak
+    near 74 MB here; sparse terms need O(support x ket entries per key)."""
+    spec = ez.EmbezzleSpec.from_reals((1 / math.pi, 1 - 1 / math.pi), l=50, n=10**4)
+    state = ez.embezzled_state(spec)
+    observable = ez.slot_observable(spec, state.registry, "A")
+    assert (len(observable.branches), len(state.amplitudes)) == (51, 20_000)
+    tracemalloc.start()
+    try:
+        born_table(state, (observable,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 def test_born_table_rejects_overlapping_observables():
