@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -1104,9 +1105,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call and reused: parsing
+    leaves the parser unchanged, and building it costs more than most calls."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
         # resolved by name at call time, see `_Command`

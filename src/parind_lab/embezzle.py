@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -328,31 +328,48 @@ def extract_side(spec: EmbezzleSpec, state: SparseState, side: str) -> SparseSta
 
 
 def embezzled_state(spec: EmbezzleSpec) -> SparseState:
-    """Both-sided application of the extraction map to the input state."""
-    state = input_state(spec)
-    for side in SIDES:
-        state = extract_side(spec, state, side)
-    return state
+    """The extraction map applied to both sides of `input_state(spec)`,
+    tau_n (x) |00> (x) phi (van Dam & Hayden 2003), built in one pass from
+    `_embezzled_terms`.
+
+    The registry is (A2, B2) of dimension n, (A1, B1) of dimension max m and
+    (A, B) of dimension d, the order `input_state` has, and term (q, j, i) is
+    key (q, q, j, j, i, i).  `extract_side` on both sides of `input_state` is
+    the literal route; the tests hold this state equal to it, key order and
+    amplitude bits included."""
+    sides = SIDES.values()
+    registry = SystemRegistry(
+        tuple((aux, spec.n) for aux, _, _ in sides)
+        + tuple((ptr, spec.max_m) for _, ptr, _ in sides)
+        + tuple((sys, spec.d) for _, _, sys in sides)
+    )
+    terms = (column.tolist() for column in _embezzled_terms(spec, harmonic_number(spec.n)))
+    return SparseState(
+        registry, {(q, q, j, j, i, i): amplitude for q, j, i, amplitude in zip(*terms)}
+    )
 
 
-def _embezzled_terms(spec: EmbezzleSpec, c_n: float) -> Iterator[tuple[int, int, int, float]]:
-    """The support of `embezzled_state(spec)` as (q, j, i, amplitude) -- aux
-    level, pointer, system -- without building the state; `c_n` is
-    `harmonic_number(spec.n)`, summed once by the caller.
+def _embezzled_terms(
+    spec: EmbezzleSpec, c_n: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The support of `embezzled_state(spec)` as four arrays (q, j, i,
+    amplitude) -- aux level, pointer, system -- the terms the state is built
+    from; `c_n` is `harmonic_number(spec.n)`, summed once by the caller.
 
     The state relabels |k>|0>|i> of tau_n (x) phi to |k // m_i>|k mod m_i>|i>
-    on both sides, so term (k, i) has amplitude c_i / sqrt(C_n (k + 1)).  The
-    terms come in the state's key order (k outer, i inner) and from the same
-    float operations, so any sum over them equals the same sum over the state
-    bit for bit."""
+    on both sides, so term (k, i) has amplitude c_i / sqrt(C_n (k + 1)),
+    computed as (1 / sqrt(C_n (k + 1))) * c_i like the literal route's tensor
+    product, and kept above DROP_TOL.  The terms come in the state's key order
+    (k outer, i inner), so any sequential sum over them equals the same sum
+    over the state bit for bit."""
     if spec.n < spec.max_m:
         raise ValueError(f"precision n={spec.n} must be at least max numerator {spec.max_m}")
-    for k in range(spec.n):
-        a = 1.0 / math.sqrt(c_n * (k + 1))
-        for i, (c_i, m_i) in enumerate(zip(spec.c, spec.m)):
-            amplitude = a * c_i
-            if abs(amplitude) > DROP_TOL:
-                yield k // m_i, k % m_i, i, amplitude
+    k = np.arange(spec.n, dtype=np.int64)[:, None]
+    m = np.array(spec.m, dtype=np.int64)
+    amplitude = (1.0 / np.sqrt(c_n * (k + 1))) * np.array(spec.c, dtype=np.float64)
+    keep = np.abs(amplitude) > DROP_TOL
+    i = np.broadcast_to(np.arange(spec.d, dtype=np.int64), keep.shape)
+    return (k // m)[keep], (k % m)[keep], i[keep], amplitude[keep]
 
 
 def _slot_pair_state(spec: EmbezzleSpec, amplitudes: Sequence[float]) -> SparseState:
@@ -402,11 +419,14 @@ class EmbezzlementFidelityReport:
 
 def _chi_overlap(spec: EmbezzleSpec, c_n: float) -> float:
     """<chi | U (x) U psi>: the analytic chi amplitudes summed against
-    `_embezzled_terms`, so neither state is built; `c_n` is C_n."""
-    total = 0.0
-    for q, _, i, amp in _embezzled_terms(spec, c_n):
-        total += spec.c[i] / math.sqrt(c_n * (q + 1) * spec.m[i]) * amp
-    return total
+    `_embezzled_terms`, so neither state is built; `c_n` is C_n.  The sum runs
+    in term order, one addition at a time (`cumsum`, not the pairwise
+    `np.sum`), as a loop over the state's support would."""
+    q, _, i, amplitude = _embezzled_terms(spec, c_n)
+    c = np.array(spec.c, dtype=np.float64)[i]
+    m = np.array(spec.m, dtype=np.int64)[i]
+    terms = c / np.sqrt(c_n * (q + 1) * m) * amplitude
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def embezzlement_distance_bound(spec: EmbezzleSpec) -> float:
@@ -736,7 +756,8 @@ def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
     the same key order, without building the state."""
     weights: dict[Pair, float] = {s: 0.0 for s in spec.pairs}
     aux: dict[Pair, dict[int, float]] = {s: {} for s in spec.pairs}
-    for q, j, i, amp in _embezzled_terms(spec, harmonic_number(spec.n)):
+    terms = (column.tolist() for column in _embezzled_terms(spec, harmonic_number(spec.n)))
+    for q, j, i, amp in zip(*terms):
         weights[(i, j)] += amp * amp
         aux[(i, j)][q] = amp
     return SlotStatistics(pairs=spec.pairs, weights=weights, aux_vectors=aux)

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from typing import NoReturn
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class SystemRegistry:
     """Ordered collection of uniquely labeled subsystems with fixed dimensions."""
 
     subsystems: tuple[tuple[str, int], ...]
+    # Derived from `subsystems` once, here, since every state, projector and
+    # inner product reads them; they take no part in ==, hash or repr.
+    labels: tuple[str, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    dimensions: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         subsystems = tuple((str(label), int(dim)) for label, dim in self.subsystems)
@@ -44,14 +49,8 @@ class SystemRegistry:
         for label, dim in subsystems:
             if dim < 1:
                 raise ValueError(f"subsystem {label!r} has dimension {dim} < 1")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.subsystems)
-
-    @property
-    def dimensions(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "dimensions", tuple(dim for _, dim in subsystems))
 
     @property
     def total_dimension(self) -> int:
@@ -90,10 +89,30 @@ class SystemRegistry:
 def _clean_amplitudes(
     registry: SystemRegistry, amplitudes: Mapping[MultiIndex, complex]
 ) -> dict[MultiIndex, complex]:
-    """Validate index arity/range and drop amplitudes below DROP_TOL."""
+    """Validate index arity/range and drop amplitudes below DROP_TOL.
+
+    Arity and range are checked in bulk, one min/max per axis; only a failing
+    check rescans entry by entry, to name the first offending key."""
     dims = registry.dimensions
+    try:
+        keys = [tuple(map(int, key)) for key in amplitudes]
+        values = list(map(complex, amplitudes.values()))
+    except (TypeError, ValueError, OverflowError):
+        _raise_first_bad_entry(amplitudes, dims)
+    if keys and not (
+        set(map(len, keys)) == {len(dims)}
+        and all(0 <= min(axis) and max(axis) < dim for axis, dim in zip(zip(*keys), dims))
+    ):
+        _raise_first_bad_entry(amplitudes, dims)
+    return {key: value for key, value in zip(keys, values) if abs(value) > DROP_TOL}
+
+
+def _raise_first_bad_entry(
+    amplitudes: Mapping[MultiIndex, complex], dims: tuple[int, ...]
+) -> NoReturn:
+    """Raise for the first entry, in mapping order, whose key has the wrong
+    arity or range or whose key or amplitude does not convert."""
     width = len(dims)
-    cleaned: dict[MultiIndex, complex] = {}
     for key, amp in amplitudes.items():
         key = tuple(int(k) for k in key)
         if len(key) != width:
@@ -101,10 +120,8 @@ def _clean_amplitudes(
         for k, dim in zip(key, dims):
             if not 0 <= k < dim:
                 raise ValueError(f"index {key} out of range for dimensions {dims}")
-        value = complex(amp)
-        if abs(value) > DROP_TOL:
-            cleaned[key] = value
-    return cleaned
+        complex(amp)
+    raise AssertionError("the bulk check failed on entries that all pass one by one")
 
 
 @dataclasses.dataclass(frozen=True)

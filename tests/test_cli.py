@@ -5,6 +5,9 @@ import ast
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,40 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys):
+    """`main` builds its parser once per process.  Two subcommands, a usage
+    error and a good call after it each give, in one process, the exit code,
+    report and messages of a fresh process."""
+    calls = [
+        ["chain", "--N", "1,2", "--format", "csv"],
+        ["lemma", "--r", "6", "--J", "1", "--seed", "0"],
+        ["dim", "--N", "1", "--no-such-flag"],
+        ["dim", "--coeffs", "1/6,1/4,1/4,1/3", "--N", "1,2"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    codes = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "parind_lab.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert captured.out or captured.err
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert cli._parser() is cli._parser()
 
 
 # ---------------------------------------------------------------------------

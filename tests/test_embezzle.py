@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from parind_lab import chained_bell as cb
 from parind_lab import cli
 from parind_lab import embezzle as ez
-from parind_lab.qcore import SparseState, fidelity, squared_norm
+from parind_lab.qcore import DROP_TOL, SparseState, fidelity, squared_norm
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,58 @@ def test_embezzled_state_is_slot_diagonal_and_normalized():
     assert squared_norm(state.amplitudes) == pytest.approx(1.0)
     stats = ez.slot_statistics(state, spec)
     assert math.fsum(stats.weights.values()) == pytest.approx(1.0)
+
+
+def _map_route_state(spec):
+    """The literal route to the embezzled state: the extraction map on side A,
+    then on side B, of tau_n (x) |00> (x) phi."""
+    state = ez.input_state(spec)
+    for side in ez.SIDES:
+        state = ez.extract_side(spec, state, side)
+    return state
+
+
+@st.composite
+def direct_state_specs(draw):
+    """Specs from exact squares, from exact squares with an even denominator,
+    and from real squares through the denominator-2l approximants; d <= 4 and
+    max m <= n <= 300."""
+    kind = draw(st.sampled_from(["exact", "even", "reals"]))
+    weights = draw(st.lists(st.integers(1, 9), min_size=2 if kind == "reals" else 1, max_size=4))
+    if kind == "reals":
+        try:
+            spec = ez.EmbezzleSpec.from_reals(
+                [w / sum(weights) for w in weights], draw(st.integers(1, 12)), n=1
+            )
+        except ValueError:  # l below the smallest workable index
+            reject()
+    else:
+        squares = [Fraction(w, sum(weights)) for w in weights]
+        spec = ez.EmbezzleSpec.from_exact(squares, n=1, even_denominator=kind == "even")
+    return spec.with_n(draw(st.integers(spec.max_m, 300)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(direct_state_specs())
+def test_embezzled_state_is_the_map_route_state(spec):
+    """The state built from the terms is the map route's state: the same
+    registry, the same key order and the same amplitude bits."""
+    direct = ez.embezzled_state(spec)
+    literal = _map_route_state(spec)
+    assert direct.registry == literal.registry
+    assert list(direct.amplitudes) == list(literal.amplitudes)
+    assert [repr(a) for a in direct.amplitudes.values()] == [
+        repr(a) for a in literal.amplitudes.values()
+    ]
+
+
+def test_embezzled_state_refuses_too_few_levels_like_the_map_route():
+    spec = ez.EmbezzleSpec.from_exact(["1/6", "5/6"], n=4)
+    message = "precision n=4 must be at least max numerator 5"
+    with pytest.raises(ValueError, match=message):
+        ez.embezzled_state(spec)
+    with pytest.raises(ValueError, match=message):
+        _map_route_state(spec)
 
 
 def test_chi_state_weights_are_numerator_fractions():
@@ -467,6 +519,29 @@ def test_spec_only_routes_equal_the_state_routes(spec):
         assert list(got.aux_vectors[slot]) == list(vector)
     c_n = ez.harmonic_number(spec.n)
     assert ez._chi_overlap(spec, c_n) == _chi_overlap_on_state(spec, state)
+
+
+def _chi_overlap_loop(spec, c_n):
+    """The term-by-term loop the array `_chi_overlap` replaced: k outer, i
+    inner, one float addition per term kept above DROP_TOL."""
+    total = 0.0
+    for k in range(spec.n):
+        a = 1.0 / math.sqrt(c_n * (k + 1))
+        for c_i, m_i in zip(spec.c, spec.m):
+            amplitude = a * c_i
+            if abs(amplitude) > DROP_TOL:
+                total += c_i / math.sqrt(c_n * (k // m_i + 1) * m_i) * amplitude
+    return total
+
+
+@pytest.mark.parametrize("n", [12_345, 99_991])
+@pytest.mark.parametrize("squares", [["1/3", "2/3"], ["1/6", "1/3", "1/2"], ["1/10", "1/5", "3/10", "2/5"]])
+def test_chi_overlap_is_the_sequential_loop_sum(squares, n):
+    """At n where pairwise summation would round differently, the array sum
+    keeps the loop's order and so its bits."""
+    spec = ez.EmbezzleSpec.from_exact(squares, n=n)
+    c_n = ez.harmonic_number(n)
+    assert ez._chi_overlap(spec, c_n) == _chi_overlap_loop(spec, c_n)
 
 
 # (spec, fidelity, z-form, trace distance, extraction distances), frozen

@@ -1,7 +1,9 @@
 """Tests for the sparse-state engine: registries, states, projectors,
 observables, Schmidt decomposition, and structured basis maps."""
 
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -89,6 +91,88 @@ def test_state_drops_zero_amplitudes():
     registry = SystemRegistry((("A", 3),))
     state = SparseState(registry, {(0,): 1.0, (1,): 0.0, (2,): 1e-300})
     assert state.nonzero_count == 1
+
+
+def test_registry_compares_hashes_and_pickles_on_its_subsystems_alone():
+    """The cached label and dimension tuples take no part in ==, hash or repr,
+    survive a pickle (the worker pool pickles states) and cannot be set."""
+    registry = SystemRegistry((("A", 2), ("B", np.int64(3))))
+    same = SystemRegistry((("A", 2), ("B", 3)))
+    assert registry == same
+    assert hash(registry) == hash(same) == hash(((("A", 2), ("B", 3)),))
+    assert registry != SystemRegistry((("B", 3), ("A", 2)))
+    assert repr(registry) == "SystemRegistry(subsystems=(('A', 2), ('B', 3)))"
+    assert (registry.labels, registry.dimensions) == (("A", "B"), (2, 3))
+    clone = pickle.loads(pickle.dumps(registry))
+    assert clone == registry and hash(clone) == hash(registry)
+    assert (clone.labels, clone.dimensions) == (("A", "B"), (2, 3))
+    state = SparseState(registry, {(1, 2): 1.0})
+    assert pickle.loads(pickle.dumps(state)) == state
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        registry.labels = ("X", "Y")
+
+
+def _clean_amplitudes_per_key(registry, amplitudes):
+    """The per-key validation loop the bulk checks replaced: the oracle for
+    every message and for the returned dict."""
+    dims = registry.dimensions
+    width = len(dims)
+    cleaned = {}
+    for key, amp in amplitudes.items():
+        key = tuple(int(k) for k in key)
+        if len(key) != width:
+            raise ValueError(f"index {key} has arity {len(key)}, expected {width}")
+        for k, dim in zip(key, dims):
+            if not 0 <= k < dim:
+                raise ValueError(f"index {key} out of range for dimensions {dims}")
+        value = complex(amp)
+        if abs(value) > DROP_TOL:
+            cleaned[key] = value
+    return cleaned
+
+
+def _outcome(clean, registry, amplitudes):
+    try:
+        return repr(list(clean(registry, amplitudes).items()))
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def raw_amplitude_maps(draw):
+    """A registry and a raw amplitude map whose keys may have the wrong arity,
+    negative indices or an index equal to its dimension, as int or np.int64,
+    with amplitudes at, below and above DROP_TOL; the map may be empty."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    registry = SystemRegistry(tuple((f"R{a}", d) for a, d in enumerate(dims)))
+    index = st.integers(-1, max(dims)).flatmap(
+        lambda k: st.sampled_from([k, np.int64(k)])
+    )
+    key = st.integers(max(0, len(dims) - 1), len(dims) + 1).flatmap(
+        lambda width: st.tuples(*[index] * width)
+    )
+    amplitude = st.sampled_from([0.0, DROP_TOL / 2, DROP_TOL, 2 * DROP_TOL, 0.6, -0.8j, 1.0])
+    entries = draw(st.lists(st.tuples(key, amplitude), max_size=8))
+    return registry, dict(entries)
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw_amplitude_maps())
+def test_bulk_index_checks_raise_and_return_like_the_per_key_loop(case):
+    registry, amplitudes = case
+    assert _outcome(qcore._clean_amplitudes, registry, amplitudes) == _outcome(
+        _clean_amplitudes_per_key, registry, amplitudes
+    )
+
+
+def test_bulk_index_checks_name_the_first_offending_key():
+    registry = SystemRegistry((("A", 2), ("B", 3)))
+    with pytest.raises(ValueError, match=r"index \(0, 3\) out of range"):
+        SparseState(registry, {(1, 1): 1.0, (0, 3): 0.0, (0, 0, 0): 0.0, (-1, 0): 0.0})
+    with pytest.raises(ValueError, match=r"index \(0, 0, 0\) has arity 3, expected 2"):
+        SparseState(registry, {(1, 1): 1.0, (0, 0, 0): 0.0, (0, 3): 0.0})
+    with pytest.raises(TypeError):
+        SparseState(registry, {(1, 1): 1.0, (0, None): 0.0, (0, 3): 0.0})
 
 
 def test_basis_state_positional_and_by_label():
