@@ -706,34 +706,41 @@ def correlation_measure_IJlNnl(
 # slot, q an auxiliary level).  Every chain disagreement probability then reduces
 # to a closed form in the slot weights w_s = sum_q amp_s(q)^2 and the auxiliary
 # overlaps G_st = sum_q amp_s(q) amp_t(q), because the rotated projectors couple
-# only paired slots and the contraction stays diagonal in the slot index.  The
+# only paired slots and the contraction stays diagonal in the slot index.  With
+# c^2 + s^2 = 1, the Born terms Pr(A=+1) + Pr(B=+1) - 2 Pr(A=+1, B=+1) of slot s
+# rotated into t reduce to D = W (c^2 s'^2 + s^2 c'^2) - 4 c c' s s' G with
+# W = w_s + w_t and G = G_st; summed over a half-subset J with partners pi(J),
+# W is the weight of J and pi(J) and G = sum_{s in J} G_{s,pi(s)}.  The
 # module tests pin these formulas against the literal projector route.
 
 
 @dataclasses.dataclass(frozen=True)
 class SlotStatistics:
-    """Slot weights and auxiliary vectors of a slot-diagonal state."""
+    """Slot weights and auxiliary amplitudes of a slot-diagonal state: row k of
+    `aux` holds amp_s(q) of slot s = pairs[k] at the levels q = 0 .. Q - 1, Q
+    the highest level present plus one, and 0.0 where s has no level q."""
 
     pairs: tuple[Pair, ...]
     weights: dict[Pair, float]
-    aux_vectors: dict[Pair, dict[int, float]]
+    aux: np.ndarray
 
-    def overlap(self, s: Pair, t: Pair) -> float:
-        """G_st = sum_q amp_s(q) amp_t(q); equals the weight when s == t."""
-        if s == t:
-            return self.weights[s]
-        va, vb = self.aux_vectors[s], self.aux_vectors[t]
-        if len(vb) < len(va):
-            va, vb = vb, va
-        return math.fsum(amp * vb[q] for q, amp in va.items() if q in vb)
+    def overlap(self, links: Sequence[tuple[Pair, Pair]]) -> float:
+        """sum of G_st over the (s, t) links, as one `math.fsum` of every
+        product amp_s(q) amp_t(q).  The sum is exactly rounded, so one link's
+        G_st has the same bits in any product order, zero columns included."""
+        row = {pair: k for k, pair in enumerate(self.pairs)}
+        s_rows = [row[s] for s, _ in links]
+        t_rows = [row[t] for _, t in links]
+        return math.fsum((self.aux[s_rows] * self.aux[t_rows]).ravel().tolist())
 
 
 def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
-    """Extract slot weights and auxiliary vectors; refuses states that are not
+    """Extract slot weights and auxiliary amplitudes; refuses states that are not
     slot-diagonal with real amplitudes (the fast formulas do not apply there)."""
     axes = state.registry.axes(SIDES["A"] + SIDES["B"])
+    row = {s: k for k, s in enumerate(spec.pairs)}
     weights: dict[Pair, float] = {s: 0.0 for s in spec.pairs}
-    aux: dict[Pair, dict[int, float]] = {s: {} for s in spec.pairs}
+    aux: dict[tuple[int, int], float] = {}
     for key, amp in state.amplitudes.items():
         q_a, j_a, i_a, q_b, j_b, i_b = (key[axis] for axis in axes)
         if (q_a, j_a, i_a) != (q_b, j_b, i_b):
@@ -746,45 +753,54 @@ def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
             raise ValueError(f"state occupies slot {slot} outside the spec's slots")
         value = value.real
         weights[slot] += value * value
-        aux[slot][q_a] = aux[slot].get(q_a, 0.0) + value
-    return SlotStatistics(pairs=spec.pairs, weights=weights, aux_vectors=aux)
+        aux[row[slot], q_a] = aux.get((row[slot], q_a), 0.0) + value
+    array = np.zeros((spec.r, max((q for _, q in aux), default=-1) + 1))
+    for index, value in aux.items():
+        array[index] = value
+    return SlotStatistics(pairs=spec.pairs, weights=weights, aux=array)
 
 
 def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
-    """`slot_statistics(embezzled_state(spec), spec)` summed straight over
-    `_embezzled_terms`: the same weights and aux vectors, bit for bit and in
-    the same key order, without building the state."""
-    weights: dict[Pair, float] = {s: 0.0 for s in spec.pairs}
-    aux: dict[Pair, dict[int, float]] = {s: {} for s in spec.pairs}
-    terms = (column.tolist() for column in _embezzled_terms(spec, harmonic_number(spec.n)))
-    for q, j, i, amp in zip(*terms):
-        weights[(i, j)] += amp * amp
-        aux[(i, j)][q] = amp
-    return SlotStatistics(pairs=spec.pairs, weights=weights, aux_vectors=aux)
+    """`slot_statistics(embezzled_state(spec), spec)` from `_embezzled_terms`:
+    the same weights, bit for bit and in the same key order, and the same
+    amplitude array, without building the state.  `np.bincount` adds the
+    squared amplitudes in term order, one at a time, as the state loop does."""
+    q, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
+    # slot (i, j) is row m_0 + ... + m_{i-1} + j of the lexicographic pairs
+    row = np.cumsum((0,) + spec.m[:-1])[i] + j
+    weights = np.bincount(row, weights=amplitude * amplitude, minlength=spec.r)
+    aux = np.zeros((spec.r, int(q.max(initial=-1)) + 1))
+    aux[row, q] = amplitude
+    return SlotStatistics(
+        pairs=spec.pairs, weights=dict(zip(spec.pairs, weights.tolist())), aux=aux
+    )
 
 
-def _half_subset_disagreement(
-    stats: SlotStatistics,
-    subset: Sequence[Pair],
-    pairing: Mapping[Pair, Pair],
-    theta: float,
-    phi: float,
-) -> float:
-    """Pr(A_theta != B_phi) for half-subset observables on a slot-diagonal state:
-    per subset slot s with partner t,
-    w_s (c^2 s'^2 + s^2 c'^2 - 2 c c' s s' ... ) assembled from the three Born
-    terms Pr(A=+1) + Pr(B=+1) - 2 Pr(A=+1, B=+1)."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    cp, sp = math.cos(phi / 2), math.sin(phi / 2)
-    born_a = born_b = joint = 0.0
-    for slot in subset:
-        partner = pairing[slot]
-        w_s, w_t = stats.weights[slot], stats.weights[partner]
-        g = stats.overlap(slot, partner)
-        born_a += c * c * w_s + s * s * w_t
-        born_b += cp * cp * w_s + sp * sp * w_t
-        joint += (c * cp) ** 2 * w_s + (s * sp) ** 2 * w_t + 2 * c * cp * s * sp * g
-    return max(0.0, born_a + born_b - 2.0 * joint)
+def _two_slot_chain(
+    spec: EmbezzleSpec, N: int, weight: float, overlap: float, *, half_subset: bool
+) -> cb.ChainReport:
+    """The chain whose adjacent settings disagree with D(theta, phi) = W (c^2 s'^2
+    + s^2 c'^2) - 4 c c' s s' G (section comment), W = `weight`, G = `overlap`,
+    each term clipped to [0, 1].  A half-subset chain negates setting 0 at its
+    terminal setting 2N, so that term is 1 - D(0, phi), and it has the
+    uniform-slot closed form; a pair chain has the extraction target's."""
+    if N < 1:
+        raise ValueError(f"chain depth N must be >= 1, got {N}")
+    terms = []
+    for a, b in cb.adjacent_setting_pairs(N):
+        negated = half_subset and a == 2 * N
+        theta = 0.0 if negated else a * math.pi / (2 * N)
+        phi = b * math.pi / (2 * N)
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        cp, sp = math.cos(phi / 2), math.sin(phi / 2)
+        value = weight * (c * c * sp * sp + s * s * cp * cp) - 4 * c * cp * s * sp * overlap
+        value = max(0.0, value)
+        terms.append(cb.PairTerm(a, b, min(1.0, 1.0 - value if negated else value)))
+    if half_subset:
+        closed_form = 2 * N * math.sin(math.pi / (4 * N)) ** 2
+    else:
+        closed_form = 2 * N * chi_pair_disagreement_closed_form(spec, N)
+    return cb.ChainReport(N=N, pair_terms=tuple(terms), closed_form=closed_form)
 
 
 def fast_half_subset_chain(
@@ -794,25 +810,14 @@ def fast_half_subset_chain(
     pairing: Mapping[Pair, Pair],
     stats: SlotStatistics,
 ) -> cb.ChainReport:
-    """Half-subset chained correlation measure via slot statistics; the terminal
-    setting 2N is the negation of setting 0, so its disagreement with setting
-    2N-1 is one minus the corresponding unnegated disagreement."""
-    subset_t = [tuple(p) for p in subset]
-    terms = []
-    for a, b in cb.adjacent_setting_pairs(N):
-        phi = b * math.pi / (2 * N)
-        if a == 2 * N:
-            value = 1.0 - _half_subset_disagreement(stats, subset_t, pairing, 0.0, phi)
-        else:
-            value = _half_subset_disagreement(
-                stats, subset_t, pairing, a * math.pi / (2 * N), phi
-            )
-        terms.append(cb.PairTerm(a, b, min(1.0, value)))
-    return cb.ChainReport(
-        N=N,
-        pair_terms=tuple(terms),
-        closed_form=2 * N * math.sin(math.pi / (4 * N)) ** 2,
-    )
+    """Half-subset chained correlation measure via slot statistics.  Summed over
+    the subset J, the three Born terms give D = W (c^2 s'^2 + s^2 c'^2)
+    - 4 c c' s s' G, W the weight of J and its partners pi(J) and
+    G = sum_{s in J} G_{s,pi(s)}; setting 2N negates setting 0, so the
+    terminal term is 1 - D(0, phi)."""
+    links = [(slot, tuple(pairing[slot])) for slot in map(tuple, subset)]
+    weight = math.fsum(stats.weights[p] for link in links for p in link)
+    return _two_slot_chain(spec, N, weight, stats.overlap(links), half_subset=True)
 
 
 def fast_pair_chain(
@@ -821,21 +826,11 @@ def fast_pair_chain(
     """Two-slot chained correlation measure via slot statistics.  Spectator slots
     agree on both sides of a slot-diagonal state, so only the rotated pair
     contributes: Pr(A != B) = (w_s + w_t)(c^2 s'^2 + s^2 c'^2) - 4 c c' s s' G_st."""
-    w_s, w_t = stats.weights[pair_lo], stats.weights[pair_hi]
-    g = stats.overlap(pair_lo, pair_hi)
-    terms = []
-    for a, b in cb.adjacent_setting_pairs(N):
-        theta = a * math.pi / (2 * N)
-        phi = b * math.pi / (2 * N)
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        cp, sp = math.cos(phi / 2), math.sin(phi / 2)
-        value = (w_s + w_t) * (c * c * sp * sp + s * s * cp * cp) - 4 * c * cp * s * sp * g
-        terms.append(cb.PairTerm(a, b, min(1.0, max(0.0, value))))
-    return cb.ChainReport(
-        N=N,
-        pair_terms=tuple(terms),
-        closed_form=2 * N * chi_pair_disagreement_closed_form(spec, N),
-    )
+    if pair_lo == pair_hi:
+        raise ValueError("the rotated pair must consist of two distinct indices")
+    weight = stats.weights[pair_lo] + stats.weights[pair_hi]
+    overlap = stats.overlap([(pair_lo, pair_hi)])
+    return _two_slot_chain(spec, N, weight, overlap, half_subset=False)
 
 
 def sorted_extreme_half_subset(spec: EmbezzleSpec, stats: SlotStatistics) -> tuple[Pair, ...]:

@@ -1019,6 +1019,8 @@ def triviality_bound(
     three-term shape |Pr - c_i^2| <= |Pr - m_i/r| + |m_i/r - c_i^2| with the
     chain contribution counted once more on the way to the block.
     """
+    if N < 1:
+        raise ValueError(f"chain depth N must be >= 1, got {N}")
     state = ez.embezzled_state(spec)
     stats = ez.slot_statistics_from_spec(spec)
     slot_a = ez.slot_observable(spec, state.registry, "A")

@@ -93,6 +93,26 @@ def test_out_of_domain_value_is_config_error(capsys):
     assert "chain depth" in err
 
 
+@pytest.mark.parametrize("command", ["sqrt-rational", "arbitrary"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_chain_depth_below_one_is_config_error(capsys, command, depth):
+    """The library refuses N < 1 on the spec-only routes as `chain` and `dim`
+    do through their chain spec: no traceback, no failed row."""
+    code, out, err = run(capsys, command, "--N", depth)
+    assert code == 2
+    assert f"chain depth N must be >= 1, got {depth}" in err
+    assert out == ""
+
+
+def test_one_slot_pair_chain_is_config_error(capsys):
+    """With r = 1 the only "pair" is one slot with itself, which the literal
+    chain route refuses too."""
+    code, out, err = run(capsys, "sqrt-rational", "--coeffs", "1")
+    assert code == 2
+    assert "two distinct indices" in err
+    assert out == ""
+
+
 def test_dim_without_equal_pair_is_config_error(capsys):
     code, _, err = run(capsys, "dim", "--coeffs", "1/6,1/3,1/2")
     assert code == 2

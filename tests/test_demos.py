@@ -1,9 +1,9 @@
 """Smoke test of the narrative demos: each runs as a script and prints.
 
 The demos call the package's public names, so a renamed or moved function
-fails here rather than only when a demo is run by hand.  Two demos are left
-out because they take several seconds each as a subprocess:
-`approximate_chain` (about 7 s) and `resource_ledger` (about 5 s).
+fails here rather than only when a demo is run by hand.  Every demo is
+listed; the slowest, `approximate_chain` and `resource_ledger`, take about
+1.5 s each as a subprocess.
 """
 
 import runpy
@@ -17,6 +17,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 @pytest.mark.parametrize(
     "name",
     [
+        "approximate_chain",
         "audit_tour",
         "chain_sweep",
         "couplings_tour",
@@ -25,6 +26,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
         "half_subset_chain",
         "half_subset_lemma",
         "perfect_correlation",
+        "resource_ledger",
     ],
 )
 def test_demo_runs_and_prints(name, capsys):

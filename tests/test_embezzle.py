@@ -394,6 +394,52 @@ def test_half_subset_chain_literal_vs_fast_route():
         assert abs(literal.value - fast.value) < 1e-12
 
 
+@st.composite
+def small_chain_cases(draw):
+    """A small exact even-denominator spec, a depth N, a half-subset with its
+    pairing from `half_subset_family`, and two distinct slots."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    spec = ez.EmbezzleSpec.from_exact(
+        [Fraction(w, sum(weights)) for w in weights], n=1, even_denominator=True
+    )
+    spec = spec.with_n(draw(st.integers(spec.max_m, 30)))
+    subset, pairing = draw(st.sampled_from(ez.half_subset_family(spec, count=16)))
+    lo, hi = draw(st.permutations(spec.pairs))[:2]
+    return spec, draw(st.sampled_from([1, 2, 3])), subset, pairing, lo, hi
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_chain_cases())
+def test_both_fast_chains_equal_the_literal_routes(case):
+    """Any subset, pairing and slot pair, not only the first half and the
+    default pairing: the (W, G) kernel matches the projector route."""
+    spec, N, subset, pairing, lo, hi = case
+    stats = ez.slot_statistics_from_spec(spec)
+    literal_half = ez.correlation_measure_IJlNnl(spec, N, subset, pairing)
+    fast_half = ez.fast_half_subset_chain(spec, N, subset, pairing, stats)
+    assert abs(fast_half.value - literal_half.value) < 1e-12
+    literal_pair = ez.correlation_measure_INn(spec, N, lo, hi)
+    assert abs(ez.fast_pair_chain(spec, N, lo, hi, stats).value - literal_pair.value) < 1e-12
+
+
+def test_fast_chains_refuse_what_the_literal_routes_refuse():
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=10, even_denominator=True)
+    stats = ez.slot_statistics_from_spec(spec)
+    subset = spec.pairs[: spec.r // 2]
+    pairing = ez.default_pairing(spec, subset)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="chain depth N must be >= 1"):
+            ez.correlation_measure_INn(spec, N, (0, 0), (1, 0))
+        with pytest.raises(ValueError, match="chain depth N must be >= 1"):
+            ez.fast_pair_chain(spec, N, (0, 0), (1, 0), stats)
+        with pytest.raises(ValueError, match="chain depth N must be >= 1"):
+            ez.fast_half_subset_chain(spec, N, subset, pairing, stats)
+    with pytest.raises(ValueError, match="two distinct indices"):
+        ez.correlation_measure_INn(spec, 1, (1, 0), (1, 0))
+    with pytest.raises(ValueError, match="two distinct indices"):
+        ez.fast_pair_chain(spec, 1, (1, 0), (1, 0), stats)
+
+
 def test_half_subset_chain_deviation_bound_holds():
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=40, even_denominator=True)
     subset = spec.pairs[: spec.r // 2]
@@ -514,9 +560,8 @@ def test_spec_only_routes_equal_the_state_routes(spec):
     assert got.pairs == expected.pairs
     assert got.weights == expected.weights
     assert list(got.weights) == list(expected.weights)
-    assert got.aux_vectors == expected.aux_vectors
-    for slot, vector in expected.aux_vectors.items():
-        assert list(got.aux_vectors[slot]) == list(vector)
+    assert got.aux.shape == expected.aux.shape
+    assert got.aux.tobytes() == expected.aux.tobytes()
     c_n = ez.harmonic_number(spec.n)
     assert ez._chi_overlap(spec, c_n) == _chi_overlap_on_state(spec, state)
 
