@@ -656,6 +656,8 @@ def half_subset_observables(
     On side A the terminal setting 2N is the negation of setting 0 by definition;
     intermediate settings are genuine rotated observables.
     """
+    if N < 1:
+        raise ValueError(f"chain depth N must be >= 1, got {N}")
     settings = range(0, 2 * N + 1, 2) if side == "A" else range(1, 2 * N, 2)
     family: dict[int, Observable] = {}
     for setting in settings:

@@ -108,42 +108,38 @@ def build_system(
 def identity_check(system: HalfSubsetSystem, p: Sequence[Number]) -> dict:
     """Verify sum_{i in J} p_i == (sum_a R_a - sum_b T_b) / (r/2) for this p.
 
-    When every entry has a numerator and a denominator (int, bool, Fraction,
-    numpy integers) the comparison is exact: p is cleared to one common
-    denominator D and both sides are integer dot products with the window
-    multiplicities.  Otherwise (floats, numpy floats) the entries take the same
-    multiplicities in float arithmetic with a 1e-12 slack.  The returned dict
-    carries both sides for counterexample reporting.
+    Returns {"holds", "lhs", "rhs", "R", "T"}: both sides of the identity and
+    the window sums R = sum_a R_a, T = sum_b T_b.  When every entry is a
+    `numbers.Rational` (int, bool, Fraction, numpy integers) the check is exact:
+    p is cleared to one common denominator D, so with integer dot products
+    lhs_q, r_q, t_q the verdict is the integer test r * lhs_q == 2 (r_q - t_q),
+    the sums are Fractions, and `rhs is lhs` whenever the identity holds.
+    Otherwise (floats, numpy floats) the entries take the same multiplicities in
+    float arithmetic and the verdict has a 1e-12 slack.
     """
     if len(p) != system.r:
         raise ValueError(f"p must have {system.r} entries, got {len(p)}")
-    # int() keeps numpy integers from overflowing against a large D.
-    try:
-        denominators = [int(v.denominator) for v in p]
-    except AttributeError:
-        denominators = None
-    if denominators is not None:
-        D = math.lcm(*denominators)
-        q = [int(v.numerator) * (D // d) for v, d in zip(p, denominators)]
+    if all(issubclass(kind, Rational) for kind in set(map(type, p))):
+        try:
+            ratios = [v.as_integer_ratio() for v in p]
+        except AttributeError:  # numpy integers; int() keeps them from overflowing
+            ratios = [(int(v.numerator), int(v.denominator)) for v in p]
+        D = math.lcm(*(d for _, d in ratios))
+        q = [n * (D // d) for n, d in ratios]
         lhs_q = sum(q[i] for i in system.J)
         r_q = sum(map(operator.mul, system.k_multiplicity, q))
         t_q = sum(map(operator.mul, system.l_multiplicity, q))
+        holds = system.r * lhs_q == 2 * (r_q - t_q)
         lhs = Fraction(lhs_q, D)
-        rhs = Fraction(2 * (r_q - t_q), system.r * D)
+        rhs = lhs if holds else Fraction(2 * (r_q - t_q), system.r * D)
         r_sum, t_sum = Fraction(r_q, D), Fraction(t_q, D)
-        holds = lhs == rhs
     else:
         lhs = sum(p[i] for i in system.J)
         r_sum = sum(map(operator.mul, system.k_multiplicity, p))
         t_sum = sum(map(operator.mul, system.l_multiplicity, p))
         rhs = 2 * (r_sum - t_sum) / system.r
         holds = bool(abs(lhs - rhs) <= 1e-12)
-    return {
-        "holds": holds,
-        "lhs": lhs,
-        "rhs": rhs,
-        "window_sums": {"R": r_sum, "T": t_sum},
-    }
+    return {"holds": holds, "lhs": lhs, "rhs": rhs, "R": r_sum, "T": t_sum}
 
 
 def bound_coefficient(r: int, subset_size: int) -> Fraction:

@@ -231,6 +231,29 @@ def trace_distance_pure(a: SparseState, b: SparseState) -> float:
     return math.sqrt(max(0.0, 1.0 - f * f))
 
 
+def _meeting_pairs(
+    registry: SystemRegistry, groups: Sequence[Sequence[SparseState]]
+) -> list[tuple[SparseState, SparseState]]:
+    """Pairs (u, v) of kets from different groups, u listed first, whose
+    supports share a key once aligned to `registry`.  Any other pair from
+    different groups has inner product exactly 0, so orthogonality checks
+    read only these."""
+    kets: list[SparseState] = []
+    holders: dict[MultiIndex, list[tuple[int, int]]] = {}
+    for group, members in enumerate(groups):
+        for ket in members:
+            for key in aligned_amplitudes(ket, registry):
+                holders.setdefault(key, []).append((group, len(kets)))
+            kets.append(ket)
+    pairs = {
+        (i, j)
+        for sharing in holders.values()
+        for (g, i), (h, j) in itertools.combinations(sharing, 2)
+        if g != h
+    }
+    return [(kets[i], kets[j]) for i, j in sorted(pairs)]
+
+
 @dataclasses.dataclass(frozen=True)
 class RankedProjector:
     """Rank-k projector: the span of an orthonormal ket list, or its complement.
@@ -254,11 +277,10 @@ class RankedProjector:
                     f"ket registry {ket.registry.labels} does not match projector "
                     f"registry {self.registry.labels}"
                 )
-        for i, u in enumerate(kets):
-            for v in kets[i + 1 :]:
-                overlap = abs(inner_product(u, v))
-                if overlap > ORTHO_TOL:
-                    raise ValueError(f"projector kets are not orthogonal (|<u|v>| = {overlap})")
+        for u, v in _meeting_pairs(self.registry, [(ket,) for ket in kets]):
+            overlap = abs(inner_product(u, v))
+            if overlap > ORTHO_TOL:
+                raise ValueError(f"projector kets are not orthogonal (|<u|v>| = {overlap})")
 
     @property
     def rank_of_span(self) -> int:
@@ -449,13 +471,10 @@ class Observable:
         complemented = [p for _, p in branches if p.complemented]
         if len(complemented) > 1:
             raise ValueError("at most one complemented branch may close the sum")
-        span_branches = [p for _, p in branches if not p.complemented]
-        for i, p in enumerate(span_branches):
-            for q in span_branches[i + 1 :]:
-                for u in p.kets:
-                    for v in q.kets:
-                        if abs(inner_product(u, v)) > ORTHO_TOL:
-                            raise ValueError("branch projectors are not orthogonal")
+        span_kets = [p.kets for _, p in branches if not p.complemented]
+        for u, v in _meeting_pairs(registry, span_kets):
+            if abs(inner_product(u, v)) > ORTHO_TOL:
+                raise ValueError("branch projectors are not orthogonal")
         if complemented:
             expected = [ket for _, p in branches if not p.complemented for ket in p.kets]
             closing = complemented[0]

@@ -434,6 +434,8 @@ def test_fast_chains_refuse_what_the_literal_routes_refuse():
             ez.fast_pair_chain(spec, N, (0, 0), (1, 0), stats)
         with pytest.raises(ValueError, match="chain depth N must be >= 1"):
             ez.fast_half_subset_chain(spec, N, subset, pairing, stats)
+        with pytest.raises(ValueError, match="chain depth N must be >= 1"):
+            ez.correlation_measure_IJlNnl(spec, N, subset, pairing)
     with pytest.raises(ValueError, match="two distinct indices"):
         ez.correlation_measure_INn(spec, 1, (1, 0), (1, 0))
     with pytest.raises(ValueError, match="two distinct indices"):

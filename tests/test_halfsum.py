@@ -105,10 +105,11 @@ def test_identity_matches_literal_window_sums_exactly(data):
     p = data.draw(st.lists(exact_entries, min_size=system.r, max_size=system.r))
     result = halfsum.identity_check(system, p)
     lhs, rhs, r_sum, t_sum = literal_window_sums(system, p)
-    got = (result["lhs"], result["rhs"], result["window_sums"]["R"], result["window_sums"]["T"])
+    got = (result["lhs"], result["rhs"], result["R"], result["T"])
     assert got == (lhs, rhs, r_sum, t_sum)
     assert all(isinstance(v, Fraction) for v in got)
     assert result["holds"] and lhs == rhs
+    assert result["rhs"] is result["lhs"]  # the integer verdict proved them equal
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,7 +119,7 @@ def test_identity_matches_literal_window_sums_for_floats(data):
     p = data.draw(st.lists(float_entries, min_size=system.r, max_size=system.r))
     result = halfsum.identity_check(system, p)
     expected = literal_window_sums(system, p)
-    got = (result["lhs"], result["rhs"], result["window_sums"]["R"], result["window_sums"]["T"])
+    got = (result["lhs"], result["rhs"], result["R"], result["T"])
     for value, reference in zip(got, expected):
         assert abs(value - reference) <= 1e-12
     assert result["holds"]
@@ -141,6 +142,42 @@ def test_identity_with_float_entries_uses_slack():
     result = halfsum.identity_check(system, p)
     assert result["holds"]
     assert abs(result["lhs"] - result["rhs"]) < 1e-12
+
+
+def test_identity_with_mixed_fraction_and_float_entries_takes_the_float_route():
+    system = halfsum.build_system(4, (0, 1))
+    p = [Fraction(1, 3), 0.25, Fraction(1, 2), 0.125]
+    result = halfsum.identity_check(system, p)
+    assert type(result["lhs"]) is float
+    assert result["holds"]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), 4, Fraction(5, 9), True],
+        [0.1, 0.7, 0.3, 0.2, 0.9, 0.4],
+    ],
+    ids=["exact", "float"],
+)
+def test_identity_check_reports_a_broken_window_system(p):
+    """One corrupted K multiplicity breaks the identity: the check says so and
+    returns its own rhs, computed from the R and T it reports."""
+    system = halfsum.build_system(6, (0, 3))
+    counts = list(system.k_multiplicity)
+    counts[1] += 1
+    object.__setattr__(system, "k_multiplicity", tuple(counts))
+    result = halfsum.identity_check(system, p)
+    assert not result["holds"]
+    assert result["rhs"] != result["lhs"]
+    if isinstance(p[0], Fraction):
+        assert result["rhs"] == Fraction(2 * (result["R"] - result["T"]), system.r)
+    else:
+        assert result["rhs"] == 2 * (result["R"] - result["T"]) / system.r
+    lhs, _, r_sum, t_sum = literal_window_sums(system, p)
+    assert result["lhs"] == lhs
+    assert abs(result["R"] - (r_sum + p[1])) <= 1e-12
+    assert abs(result["T"] - t_sum) <= 1e-12
 
 
 def test_system_rejects_oversized_subsets():

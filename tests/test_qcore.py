@@ -225,6 +225,23 @@ def test_span_projector_requires_orthonormal_kets():
         span_projector([plus, basis_state(registry, (0,))])
 
 
+def test_orthogonality_checks_align_kets_given_in_another_label_order():
+    """A ket listed as (B, A) meets |A=0, B=1> only once its keys are aligned:
+    the projector and the observable must still see the overlap, and the
+    projector must accept a (B, A) ket whose raw key merely looks like
+    |A=0, B=1>."""
+    reg_ab = SystemRegistry((("A", 2), ("B", 3)))
+    reg_ba = SystemRegistry((("B", 3), ("A", 2)))
+    u = basis_state(reg_ab, (0, 1))
+    tilted = SparseState(reg_ba, {(1, 0): math.sqrt(0.5), (2, 1): math.sqrt(0.5)})
+    with pytest.raises(ValueError, match=r"projector kets are not orthogonal \(\|<u\|v>\| = 0.70"):
+        RankedProjector(reg_ab, (u, tilted))
+    with pytest.raises(ValueError, match="branch projectors are not orthogonal"):
+        Observable(((1.0, span_projector([u])), (-1.0, span_projector([tilted]))))
+    look_alike = basis_state(reg_ba, (0, 1))  # |A=1, B=0>
+    assert RankedProjector(reg_ab, (u, look_alike)).rank_of_span == 2
+
+
 def test_born_probability_basics():
     registry = SystemRegistry((("A", 2),))
     plus = SparseState(registry, {(0,): math.sqrt(0.5), (1,): math.sqrt(0.5)})
