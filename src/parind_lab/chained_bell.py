@@ -329,20 +329,3 @@ def correlation_measure_IN_prime(state: SparseState, spec: ChainSpec) -> ChainRe
         bound=ddim_chain_bound(spec.N, cj_squared),
     )
 
-
-def chain_triangle_check(
-    state: SparseState,
-    N: int,
-    a_observables: Mapping[int, Observable],
-    b_observables: Mapping[int, Observable],
-) -> dict[str, float | bool]:
-    """Quantum-level soundness of the chain inequality:
-    |Pr(A_0 = 1) - Pr(A_2N = 1)| <= sum of adjacent disagreement probabilities."""
-    p_first = born_probability(state, a_observables[0].projector_for(1.0))
-    p_last = born_probability(state, a_observables[2 * N].projector_for(1.0))
-    lhs = abs(p_first - p_last)
-    rhs = math.fsum(
-        disagreement_probability(state, a_observables[a], b_observables[b])
-        for a, b in adjacent_setting_pairs(N)
-    )
-    return {"lhs": lhs, "rhs": float(rhs), "holds": lhs <= rhs + PROB_TOL}

@@ -131,7 +131,8 @@ def rational_approximants(
     numerators, absorb the remainder in the last, so the sum is exactly one.
 
     The rounding guarantees |approximant_i - c_i^2| <= d/(2l).  Raises with the
-    smallest workable l when any numerator would be nonpositive.
+    smallest workable l when any numerator would be nonpositive, or, when that
+    lies past the scan, with a workable l.
     """
     squares = [float(c) for c in c_squares]
     if any(c <= 0 for c in squares):
@@ -157,10 +158,17 @@ def rational_approximants(
         if min(shares) <= 0 or 0.25 / min(shares) == math.inf:
             raise ValueError(f"{problem}; no approximation index is workable")
         start = max(l, *(int(0.25 / c) - 1 for c in shares))
-        for l_min in range(start, start + _L_MIN_SCAN):
+        end = start + _L_MIN_SCAN
+        for l_min in range(start, end):
             if numerators_for(l_min) is not None:
                 raise ValueError(f"{problem}; smallest workable index is l_min={l_min}")
-        raise ValueError(f"{problem}; no index below l={start + _L_MIN_SCAN} is workable")
+        # A rounded numerator is at most 2l c_i + 1/2, so every numerator is at
+        # least 2l min(c) - (d - 1)/2, and at least 1 from l = (d + 1)/(4 min(c))
+        # on, up to the slack in the squares' sum: check that index, then name it.
+        bound = (len(squares) + 1) / (4 * min(squares))
+        l_up = max(end, math.ceil(bound)) if bound < math.inf else None
+        workable = f", but l={l_up} is" if l_up and numerators_for(l_up) else ""
+        raise ValueError(f"{problem}; no index below l={end} is workable{workable}")
     return tuple(Fraction(m, 2 * l) for m in numerators)
 
 
@@ -429,6 +437,11 @@ def _chi_overlap(spec: EmbezzleSpec, c_n: float) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+def _distance(f: float) -> float:
+    """The pure-state trace distance sqrt(1 - f^2) at fidelity f, clipped at 0."""
+    return math.sqrt(max(0.0, 1.0 - f * f))
+
+
 def embezzlement_distance_bound(spec: EmbezzleSpec) -> float:
     """Certified bound sqrt(1 - (1 - ln(max m)/ln(n))^2) on the extraction trace
     distance, valid for n >= max m (derived from the Z-sum lower bound on F)."""
@@ -437,8 +450,7 @@ def embezzlement_distance_bound(spec: EmbezzleSpec) -> float:
         raise ValueError(f"bound needs n >= max m, got n={spec.n}, max m={m_hat}")
     if m_hat == 1:
         return 0.0
-    ratio = 1.0 - math.log(m_hat) / math.log(spec.n)
-    return math.sqrt(max(0.0, 1.0 - ratio * ratio))
+    return _distance(1.0 - math.log(m_hat) / math.log(spec.n))
 
 
 def z_form_fidelity(spec: EmbezzleSpec) -> float:
@@ -472,7 +484,7 @@ def embezzlement_fidelity(spec: EmbezzleSpec) -> EmbezzlementFidelityReport:
     c_n = harmonic_number(spec.n)
     computed = _chi_overlap(spec, c_n)
     z_form = _z_form(spec, c_n)
-    distance = math.sqrt(max(0.0, 1.0 - computed * computed))
+    distance = _distance(computed)
     bound = embezzlement_distance_bound(spec)
     return EmbezzlementFidelityReport(
         n=spec.n,
@@ -494,11 +506,8 @@ def chi_phi_fidelity(spec: EmbezzleSpec) -> float:
 
 def extraction_distances(spec: EmbezzleSpec) -> tuple[float, float]:
     """(D(U psi, chi), D(chi, uniform slot state)) for chained deviation bounds."""
-    f1 = _chi_overlap(spec, harmonic_number(spec.n))
-    f2 = chi_phi_fidelity(spec)
-    d1 = math.sqrt(max(0.0, 1.0 - f1 * f1))
-    d2 = math.sqrt(max(0.0, 1.0 - f2 * f2))
-    return d1, d2
+    overlap = _chi_overlap(spec, harmonic_number(spec.n))
+    return _distance(overlap), _distance(chi_phi_fidelity(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +704,7 @@ def correlation_measure_IJlNnl(
         N,
         a_family,
         b_family,
-        closed_form=2 * N * math.sin(math.pi / (4 * N)) ** 2,
+        closed_form=cb.bell_chain_closed_form(N),
         deviation_bound=2 * N * (d1 + d2),
     )
 
@@ -718,22 +727,39 @@ def correlation_measure_IJlNnl(
 
 @dataclasses.dataclass(frozen=True)
 class SlotStatistics:
-    """Slot weights and auxiliary amplitudes of a slot-diagonal state: row k of
-    `aux` holds amp_s(q) of slot s = pairs[k] at the levels q = 0 .. Q - 1, Q
-    the highest level present plus one, and 0.0 where s has no level q."""
+    """Slot weights and auxiliary amplitudes of a slot-diagonal state: `aux[k]`
+    holds amp_s(q) of slot s = pairs[k] at its levels q = 0 .. Q_s - 1, Q_s
+    the slot's highest level present plus one, and 0.0 where s has no level q."""
 
     pairs: tuple[Pair, ...]
     weights: dict[Pair, float]
-    aux: np.ndarray
+    aux: tuple[np.ndarray, ...]
 
     def overlap(self, links: Sequence[tuple[Pair, Pair]]) -> float:
         """sum of G_st over the (s, t) links, as one `math.fsum` of every
-        product amp_s(q) amp_t(q).  The sum is exactly rounded, so one link's
-        G_st has the same bits in any product order, zero columns included."""
+        product amp_s(q) amp_t(q) at the levels both slots have.  The sum is
+        exactly rounded and a level only one slot has would add an exact 0.0,
+        so the result has the bits of a sum over every level."""
         row = {pair: k for k, pair in enumerate(self.pairs)}
-        s_rows = [row[s] for s, _ in links]
-        t_rows = [row[t] for _, t in links]
-        return math.fsum((self.aux[s_rows] * self.aux[t_rows]).ravel().tolist())
+        products: list[float] = []
+        for s, t in links:
+            a, b = self.aux[row[s]], self.aux[row[t]]
+            products += (a[: len(b)] * b[: len(a)]).tolist()
+        return math.fsum(products)
+
+
+def _slot_vectors(
+    r: int, row: np.ndarray, q: np.ndarray, amplitude: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Per slot row < r, the vector holding `amplitude` at level `q` of its
+    entries (distinct (row, q) pairs) and 0.0 at the levels it skips, up to
+    its highest level."""
+    lengths = np.zeros(r, dtype=np.int64)
+    np.maximum.at(lengths, row, q + 1)
+    ends = lengths.cumsum()
+    flat = np.zeros(int(ends[-1]))
+    flat[(ends - lengths)[row] + q] = amplitude
+    return tuple(np.split(flat, ends[:-1]))
 
 
 def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
@@ -756,23 +782,22 @@ def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
         value = value.real
         weights[slot] += value * value
         aux[row[slot], q_a] = aux.get((row[slot], q_a), 0.0) + value
-    array = np.zeros((spec.r, max((q for _, q in aux), default=-1) + 1))
-    for index, value in aux.items():
-        array[index] = value
-    return SlotStatistics(pairs=spec.pairs, weights=weights, aux=array)
+    row_q = np.fromiter(itertools.chain.from_iterable(aux), dtype=np.int64, count=2 * len(aux))
+    values = np.fromiter(aux.values(), dtype=np.float64, count=len(aux))
+    vectors = _slot_vectors(spec.r, row_q[0::2], row_q[1::2], values)
+    return SlotStatistics(pairs=spec.pairs, weights=weights, aux=vectors)
 
 
 def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
     """`slot_statistics(embezzled_state(spec), spec)` from `_embezzled_terms`:
-    the same weights, bit for bit and in the same key order, and the same
-    amplitude array, without building the state.  `np.bincount` adds the
-    squared amplitudes in term order, one at a time, as the state loop does."""
+    the same weights, bit for bit and in the same key order, and the same slot
+    vectors, without building the state.  `np.bincount` adds the squared
+    amplitudes in term order, one at a time, as the state loop does."""
     q, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
     # slot (i, j) is row m_0 + ... + m_{i-1} + j of the lexicographic pairs
     row = np.cumsum((0,) + spec.m[:-1])[i] + j
     weights = np.bincount(row, weights=amplitude * amplitude, minlength=spec.r)
-    aux = np.zeros((spec.r, int(q.max(initial=-1)) + 1))
-    aux[row, q] = amplitude
+    aux = _slot_vectors(spec.r, row, q, amplitude)
     return SlotStatistics(
         pairs=spec.pairs, weights=dict(zip(spec.pairs, weights.tolist())), aux=aux
     )
@@ -799,7 +824,7 @@ def _two_slot_chain(
         value = max(0.0, value)
         terms.append(cb.PairTerm(a, b, min(1.0, 1.0 - value if negated else value)))
     if half_subset:
-        closed_form = 2 * N * math.sin(math.pi / (4 * N)) ** 2
+        closed_form = cb.bell_chain_closed_form(N)
     else:
         closed_form = 2 * N * chi_pair_disagreement_closed_form(spec, N)
     return cb.ChainReport(N=N, pair_terms=tuple(terms), closed_form=closed_form)

@@ -17,8 +17,8 @@ both window families tile the positions [0, (r/2)*x) modulo M, so
 holds exactly for arbitrary p and arbitrary enumeration order f.  The window
 sums are linear in p, so the system counts once how many K and L windows hold
 each index and evaluates R and T as dot products with those multiplicities.
-Everything in this module is exact rational arithmetic; callers with measured
-floating-point probabilities get the same formulas with a small numeric slack.
+The identity takes exact rational entries only; the deviation lemma also takes
+measured floating-point probabilities, with a 1e-12 slack.
 """
 
 from __future__ import annotations
@@ -105,41 +105,34 @@ def build_system(
     return HalfSubsetSystem(r=r, J=j_tuple, f=tuple(f_order))
 
 
-def identity_check(system: HalfSubsetSystem, p: Sequence[Number]) -> dict:
-    """Verify sum_{i in J} p_i == (sum_a R_a - sum_b T_b) / (r/2) for this p.
+def identity_check(system: HalfSubsetSystem, p: Sequence[Rational]) -> dict:
+    """Verify sum_{i in J} p_i == (sum_a R_a - sum_b T_b) / (r/2) exactly.
 
     Returns {"holds", "lhs", "rhs", "R", "T"}: both sides of the identity and
-    the window sums R = sum_a R_a, T = sum_b T_b.  When every entry is a
-    `numbers.Rational` (int, bool, Fraction, numpy integers) the check is exact:
-    p is cleared to one common denominator D, so with integer dot products
-    lhs_q, r_q, t_q the verdict is the integer test r * lhs_q == 2 (r_q - t_q),
-    the sums are Fractions, and `rhs is lhs` whenever the identity holds.
-    Otherwise (floats, numpy floats) the entries take the same multiplicities in
-    float arithmetic and the verdict has a 1e-12 slack.
+    the window sums R = sum_a R_a, T = sum_b T_b, as Fractions.  Every entry
+    must be a `numbers.Rational` (int, bool, Fraction, numpy integers); any
+    other entry, a float among them, raises TypeError.  p is cleared to one
+    common denominator D, so with integer dot products lhs_q, r_q, t_q the
+    verdict is the integer test r * lhs_q == 2 (r_q - t_q), and `rhs is lhs`
+    whenever the identity holds.
     """
     if len(p) != system.r:
         raise ValueError(f"p must have {system.r} entries, got {len(p)}")
-    if all(issubclass(kind, Rational) for kind in set(map(type, p))):
-        try:
-            ratios = [v.as_integer_ratio() for v in p]
-        except AttributeError:  # numpy integers; int() keeps them from overflowing
-            ratios = [(int(v.numerator), int(v.denominator)) for v in p]
-        D = math.lcm(*(d for _, d in ratios))
-        q = [n * (D // d) for n, d in ratios]
-        lhs_q = sum(q[i] for i in system.J)
-        r_q = sum(map(operator.mul, system.k_multiplicity, q))
-        t_q = sum(map(operator.mul, system.l_multiplicity, q))
-        holds = system.r * lhs_q == 2 * (r_q - t_q)
-        lhs = Fraction(lhs_q, D)
-        rhs = lhs if holds else Fraction(2 * (r_q - t_q), system.r * D)
-        r_sum, t_sum = Fraction(r_q, D), Fraction(t_q, D)
-    else:
-        lhs = sum(p[i] for i in system.J)
-        r_sum = sum(map(operator.mul, system.k_multiplicity, p))
-        t_sum = sum(map(operator.mul, system.l_multiplicity, p))
-        rhs = 2 * (r_sum - t_sum) / system.r
-        holds = bool(abs(lhs - rhs) <= 1e-12)
-    return {"holds": holds, "lhs": lhs, "rhs": rhs, "R": r_sum, "T": t_sum}
+    if not all(issubclass(kind, Rational) for kind in set(map(type, p))):
+        raise TypeError(f"the window identity takes numbers.Rational entries only, got {p!r}")
+    try:
+        ratios = [v.as_integer_ratio() for v in p]
+    except AttributeError:  # numpy integers; int() keeps them from overflowing
+        ratios = [(int(v.numerator), int(v.denominator)) for v in p]
+    D = math.lcm(*(d for _, d in ratios))
+    q = [n * (D // d) for n, d in ratios]
+    lhs_q = sum(q[i] for i in system.J)
+    r_q = sum(map(operator.mul, system.k_multiplicity, q))
+    t_q = sum(map(operator.mul, system.l_multiplicity, q))
+    holds = system.r * lhs_q == 2 * (r_q - t_q)
+    lhs = Fraction(lhs_q, D)
+    rhs = lhs if holds else Fraction(2 * (r_q - t_q), system.r * D)
+    return {"holds": holds, "lhs": lhs, "rhs": rhs, "R": Fraction(r_q, D), "T": Fraction(t_q, D)}
 
 
 def bound_coefficient(r: int, subset_size: int) -> Fraction:

@@ -1,5 +1,5 @@
 """Sparse state-vector core: labeled subsystems, low-rank projectors, observables,
-Born-rule probabilities, Schmidt decomposition, and pure-state distance measures.
+Born-rule probabilities, the pure-state fidelity, and structured basis maps.
 
 States live on a registry of named finite-dimensional subsystems and store only
 nonzero amplitudes, keyed by one basis index per subsystem.  Projectors are spans
@@ -140,20 +140,6 @@ class SparseState:
                 f"state is not normalized: sum of |amplitude|^2 = {norm_sq!r}"
             )
 
-    @classmethod
-    def from_terms(
-        cls, registry: SystemRegistry, terms: Mapping[MultiIndex, complex]
-    ) -> SparseState:
-        """Build a state from raw terms rescaled to unit norm."""
-        norm = math.sqrt(squared_norm(terms))
-        if norm <= DROP_TOL:
-            raise ValueError("cannot normalize a (numerically) zero vector")
-        return cls(registry, {k: v / norm for k, v in terms.items()})
-
-    @property
-    def nonzero_count(self) -> int:
-        return len(self.amplitudes)
-
 
 def squared_norm(amplitudes: Mapping[MultiIndex, complex]) -> float:
     return float(math.fsum(abs(a) ** 2 for a in amplitudes.values()))
@@ -220,15 +206,6 @@ def inner_product(a: SparseState, b: SparseState) -> complex:
 def fidelity(a: SparseState, b: SparseState) -> float:
     """Pure-state fidelity |<a|b>|."""
     return abs(inner_product(a, b))
-
-
-def trace_distance_pure(a: SparseState, b: SparseState) -> float:
-    """Pure-state trace distance sqrt(1 - F^2).
-
-    For any projector P, |<a|P|a> - <b|P|b>| is bounded above by this distance.
-    """
-    f = fidelity(a, b)
-    return math.sqrt(max(0.0, 1.0 - f * f))
 
 
 def _meeting_pairs(
@@ -828,75 +805,6 @@ def born_table(
     return table
 
 
-def outcome_distribution(state: SparseState, observable: Observable) -> dict[float, float]:
-    """Born distribution over an observable's eigenvalues."""
-    return {combo[0]: p for combo, p in born_table(state, (observable,)).items()}
-
-
-@dataclasses.dataclass(frozen=True)
-class SchmidtDecomposition:
-    coefficients: tuple[float, ...]
-    left_kets: tuple[SparseState, ...]
-    right_kets: tuple[SparseState, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.coefficients)
-
-
-def schmidt_decompose(
-    state: SparseState,
-    left_labels: Sequence[str],
-    right_labels: Sequence[str],
-) -> SchmidtDecomposition:
-    """Schmidt decomposition across a bipartition that covers the full registry.
-
-    Returns descending positive coefficients with matching orthonormal ket
-    families, so that psi = sum_k c_k |left_k> |right_k|; singular values at or
-    below 1e-12 are dropped.
-    Only basis points occurring in the state's support enter the SVD, keeping the
-    matrix small for sparse states.
-    """
-    left_set, right_set = set(left_labels), set(right_labels)
-    if left_set & right_set:
-        raise ValueError("bipartition halves must be disjoint")
-    if left_set | right_set != set(state.registry.labels):
-        raise ValueError("bipartition must cover the whole registry")
-    left_registry = state.registry.restrict(left_set)
-    right_registry = state.registry.restrict(right_set)
-    left_axes = state.registry.axes(left_registry.labels)
-    right_axes = state.registry.axes(right_registry.labels)
-
-    rows: dict[MultiIndex, int] = {}
-    cols: dict[MultiIndex, int] = {}
-    entries: list[tuple[MultiIndex, MultiIndex, complex]] = []
-    for key, amp in state.amplitudes.items():
-        lkey = tuple(key[i] for i in left_axes)
-        rkey = tuple(key[i] for i in right_axes)
-        rows.setdefault(lkey, len(rows))
-        cols.setdefault(rkey, len(cols))
-        entries.append((lkey, rkey, amp))
-    matrix = np.zeros((len(rows), len(cols)), dtype=complex)
-    for lkey, rkey, amp in entries:
-        matrix[rows[lkey], cols[rkey]] = amp
-
-    u, singular_values, vh = np.linalg.svd(matrix, full_matrices=False)
-    row_keys = list(rows)
-    col_keys = list(cols)
-    coefficients: list[float] = []
-    left_kets: list[SparseState] = []
-    right_kets: list[SparseState] = []
-    for k, value in enumerate(singular_values):
-        if value <= 1e-12:
-            break
-        coefficients.append(float(value))
-        left_amp = {row_keys[i]: u[i, k] for i in range(len(row_keys))}
-        right_amp = {col_keys[j]: vh[k, j] for j in range(len(col_keys))}
-        left_kets.append(SparseState.from_terms(left_registry, left_amp))
-        right_kets.append(SparseState.from_terms(right_registry, right_amp))
-    return SchmidtDecomposition(tuple(coefficients), tuple(left_kets), tuple(right_kets))
-
-
 @dataclasses.dataclass(frozen=True)
 class StructuredBasisMap:
     """Injective partial basis map with per-branch phases on a sub-registry.
@@ -929,16 +837,6 @@ class StructuredBasisMap:
             images.add(target)
             normalized[source] = (target, phase)
         object.__setattr__(self, "rules", normalized)
-
-    def inverted(self) -> StructuredBasisMap:
-        return StructuredBasisMap(
-            self.registry,
-            {target: (source, phase.conjugate()) for source, (target, phase) in self.rules.items()},
-        )
-
-
-def identity_map(registry: SystemRegistry, domain: Iterable[MultiIndex]) -> StructuredBasisMap:
-    return StructuredBasisMap(registry, {tuple(k): (tuple(k), 1.0) for k in domain})
 
 
 def apply_structured_map(smap: StructuredBasisMap, state: SparseState) -> SparseState:

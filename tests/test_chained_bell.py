@@ -7,7 +7,14 @@ import pytest
 from parind_lab import chained_bell as cb
 from parind_lab import embezzle as ez
 from parind_lab.embezzle import phi_schmidt
-from parind_lab.qcore import SparseState, SystemRegistry, joint_probability, outcome_distribution
+from parind_lab.qcore import (
+    PROB_TOL,
+    SparseState,
+    SystemRegistry,
+    born_probability,
+    born_table,
+    joint_probability,
+)
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32, 64])
@@ -79,10 +86,12 @@ def test_chain_triangle_inequality_holds(alpha):
         registry, {(0, 0): math.cos(alpha), (1, 1): math.sin(alpha)}
     )
     a_family, b_family = cb.chain_families(spec, state.registry)
-    result = cb.chain_triangle_check(state, 3, a_family, b_family)
-    assert result["holds"]
+    p_first = born_probability(state, a_family[0].projector_for(1.0))
+    p_last = born_probability(state, a_family[2 * spec.N].projector_for(1.0))
+    lhs = abs(p_first - p_last)
+    assert lhs <= cb.chain_correlation(state, spec.N, a_family, b_family).value + PROB_TOL
     # setting 0 assigns +1 to (a tilt of) index 1, the terminal setting to index 0
-    assert result["lhs"] == pytest.approx(abs(math.cos(2 * alpha)), abs=1e-12)
+    assert lhs == pytest.approx(abs(math.cos(2 * alpha)), abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -155,7 +164,7 @@ def test_spectator_rule_closes_none_indices_in_one_zero_branch():
     assert [e for e, p in obs.branches if p.complemented] == [0.0]
     for k in (3, 4):
         state = SparseState(registry, {(k,): 1.0})
-        assert outcome_distribution(state, obs)[0.0] == 1.0
+        assert born_table(state, (obs,))[(0.0,)] == 1.0
 
     qutrit = SystemRegistry((("A", 3),))
     full = cb.o_theta(0.3, (0, 1), qutrit, spectator_scheme=cb.dimension_scheme)

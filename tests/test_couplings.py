@@ -94,7 +94,7 @@ def test_second_kind_replaces_system_with_post_state():
 def test_second_kind_validates_post_states():
     psi = qubit_state(0.6, 0.8)
     registry = psi.registry
-    bad = SparseState.from_terms(registry, {(0,): 1.0})
+    bad = SparseState(registry, {(0,): 1.0})
     object.__setattr__(bad, "amplitudes", {(0,): 0.5})  # force a broken norm
     with pytest.raises(ValueError, match="not normalized"):
         couplings.second_kind_coupling(

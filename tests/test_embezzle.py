@@ -128,6 +128,16 @@ def test_tiny_squared_coefficient_fails_at_once_with_the_exact_l_min(coeffs):
         ez.rational_approximants(squares, l_min - 1)
 
 
+def test_tiny_last_square_past_the_scan_names_a_workable_index():
+    """For d >= 3 the smallest workable index can lie far past the scan (about
+    2.5e8 here); the error then names an index the approximants accept."""
+    squares = [0.5, 0.5 - 1e-9, 1e-9]
+    with pytest.raises(ValueError, match="no index below") as refused:
+        ez.rational_approximants(squares, 2)
+    workable = int(re.search(r"but l=(\d+) is$", str(refused.value)).group(1))
+    assert sum(ez.rational_approximants(squares, workable)) == 1
+
+
 # ---------------------------------------------------------------------------
 # Specs
 
@@ -562,8 +572,7 @@ def test_spec_only_routes_equal_the_state_routes(spec):
     assert got.pairs == expected.pairs
     assert got.weights == expected.weights
     assert list(got.weights) == list(expected.weights)
-    assert got.aux.shape == expected.aux.shape
-    assert got.aux.tobytes() == expected.aux.tobytes()
+    assert [v.tobytes() for v in got.aux] == [v.tobytes() for v in expected.aux]
     c_n = ez.harmonic_number(spec.n)
     assert ez._chi_overlap(spec, c_n) == _chi_overlap_on_state(spec, state)
 
@@ -633,6 +642,18 @@ def test_fidelity_reports_sum_the_harmonic_number_once(
     assert report.z_form_fidelity == z_form == ez.z_form_fidelity(spec)
     assert report.z_form_gap == fidelity - z_form
     assert report.trace_distance == distance
+
+
+@pytest.mark.parametrize("squares", [["1/100", "99/100"], ["1/6", "1/3", "1/2"]])
+def test_slot_vectors_hold_one_entry_per_support_term(squares):
+    """Each slot keeps only its own levels, so the vectors of both builders
+    hold as many entries as the embezzled state has terms, not r times the
+    deepest slot's level count."""
+    spec = ez.EmbezzleSpec.from_exact(squares, n=5_000)
+    state = ez.embezzled_state(spec)
+    for stats in (ez.slot_statistics(state, spec), ez.slot_statistics_from_spec(spec)):
+        assert len(stats.aux) == spec.r
+        assert sum(len(v) for v in stats.aux) == len(state.amplitudes)
 
 
 def test_spec_only_slot_statistics_refuse_too_few_levels():
