@@ -399,9 +399,8 @@ def run_chain(cfg: dict) -> dict:
 # dim: chained correlations on a rotated pair inside a d-dimensional state
 
 
-def _dim_point(args: tuple[tuple[str, ...], int, int, int, float]) -> dict:
-    squares_text, lo, hi, N, tol = args
-    squares = [Fraction(s) for s in squares_text]
+def _dim_point(args: tuple[tuple[Fraction, ...], int, int, int, float]) -> dict:
+    squares, lo, hi, N, tol = args
     state = ez.phi_schmidt([math.sqrt(float(q)) for q in squares])
     spec = cb.ChainSpec(
         N=N, pair=(lo, hi), eigenvalue_scheme=cb.dimension_scheme
@@ -426,10 +425,9 @@ def run_dim(cfg: dict) -> dict:
     )
     if pair is None:
         raise ConfigError("dim needs at least one equal pair of squared coefficients")
-    squares_text = tuple(str(q) for q in squares)
-    points = [(squares_text, pair[0], pair[1], N, tol) for N in Ns]
+    points = [(squares, pair[0], pair[1], N, tol) for N in Ns]
     rows = _map_grid(_dim_point, points, _resolve_workers(cfg))
-    parameters = {"coeffs": list(squares_text), "pair": list(pair), "N": list(Ns), "tol": tol}
+    parameters = {"coeffs": [str(q) for q in squares], "pair": list(pair), "N": list(Ns), "tol": tol}
     return _report("dim", parameters, rows)
 
 
@@ -437,9 +435,9 @@ def run_dim(cfg: dict) -> dict:
 # sqrt-rational: exact rational squares through the extraction route
 
 
-def _sqrt_rational_point(args: tuple[tuple[str, ...], int, int, float]) -> dict:
-    squares_text, N, n, tol = args
-    spec = ez.EmbezzleSpec.from_exact([Fraction(s) for s in squares_text], n)
+def _sqrt_rational_point(args: tuple[tuple[Fraction, ...], int, int, float]) -> dict:
+    squares, N, n, tol = args
+    spec = ez.EmbezzleSpec.from_exact(squares, n)
     stats = ez.slot_statistics_from_spec(spec)
     ordered = sorted(spec.pairs, key=lambda p: stats.weights[p])
     lo, hi = ordered[0], ordered[-1]
@@ -467,8 +465,7 @@ def run_sqrt_rational(cfg: dict) -> dict:
     Ns = _parse_int_list(_option(cfg, "N", "2"), "--N")
     ns = _parse_int_list(_option(cfg, "n", "100"), "--n")
     tol = float(_option(cfg, "tol", 1e-12))
-    squares_text = tuple(str(q) for q in squares)
-    points = [(squares_text, N, n, tol) for N in Ns for n in ns]
+    points = [(squares, N, n, tol) for N in Ns for n in ns]
     rows = _map_grid(_sqrt_rational_point, points, _resolve_workers(cfg))
     convergence = []
     for k, N in enumerate(Ns):
@@ -479,7 +476,7 @@ def run_sqrt_rational(cfg: dict) -> dict:
         )
     _set_level_gaps(rows, "gap", ("N",))
     parameters = {
-        "coeffs": list(squares_text), "N": list(Ns), "n": list(ns),
+        "coeffs": [str(q) for q in squares], "N": list(Ns), "n": list(ns),
         "tol": tol, "nesting": ["N", "n (innermost)"],
     }
     return _report("sqrt-rational", parameters, rows, convergence=convergence)
@@ -534,14 +531,12 @@ def run_lemma(cfg: dict) -> dict:
 # embezzle: extraction fidelity sweep
 
 
-def _embezzle_point(args: tuple[tuple[str, ...], int | None, int, float]) -> dict:
-    squares_text, l, n, tol = args
+def _embezzle_point(args: tuple[tuple[Fraction, ...], int | None, int, float]) -> dict:
+    squares, l, n, tol = args
     if l is None:
-        spec = ez.EmbezzleSpec.from_exact([Fraction(s) for s in squares_text], n)
+        spec = ez.EmbezzleSpec.from_exact(squares, n)
     else:
-        spec = ez.EmbezzleSpec.from_reals(
-            [float(Fraction(s)) for s in squares_text], l, n
-        )
+        spec = ez.EmbezzleSpec.from_reals([float(q) for q in squares], l, n)
     report = ez.embezzlement_fidelity(spec)
     ok = report.lower_bound_holds and report.distance_bound_holds
     return {
@@ -568,8 +563,7 @@ def run_embezzle(cfg: dict) -> dict:
     ls: tuple[int | None, ...]
     ls = _parse_int_list(cfg["l"], "--l") if cfg.get("l") is not None else (None,)
     tol = float(_option(cfg, "tol", 1e-12))
-    squares_text = tuple(str(q) for q in squares)
-    points = [(squares_text, l, n, tol) for l in ls for n in ns]
+    points = [(squares, l, n, tol) for l in ls for n in ns]
     rows = _map_grid(_embezzle_point, points, _resolve_workers(cfg))
     convergence = []
     all_decreasing = True
@@ -582,7 +576,7 @@ def run_embezzle(cfg: dict) -> dict:
         )
     _set_level_gaps(rows, "one_minus_fidelity", ("l",))
     parameters = {
-        "coeffs": list(squares_text), "l": list(ls), "n": list(ns),
+        "coeffs": [str(q) for q in squares], "l": list(ls), "n": list(ns),
         "tol": tol, "nesting": ["l", "n (innermost)"],
     }
     return _report("embezzle", parameters, rows, all_decreasing, convergence=convergence)
@@ -850,11 +844,10 @@ def run_audit(cfg: dict) -> dict:
 
 
 def _arbitrary_point(
-    args: tuple[tuple[str, ...], str, int, int, int, float]
+    args: tuple[tuple[Fraction, ...], str, int, int, int, float]
 ) -> dict:
-    squares_text, model_name, N, l, n, tol = args
-    squares = [float(Fraction(s)) for s in squares_text]
-    spec = ez.EmbezzleSpec.from_reals(squares, l, n)
+    squares, model_name, N, l, n, tol = args
+    spec = ez.EmbezzleSpec.from_reals([float(q) for q in squares], l, n)
     model, space = hv.fixture_model(model_name)
     report = hv.triviality_bound(model, space, spec, N, tol=tol)
     return {
@@ -887,10 +880,7 @@ def run_arbitrary(cfg: dict) -> dict:
         raise ConfigError(
             f"arbitrary sweeps run built-in fixtures only, got {model_name!r}"
         )
-    squares_text = tuple(str(q) for q in squares)
-    points = [
-        (squares_text, model_name, N, l, n, tol) for N in Ns for l in ls for n in ns
-    ]
+    points = [(squares, model_name, N, l, n, tol) for N in Ns for l in ls for n in ns]
     rows = _map_grid(_arbitrary_point, points, _resolve_workers(cfg))
     by_key = {(row["N"], row["l"], row["n"]): row for row in rows}
     n_levels, l_levels = [], []
@@ -909,7 +899,7 @@ def run_arbitrary(cfg: dict) -> dict:
     achieved_N = [by_key[(N, ls[-1], ns[-1])]["achieved_epsilon"] for N in Ns]
     _set_level_gaps(rows, "achieved_epsilon", ("N", "l"))
     parameters = {
-        "coeffs": list(squares_text), "model": model_name,
+        "coeffs": [str(q) for q in squares], "model": model_name,
         "N": list(Ns), "l": list(ls), "n": list(ns), "tol": tol,
         "nesting": ["N", "l", "n (innermost)"],
     }

@@ -131,11 +131,6 @@ class PovmElementSet:
     def dimension(self) -> int:
         return self.matrices[0].shape[0]
 
-    @property
-    def elements(self) -> tuple[np.ndarray, ...]:
-        """The positive operators F_j = M_j^dagger M_j."""
-        return tuple(m.conj().T @ m for m in self.matrices)
-
     @classmethod
     def from_elements(cls, elements: Sequence[np.ndarray]) -> PovmElementSet:
         """Factorize given positive operators via the principal square root."""

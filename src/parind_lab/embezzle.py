@@ -453,18 +453,11 @@ def embezzlement_distance_bound(spec: EmbezzleSpec) -> float:
     return _distance(1.0 - math.log(m_hat) / math.log(spec.n))
 
 
-def z_form_fidelity(spec: EmbezzleSpec) -> float:
-    """The interpolated-harmonic form sum_i c_i^2 Z(n/m_i) / Z(n).
-
-    This is a certified lower bound on the computed extraction fidelity, with
-    equality exactly when every numerator m_i is 1; see the module tests for the
-    per-term comparison.
-    """
-    return _z_form(spec, harmonic_number(spec.n))
-
-
 def _z_form(spec: EmbezzleSpec, c_n: float) -> float:
-    """`z_form_fidelity` with Z(n) = C_n passed in."""
+    """The interpolated-harmonic form sum_i c_i^2 Z(n/m_i) / Z(n), with
+    Z(n) = C_n passed in.  It is a certified lower bound on the computed
+    extraction fidelity, with equality exactly when every numerator m_i is 1;
+    see the module tests for the per-term comparison."""
     return math.fsum(
         (c_i**2) * interpolated_harmonic(Fraction(spec.n, m_i)) / c_n
         for c_i, m_i in zip(spec.c, spec.m)
@@ -567,8 +560,11 @@ def pair_chain_observables(
 
 
 def chi_pair_disagreement_closed_form(spec: EmbezzleSpec, N: int) -> float:
-    """Adjacent-setting disagreement on the extraction target state: each of the
-    two rotated slots carries weight 1/r, giving (2/r) sin^2(pi/4N) per pair."""
+    """Adjacent-setting disagreement on the uniform slot state
+    (`phi_uniform_state`): each of the two rotated slots carries weight 1/r,
+    giving (2/r) sin^2(pi/4N) per pair.  It is the extraction target's value
+    only when every c_i^2 = m_i / r; otherwise chi's slots of block i weigh
+    c_i^2 / m_i each, and its pair chains depart from this form."""
     return (2.0 / spec.r) * math.sin(math.pi / (4 * N)) ** 2
 
 
@@ -683,7 +679,7 @@ def correlation_measure_IJlNnl(
     spec: EmbezzleSpec,
     N: int,
     subset: Sequence[Pair],
-    pairing: Mapping[Pair, Pair] | None = None,
+    pairing: Mapping[Pair, Pair],
 ) -> cb.ChainReport:
     """Half-subset chained correlation measure on the embezzled state.
 
@@ -693,8 +689,6 @@ def correlation_measure_IJlNnl(
     """
     if spec.r % 2 != 0:
         raise ValueError(f"half-subset chains need an even slot count, got r={spec.r}")
-    if pairing is None:
-        pairing = default_pairing(spec, subset)
     state = embezzled_state(spec)
     a_family = half_subset_observables(spec, N, subset, pairing, state.registry, "A")
     b_family = half_subset_observables(spec, N, subset, pairing, state.registry, "B")
@@ -809,8 +803,9 @@ def _two_slot_chain(
     """The chain whose adjacent settings disagree with D(theta, phi) = W (c^2 s'^2
     + s^2 c'^2) - 4 c c' s s' G (section comment), W = `weight`, G = `overlap`,
     each term clipped to [0, 1].  A half-subset chain negates setting 0 at its
-    terminal setting 2N, so that term is 1 - D(0, phi), and it has the
-    uniform-slot closed form; a pair chain has the extraction target's."""
+    terminal setting 2N, so that term is 1 - D(0, phi).  Both kinds carry the
+    uniform slot state's closed form: 2N sin^2(pi/4N) for a half-subset chain,
+    2N (2/r) sin^2(pi/4N) for a pair chain."""
     if N < 1:
         raise ValueError(f"chain depth N must be >= 1, got {N}")
     terms = []

@@ -95,14 +95,10 @@ class HalfSubsetSystem:
         return self.r - len(self.J)
 
 
-def build_system(
-    r: int, J: Sequence[int], f_order: Sequence[int] | None = None
-) -> HalfSubsetSystem:
-    """Construct the window system; f defaults to the ascending complement order."""
+def build_system(r: int, J: Sequence[int]) -> HalfSubsetSystem:
+    """The window system with f the ascending complement order."""
     j_tuple = tuple(J)
-    if f_order is None:
-        f_order = tuple(sorted(set(range(r)) - set(j_tuple)))
-    return HalfSubsetSystem(r=r, J=j_tuple, f=tuple(f_order))
+    return HalfSubsetSystem(r=r, J=j_tuple, f=tuple(sorted(set(range(r)) - set(j_tuple))))
 
 
 def identity_check(system: HalfSubsetSystem, p: Sequence[Rational]) -> dict:

@@ -22,7 +22,9 @@ chained-correlation argument: a parameter-independent model whose setting-0
 marginals are near-deterministic must violate the chain's measured correlation
 budget once the chain is deep enough.  `perfect_correlation_check` verifies
 that index events on the two wings of a Schmidt-correlated state never
-disagree, at the Born level and (with derived tolerances) per lambda.
+disagree at the Born level; for a model, quantum completeness on the same
+event scenarios (`check_compquant`) already bounds each lambda's mismatch, by
+nonnegativity, by the check's tolerance over that lambda's weight.
 `triviality_bound` assembles the full finite-resource ledger on an
 embezzlement-extracted state: measured chain budgets bound how far per-lambda
 slot probabilities can spread, the half-subset deviation lemma converts the
@@ -111,10 +113,6 @@ class LambdaSpace:
 
     def items(self) -> list[tuple[Hashable, float]]:
         return [(p, float(w)) for p, w in zip(self.points, self.weights)]
-
-    @property
-    def min_weight(self) -> float:
-        return float(min(self.weights))
 
     @staticmethod
     def uniform(points: Sequence[Hashable]) -> LambdaSpace:
@@ -471,10 +469,11 @@ def check_compquant(
     }
 
 
-def _local_marginal(dist: Distribution, index: int) -> dict[float, float]:
+def _local_marginal(dist: Distribution) -> dict[float, float]:
+    """The marginal of the index-0 observable."""
     marginal: dict[float, list[float]] = {}
     for outcome, value in dist.items():
-        marginal.setdefault(outcome[index], []).append(value)
+        marginal.setdefault(outcome[0], []).append(value)
     return {eig: math.fsum(values) for eig, values in marginal.items()}
 
 
@@ -505,7 +504,7 @@ def check_parind(
     max_deviation = 0.0
     for lam, _ in space.items():
         marginals = [
-            _local_marginal(_validated_distribution(model, sc, lam), 0)
+            _local_marginal(_validated_distribution(model, sc, lam))
             for sc in scenarios
         ]
         lam_worst = 0.0
@@ -678,8 +677,8 @@ def chained_audit(
     terminal = Scenario(state, (a_family[2 * N],), description="setting 2N alone")
     lhs_terms, delta_terms, negation_devs = [], [], []
     for lam, weight in space.items():
-        p0 = _local_marginal(_validated_distribution(model, setting0, lam), 0)
-        p_term = _local_marginal(_validated_distribution(model, terminal, lam), 0)
+        p0 = _local_marginal(_validated_distribution(model, setting0, lam))
+        p_term = _local_marginal(_validated_distribution(model, terminal, lam))
         plus, minus = p0.get(1.0, 0.0), p0.get(-1.0, 0.0)
         lhs_terms.append(weight * abs(plus - minus))
         delta_terms.append(weight * abs(plus - 0.5))
@@ -839,95 +838,27 @@ def extraction_block_events(spec: ez.EmbezzleSpec) -> tuple[SparseState, list[Ev
     return mapped, events
 
 
-# A model's distribution may sum to 1 within 1e-9 (`_validated_distribution`),
-# so a model-level mismatch is only resolved to that slack.
-_MODEL_MISMATCH_TOL = 1e-9
-
-
 def perfect_correlation_check(
-    state: SparseState,
-    events: Sequence[Event],
-    *,
-    model: HVModel | None = None,
-    space: LambdaSpace | None = None,
-    tol: float = 1e-12,
+    state: SparseState, events: Sequence[Event], *, tol: float = 1e-12
 ) -> dict:
-    """Verify that matched remote events never disagree.
-
-    Quantum level: each mismatch probability must vanish (within `tol`); for
-    one-sided events only the stated direction is required to vanish.
-    Model level (optional): the lambda-averaged mismatch must vanish within
-    1e-9, the slack to which a model's distribution must sum to 1;
-    nonnegativity then forces every per-lambda mismatch below
-    1e-9 / min(mu), and each per-lambda marginal gap Pr(a) - Pr(b)
-    (absolute for two-sided events, signed for one-sided ones) is bounded by
-    that lambda's mismatch, which the report verifies directly.
-    """
-    scenarios, quantum = [], []
+    """Verify that matched remote events never disagree: each mismatch
+    probability must vanish (within `tol`); for one-sided events only the
+    stated direction is required to vanish."""
+    quantum = []
     for description, event_a, event_b, direction in events:
         obs_a = complete_with_complement([(1.0, event_a)], -1.0)
         obs_b = complete_with_complement([(1.0, event_b)], -1.0)
-        scenario = Scenario(state, (obs_a, obs_b), description=description)
-        scenarios.append((scenario, direction))
         # Cells (1, -1) and (-1, 1) are the one-sided mismatches, each the float
         # `mismatch_probability` gives (the module tests pin the two routes).
-        born = scenario.born
+        born = Scenario(state, (obs_a, obs_b), description=description).born
         p = _directed(born[(1.0, -1.0)], born[(-1.0, 1.0)], direction)
         quantum.append({"event": description, "mismatch": p, "holds": p <= tol})
-    report = {
+    return {
         "tolerance": tol,
         "quantum": quantum,
         "max_mismatch": max(q["mismatch"] for q in quantum),
         "passed": all(q["holds"] for q in quantum),
     }
-    if model is None:
-        return report
-    if space is None:
-        raise ValueError("model-level check needs a hidden-parameter space")
-    derived_tol = _MODEL_MISMATCH_TOL / space.min_weight
-    model_entries = []
-    for scenario, direction in scenarios:
-        mismatch_terms = []
-        per_lambda_max = 0.0
-        marginal_gap_ok = True
-        for lam, weight in space.items():
-            dist = _validated_distribution(model, scenario, lam)
-            mismatch = _directed(
-                dist.get((1.0, -1.0), 0.0), dist.get((-1.0, 1.0), 0.0), direction
-            )
-            mismatch_terms.append(weight * mismatch)
-            per_lambda_max = max(per_lambda_max, mismatch)
-            gap = _local_marginal(dist, 0).get(1.0, 0.0) - _local_marginal(
-                dist, 1
-            ).get(1.0, 0.0)
-            if direction == "backward":
-                gap = -gap
-            elif direction == "both":
-                gap = abs(gap)
-            marginal_gap_ok &= gap <= mismatch + 1e-12
-        averaged = math.fsum(mismatch_terms)
-        model_entries.append(
-            {
-                "event": scenario.description,
-                "average_mismatch": averaged,
-                "per_lambda_max": per_lambda_max,
-                "average_holds": averaged <= _MODEL_MISMATCH_TOL,
-                "per_lambda_holds": per_lambda_max <= derived_tol,
-                "marginal_gap_bounded": marginal_gap_ok,
-            }
-        )
-    report["model"] = {
-        "name": model.name,
-        "tolerance": _MODEL_MISMATCH_TOL,
-        "derived_per_lambda_tolerance": derived_tol,
-        "events": model_entries,
-        "passed": all(
-            e["average_holds"] and e["per_lambda_holds"] and e["marginal_gap_bounded"]
-            for e in model_entries
-        ),
-    }
-    report["passed"] = report["passed"] and report["model"]["passed"]
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +874,7 @@ def _slot_vectors(
     slots = set(eigenvalues)
     vectors, leak_terms = [], []
     for lam, weight in space.items():
-        marginal = _local_marginal(_validated_distribution(model, scenario, lam), 0)
+        marginal = _local_marginal(_validated_distribution(model, scenario, lam))
         vectors.append([marginal.get(e, 0.0) for e in eigenvalues])
         leak_terms.append(weight * sum(v for e, v in marginal.items() if e not in slots))
     return vectors, math.fsum(leak_terms)
@@ -1063,7 +994,7 @@ def triviality_bound(
     sides = tuple(_slot_vectors(model, space, spec, sc) for sc in (scenario_a, scenario_b))
     marginals = [
         [
-            _local_marginal(_validated_distribution(model, scenario, lam), 0).get(1.0, 0.0)
+            _local_marginal(_validated_distribution(model, scenario, lam)).get(1.0, 0.0)
             for lam, _ in space.items()
         ]
         for scenario in link_scenarios

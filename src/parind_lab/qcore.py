@@ -145,16 +145,9 @@ def squared_norm(amplitudes: Mapping[MultiIndex, complex]) -> float:
     return float(math.fsum(abs(a) ** 2 for a in amplitudes.values()))
 
 
-def basis_state(registry: SystemRegistry, indices: Mapping[str, int] | Sequence[int]) -> SparseState:
-    """Computational basis state |i_1 i_2 ...> given per-label or positional indices."""
-    if isinstance(indices, Mapping):
-        missing = set(registry.labels) - set(indices)
-        if missing:
-            raise ValueError(f"missing basis indices for {sorted(missing)}")
-        key = tuple(int(indices[label]) for label in registry.labels)
-    else:
-        key = tuple(int(i) for i in indices)
-    return SparseState(registry, {key: 1.0})
+def basis_state(registry: SystemRegistry, indices: Sequence[int]) -> SparseState:
+    """Computational basis state |i_1 i_2 ...> given positional indices."""
+    return SparseState(registry, {tuple(int(i) for i in indices): 1.0})
 
 
 def tensor(left: SparseState, right: SparseState) -> SparseState:

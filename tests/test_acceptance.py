@@ -322,7 +322,7 @@ def test_acceptance_10_coupling_transfer(acceptance):
     rng = np.random.default_rng(2026)
     trine = couplings.trine_povm()
     trine_dev = float(
-        np.max(np.abs(sum(f for f in trine.elements) - np.eye(2)))
+        np.max(np.abs(sum(m.conj().T @ m for m in trine.matrices) - np.eye(2)))
     )
 
     def random_state(dim):

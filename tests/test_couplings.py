@@ -108,7 +108,7 @@ def test_second_kind_validates_post_states():
 
 def test_povm_set_requires_completeness():
     good = couplings.trine_povm()
-    total = sum(f for f in good.elements)
+    total = sum(m.conj().T @ m for m in good.matrices)
     assert np.allclose(total, np.eye(2), atol=1e-10)
     with pytest.raises(ValueError, match="resolve the identity"):
         couplings.PovmElementSet((np.eye(2) * 0.5,))
@@ -132,7 +132,8 @@ def test_trine_probabilities_against_matrix_route():
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
         vec /= np.linalg.norm(vec)
         psi = SparseState(SystemRegistry((("S", 2),)), {(0,): vec[0], (1,): vec[1]})
-        expected = [float(np.real(vec.conj() @ f @ vec)) for f in povm.elements]
+        elements = [m.conj().T @ m for m in povm.matrices]
+        expected = [float(np.real(vec.conj() @ f @ vec)) for f in elements]
         assert couplings.povm_probabilities(psi, povm, "S") == pytest.approx(expected)
         coupled = couplings.povm_coupling(psi, povm, "S")
         dist = pointer_distribution(coupled, "B1")

@@ -32,7 +32,7 @@ def window_systems(draw):
     size = draw(st.integers(0, r // 2))
     J = draw(st.permutations(range(r)))[:size]
     f_order = draw(st.permutations([i for i in range(r) if i not in J]))
-    return halfsum.build_system(r, J, f_order=f_order)
+    return halfsum.HalfSubsetSystem(r, tuple(J), tuple(f_order))
 
 
 exact_entries = st.one_of(
@@ -78,7 +78,7 @@ def test_identity_independent_of_enumeration_order():
     for _ in range(10):
         order = complement[:]
         rng.shuffle(order)
-        system = halfsum.build_system(8, J, f_order=order)
+        system = halfsum.HalfSubsetSystem(8, J, tuple(order))
         result = halfsum.identity_check(system, p)
         assert result["holds"]
         references.add(result["rhs"])
@@ -167,7 +167,7 @@ def test_system_rejects_odd_r():
 
 def test_system_rejects_wrong_enumeration():
     with pytest.raises(ValueError, match="enumerate the complement"):
-        halfsum.build_system(4, (0,), f_order=(1, 2, 0))
+        halfsum.HalfSubsetSystem(4, (0,), (1, 2, 0))
 
 
 def test_identity_check_rejects_wrong_length():

@@ -46,7 +46,7 @@ def test_lambda_space_validates_weights():
 
 def test_lambda_space_uniform_and_min_weight():
     space = hv.LambdaSpace.uniform((0, 1, 2, 3))
-    assert space.min_weight == pytest.approx(0.25)
+    assert min(space.weights) == Fraction(1, 4)
     assert math.fsum(w for _, w in space.items()) == pytest.approx(1.0)
 
 
@@ -373,26 +373,41 @@ def test_perfect_correlation_mismatch_is_the_literal_oracle_float():
     assert disagreeing == 8
 
 
-def test_perfect_correlation_model_level():
-    """A model whose outcomes always agree on matched events passes the
-    model-level transfer; the marginal-gap chain is certified per lambda."""
-    model, space = hv.fixture_model("deterministic-chain")
+class _AntiCorrelatedModel:
+    """Reveals lambda on the first wing and -lambda on the second, so matched
+    events always disagree while each marginal keeps the Born 1/2."""
+
+    name = "anti-correlated"
+
+    def distribution(self, scenario, lam):
+        return {(lam, -lam): 1.0}
+
+
+def test_quantum_completeness_decides_perfect_correlation_for_models():
+    """On the event scenarios `perfect_correlation_check` builds (each event
+    completed to a +-1 observable), a quantum complete model averages the Born
+    mismatch, zero, so by nonnegativity it has zero mismatch at every lambda:
+    `check_compquant` on those scenarios is the whole model-level transfer."""
     state = ez.phi_schmidt([math.sqrt(0.5), math.sqrt(0.5)])
     events = hv.schmidt_index_events(state.registry, [(0,), (1,)])
-    report = hv.perfect_correlation_check(state, events, model=model, space=space)
-    assert report["passed"]
-    assert report["model"]["passed"]
-    for entry in report["model"]["events"]:
-        assert entry["marginal_gap_bounded"]
-    assert report["model"]["derived_per_lambda_tolerance"] == pytest.approx(2e-9)
-
-
-def test_perfect_correlation_model_level_needs_space():
-    model, _ = hv.fixture_model("trivial")
-    state = ez.phi_schmidt([1.0])
-    events = hv.schmidt_index_events(state.registry, [(0,)])
-    with pytest.raises(ValueError, match="hidden-parameter space"):
-        hv.perfect_correlation_check(state, events, model=model)
+    assert hv.perfect_correlation_check(state, events)["passed"]
+    scenarios = [
+        hv.Scenario(
+            state,
+            tuple(complete_with_complement([(1.0, e)], -1.0) for e in (a, b)),
+            description=description,
+        )
+        for description, a, b, _ in events
+    ]
+    model, space = hv.fixture_model("deterministic-chain")
+    assert hv.check_compquant(model, space, scenarios)["passed"]
+    anti = _AntiCorrelatedModel()
+    report = hv.check_compquant(anti, space, scenarios)
+    assert not report["passed"]
+    assert report["max_deviation"] == pytest.approx(0.5)
+    for scenario in scenarios:
+        average = hv.model_average(anti, space, scenario)
+        assert average[(1.0, -1.0)] + average[(-1.0, 1.0)] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,9 @@ def test_bulk_index_checks_name_the_first_offending_key():
         SparseState(registry, {(1, 1): 1.0, (0, None): 0.0, (0, 3): 0.0})
 
 
-def test_basis_state_positional_and_by_label():
+def test_basis_state_is_positional():
     registry = SystemRegistry((("A", 2), ("B", 3)))
     assert basis_state(registry, (1, 2)).amplitudes == {(1, 2): 1.0}
-    assert basis_state(registry, {"B": 2, "A": 1}).amplitudes == {(1, 2): 1.0}
 
 
 def test_tensor_multiplies_amplitudes():
