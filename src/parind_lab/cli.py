@@ -442,7 +442,9 @@ def _sqrt_rational_point(args: tuple[tuple[Fraction, ...], int, int, float]) -> 
     ordered = sorted(spec.pairs, key=lambda p: stats.weights[p])
     lo, hi = ordered[0], ordered[-1]
     measured = ez.fast_pair_chain(spec, N, lo, hi, stats).value
-    reference = 2 * N * ez.chi_pair_disagreement_closed_form(spec, N)
+    # The squares are exact, so every c_i^2 = m_i / r and chi is the uniform
+    # slot state: its pair chain is the uniform closed form.
+    reference = 2 * N * ez.uniform_pair_disagreement_closed_form(spec, N)
     d1, _ = ez.extraction_distances(spec)
     bound = 2 * N * d1
     gap = abs(measured - reference)
@@ -1092,6 +1094,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     # Every subcommand takes --workers, also those that run serially.
     if cfg.get("workers") is not None and int(cfg["workers"]) < 1:
         raise ConfigError(f"--workers must be >= 1, got {int(cfg['workers'])}")
+    # A negative or nan tolerance fails every verdict, an infinite one passes it.
+    if cfg.get("tol") is not None and not (math.isfinite(cfg["tol"]) and cfg["tol"] >= 0):
+        raise ConfigError(f"--tol must be a finite number >= 0, got {cfg['tol']!r}")
     return cfg
 
 

@@ -345,15 +345,21 @@ def embezzled_state(spec: EmbezzleSpec) -> SparseState:
     key (q, q, j, j, i, i).  `extract_side` on both sides of `input_state` is
     the literal route; the tests hold this state equal to it, key order and
     amplitude bits included."""
+    terms = (column.tolist() for column in _embezzled_terms(spec, harmonic_number(spec.n)))
+    return SparseState(
+        _embezzled_registry(spec),
+        {(q, q, j, j, i, i): amplitude for q, j, i, amplitude in zip(*terms)},
+    )
+
+
+def _embezzled_registry(spec: EmbezzleSpec) -> SystemRegistry:
+    """The registry of `embezzled_state(spec)`: (A2, B2) of dimension n,
+    (A1, B1) of dimension max m and (A, B) of dimension d."""
     sides = SIDES.values()
-    registry = SystemRegistry(
+    return SystemRegistry(
         tuple((aux, spec.n) for aux, _, _ in sides)
         + tuple((ptr, spec.max_m) for _, ptr, _ in sides)
         + tuple((sys, spec.d) for _, _, sys in sides)
-    )
-    terms = (column.tolist() for column in _embezzled_terms(spec, harmonic_number(spec.n)))
-    return SparseState(
-        registry, {(q, q, j, j, i, i): amplitude for q, j, i, amplitude in zip(*terms)}
     )
 
 
@@ -380,9 +386,9 @@ def _embezzled_terms(
     return (k // m)[keep], (k % m)[keep], i[keep], amplitude[keep]
 
 
-def _slot_pair_state(spec: EmbezzleSpec, amplitudes: Sequence[float]) -> SparseState:
-    """tau_n on the aux registers tensored with sum_{(i,j)} a_ij |i,j>|i,j> on
-    the (ptr, sys) registers, one amplitude per slot in `spec.pairs` order."""
+def phi_uniform_state(spec: EmbezzleSpec) -> SparseState:
+    """Uniform pair-slot state: tau_n on the aux registers tensored with
+    (1/sqrt(r)) sum_{(i,j)} |i,j>|i,j> on the (ptr, sys) registers."""
     registry = SystemRegistry(
         tuple(
             register
@@ -390,23 +396,9 @@ def _slot_pair_state(spec: EmbezzleSpec, amplitudes: Sequence[float]) -> SparseS
             for register in ((ptr, spec.max_m), (sys, spec.d))
         )
     )
-    slots = SparseState(
-        registry,
-        {(j, i, j, i): amp for (i, j), amp in zip(spec.pairs, amplitudes)},
-    )
+    amplitude = 1.0 / math.sqrt(spec.r)
+    slots = SparseState(registry, {(j, i, j, i): amplitude for i, j in spec.pairs})
     return tensor(tau(spec.n), slots)
-
-
-def chi_state(spec: EmbezzleSpec) -> SparseState:
-    """Extraction target: tau_n on aux registers tensored with the pair-slot state
-    sum_{(i,j)} (c_i / sqrt(m_i)) |i,j>|i,j>.  Uniform over slots iff the squared
-    coefficients are exactly m_i / r."""
-    return _slot_pair_state(spec, [spec.c[i] / math.sqrt(spec.m[i]) for i, _ in spec.pairs])
-
-
-def phi_uniform_state(spec: EmbezzleSpec) -> SparseState:
-    """Uniform pair-slot state: amplitudes 1/sqrt(r) on every slot, tau_n attached."""
-    return _slot_pair_state(spec, [1.0 / math.sqrt(spec.r)] * spec.r)
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +551,40 @@ def pair_chain_observables(
     return cb.chain_observables(chain_spec, acting, side)
 
 
-def chi_pair_disagreement_closed_form(spec: EmbezzleSpec, N: int) -> float:
+def uniform_pair_disagreement_closed_form(spec: EmbezzleSpec, N: int) -> float:
     """Adjacent-setting disagreement on the uniform slot state
     (`phi_uniform_state`): each of the two rotated slots carries weight 1/r,
-    giving (2/r) sin^2(pi/4N) per pair.  It is the extraction target's value
-    only when every c_i^2 = m_i / r; otherwise chi's slots of block i weigh
-    c_i^2 / m_i each, and its pair chains depart from this form."""
+    giving (2/r) sin^2(pi/4N) per pair.  It is the extraction target chi's
+    value only when every c_i^2 = m_i / r; otherwise chi's slots of block i
+    weigh c_i^2 / m_i each, and its pair chains depart from this form."""
     return (2.0 / spec.r) * math.sin(math.pi / (4 * N)) ** 2
+
+
+def _require_slots(spec: EmbezzleSpec, slots: Sequence[Pair]) -> None:
+    """Refuse any slot outside `spec.pairs`, for every chain route alike."""
+    known = set(spec.pairs)
+    for pair in slots:
+        if tuple(pair) not in known:
+            raise ValueError(f"pair slot {pair} is not among the spec's slots")
+
+
+def _require_half_subset(
+    spec: EmbezzleSpec, subset: Sequence[Pair], pairing: Mapping[Pair, Pair]
+) -> list[Pair]:
+    """The subset as a list of tuples, once it is checked: an even slot count,
+    r/2 known slots, and a pairing that maps them one to one onto the rest."""
+    if spec.r % 2 != 0:
+        raise ValueError(f"half-subset chains need an even slot count, got r={spec.r}")
+    subset_t = [tuple(p) for p in subset]
+    _require_slots(spec, subset_t)
+    if 2 * len(subset_t) != spec.r:
+        raise ValueError(f"subset must contain r/2 = {spec.r // 2} slots")
+    complement = set(spec.pairs).difference(subset_t)
+    # a slot the pairing misses leaves the image shorter than the complement
+    image = sorted(tuple(pairing[s]) for s in subset_t if s in pairing)
+    if image != sorted(complement):
+        raise ValueError("pairing must be a bijection from the subset onto its complement")
+    return subset_t
 
 
 def correlation_measure_INn(
@@ -580,25 +599,30 @@ def correlation_measure_INn(
     two pair slots, with the extraction-target reference chain and the certified
     deviation bound 2N * D(U psi, chi).
 
-    `state`, if given, must be `embezzled_state(spec)`; it feeds only the
-    literal chain, and is built here otherwise.  The deviation bound comes from
+    `state`, if given, must be `embezzled_state(spec)`, and a state on another
+    registry is refused; it feeds only the literal chain, and is built here
+    otherwise.  The reference chain on chi = tau_n (x) sum_s a_s |s>|s>,
+    a_s = c_i / sqrt(m_i), is the slot kernel at W = a_lo^2 + a_hi^2 and
+    G = a_lo a_hi: chi is slot-diagonal with real amplitudes, and its tau_n
+    factor scales both by sum_k tau_k^2 = 1.  The deviation bound comes from
     the spec."""
-    for pair in (pair_lo, pair_hi):
-        if pair not in spec.pairs:
-            raise ValueError(f"pair slot {pair} is not among the spec's slots")
+    _require_slots(spec, (pair_lo, pair_hi))
     if state is None:
         state = embezzled_state(spec)
+    elif state.registry != _embezzled_registry(spec):
+        raise ValueError("state is not on the registry of embezzled_state(spec)")
     a_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, "A")
     b_family = pair_chain_observables(spec, N, pair_lo, pair_hi, state.registry, "B")
 
-    reference = cb.chain_correlation(chi_state(spec), N, a_family, b_family)
+    a_lo, a_hi = (spec.c[i] / math.sqrt(spec.m[i]) for i, _ in (pair_lo, pair_hi))
+    reference = _two_slot_chain(spec, N, a_lo * a_lo + a_hi * a_hi, a_lo * a_hi, half_subset=False)
     d1, _ = extraction_distances(spec)
     return cb.chain_correlation(
         state,
         N,
         a_family,
         b_family,
-        closed_form=2 * N * chi_pair_disagreement_closed_form(spec, N),
+        closed_form=reference.closed_form,
         reference_value=reference.value,
         deviation_bound=2 * N * d1,
     )
@@ -627,14 +651,7 @@ def half_subset_observable(
     """One setting of the half-subset family: +1 on the span of the rotated kets
     cos(theta/2)|s> + sin(theta/2)|pairing(s)> at theta = setting * pi/(2N),
     -1 on the complement."""
-    subset_t = [tuple(p) for p in subset]
-    if 2 * len(subset_t) != spec.r:
-        raise ValueError(f"subset must contain r/2 = {spec.r // 2} slots")
-    complement = [p for p in spec.pairs if p not in subset_t]
-    image = sorted(tuple(pairing[s]) for s in subset_t)
-    if image != sorted(complement):
-        raise ValueError("pairing must be a bijection from the subset onto its complement")
-
+    subset_t = _require_half_subset(spec, subset, pairing)
     acting = slot_registry(host, side)
     theta = setting * math.pi / (2 * N)
     kets = [
@@ -687,8 +704,7 @@ def correlation_measure_IJlNnl(
     certified deviation bound combines both trace distances,
     2N * (D(U psi, chi) + D(chi, uniform)).
     """
-    if spec.r % 2 != 0:
-        raise ValueError(f"half-subset chains need an even slot count, got r={spec.r}")
+    _require_half_subset(spec, subset, pairing)
     state = embezzled_state(spec)
     a_family = half_subset_observables(spec, N, subset, pairing, state.registry, "A")
     b_family = half_subset_observables(spec, N, subset, pairing, state.registry, "B")
@@ -821,7 +837,7 @@ def _two_slot_chain(
     if half_subset:
         closed_form = cb.bell_chain_closed_form(N)
     else:
-        closed_form = 2 * N * chi_pair_disagreement_closed_form(spec, N)
+        closed_form = 2 * N * uniform_pair_disagreement_closed_form(spec, N)
     return cb.ChainReport(N=N, pair_terms=tuple(terms), closed_form=closed_form)
 
 
@@ -837,7 +853,7 @@ def fast_half_subset_chain(
     - 4 c c' s s' G, W the weight of J and its partners pi(J) and
     G = sum_{s in J} G_{s,pi(s)}; setting 2N negates setting 0, so the
     terminal term is 1 - D(0, phi)."""
-    links = [(slot, tuple(pairing[slot])) for slot in map(tuple, subset)]
+    links = [(slot, tuple(pairing[slot])) for slot in _require_half_subset(spec, subset, pairing)]
     weight = math.fsum(stats.weights[p] for link in links for p in link)
     return _two_slot_chain(spec, N, weight, stats.overlap(links), half_subset=True)
 
@@ -848,6 +864,7 @@ def fast_pair_chain(
     """Two-slot chained correlation measure via slot statistics.  Spectator slots
     agree on both sides of a slot-diagonal state, so only the rotated pair
     contributes: Pr(A != B) = (w_s + w_t)(c^2 s'^2 + s^2 c'^2) - 4 c c' s s' G_st."""
+    _require_slots(spec, (pair_lo, pair_hi))
     if pair_lo == pair_hi:
         raise ValueError("the rotated pair must consist of two distinct indices")
     weight = stats.weights[pair_lo] + stats.weights[pair_hi]

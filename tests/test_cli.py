@@ -135,6 +135,24 @@ def test_zero_workers_is_config_error_on_serial_commands(capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_tol_outside_finite_nonnegative_is_config_error(capsys, tol):
+    """A negative or nan tolerance fails every verdict and an infinite one
+    passes every verdict, so each is a config error (exit 2), not a verdict."""
+    code, out, err = run(capsys, "chain", "--N", "1", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert "--tol must be a finite number >= 0" in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e-9"])
+def test_config_tol_outside_finite_nonnegative_is_config_error(capsys, tmp_path, value):
+    config = tmp_path / "tol.json"
+    config.write_text('{"tol": %s}' % value)
+    code, out, err = run(capsys, "sqrt-rational", "--N", "1", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert "--tol must be a finite number >= 0" in err
+
+
 def test_unknown_fixture_is_config_error(capsys):
     code, _, err = run(capsys, "audit", "--model", "bohmian")
     assert code == 2

@@ -17,7 +17,33 @@ from hypothesis import strategies as st
 from parind_lab import chained_bell as cb
 from parind_lab import cli
 from parind_lab import embezzle as ez
-from parind_lab.qcore import DROP_TOL, SparseState, fidelity, squared_norm
+from parind_lab.qcore import DROP_TOL, SparseState, SystemRegistry, fidelity, squared_norm, tensor
+
+
+def _chi_state(spec):
+    """The extraction target chi = tau_n (x) sum_s a_s |s>|s>, built literally:
+    slot s = (i, j) has amplitude a_s = c_i / sqrt(m_i) on the (pointer,
+    system) registers of both sides."""
+    registry = SystemRegistry(
+        tuple(
+            register
+            for _, ptr, sys_ in ez.SIDES.values()
+            for register in ((ptr, spec.max_m), (sys_, spec.d))
+        )
+    )
+    slots = SparseState(
+        registry, {(j, i, j, i): spec.c[i] / math.sqrt(spec.m[i]) for i, j in spec.pairs}
+    )
+    return tensor(ez.tau(spec.n), slots)
+
+
+def _literal_chi_chain(spec, N, lo, hi):
+    """The literal projector chain rotating slots lo and hi, on chi."""
+    chi = _chi_state(spec)
+    a_family, b_family = (
+        ez.pair_chain_observables(spec, N, lo, hi, chi.registry, side) for side in "AB"
+    )
+    return cb.chain_correlation(chi, N, a_family, b_family).value
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +284,7 @@ def test_embezzled_state_refuses_too_few_levels_like_the_map_route():
 
 def test_chi_state_weights_are_numerator_fractions():
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=9)
-    stats = ez.slot_statistics(ez.chi_state(spec), spec)
+    stats = ez.slot_statistics(_chi_state(spec), spec)
     for (i, _j), weight in stats.weights.items():
         assert weight == pytest.approx(spec.c[i] ** 2 / spec.m[i])
 
@@ -287,7 +313,7 @@ def test_direct_sum_matches_projected_overlap():
         for n in (5, 23, 60):
             spec = ez.EmbezzleSpec.from_exact(squares, n=n)
             report = ez.embezzlement_fidelity(spec)
-            literal = fidelity(ez.embezzled_state(spec), ez.chi_state(spec))
+            literal = fidelity(ez.embezzled_state(spec), _chi_state(spec))
             assert abs(report.computed_fidelity - literal) < 1e-12
 
 
@@ -393,6 +419,57 @@ def test_pair_chain_rejects_unknown_slots():
         ez.correlation_measure_INn(spec, 1, (0, 0), (0, 5))
 
 
+def test_pair_chain_refuses_a_state_of_another_spec():
+    """A state built for another n would feed the literal chain while the
+    reference and the bound come from the spec."""
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=20)
+    for other in (spec.with_n(30), ez.EmbezzleSpec.from_exact(["1/6", "1/3", "1/2"], n=20)):
+        with pytest.raises(ValueError, match=r"registry of embezzled_state\(spec\)"):
+            ez.correlation_measure_INn(spec, 2, (1, 0), (1, 1), state=ez.embezzled_state(other))
+
+
+@st.composite
+def chi_reference_cases(draw):
+    """An exact spec, or a `from_reals` spec whose squares are not its
+    approximants (so chi is not uniform), with a depth N and two distinct
+    slots."""
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+        spec = ez.EmbezzleSpec.from_exact([Fraction(w, sum(weights)) for w in weights], n=1)
+    else:
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3))
+        squares = [w / math.fsum(weights) for w in weights]
+        try:
+            spec = ez.EmbezzleSpec.from_reals(squares, draw(st.integers(1, 4)), 1)
+        except ValueError:
+            reject()
+        if spec.coefficient_error == 0.0:
+            reject()
+    spec = spec.with_n(draw(st.integers(spec.max_m, spec.max_m + 20)))
+    lo, hi = draw(st.permutations(spec.pairs))[:2]
+    return spec, draw(st.sampled_from([1, 2, 3])), lo, hi
+
+
+@settings(deadline=None, max_examples=60)
+@given(chi_reference_cases())
+def test_pair_chain_reference_is_the_literal_chi_chain(case):
+    """The reference the slot kernel gives at W = a_lo^2 + a_hi^2 and
+    G = a_lo a_hi is the literal projector chain on the built chi."""
+    spec, N, lo, hi = case
+    report = ez.correlation_measure_INn(spec, N, lo, hi)
+    assert abs(report.reference_value - _literal_chi_chain(spec, N, lo, hi)) < 1e-12
+
+
+def test_pair_chain_reference_departs_from_the_uniform_closed_form():
+    """chi is not uniform for real squares: its slots of block i weigh
+    c_i^2 / m_i, 0.1592 and 0.1704 here, not 1/6."""
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=3, n=200)
+    report = ez.correlation_measure_INn(spec, 2, (0, 0), (1, 0))
+    assert round(report.reference_value, 5) == 0.19320
+    assert round(report.closed_form, 5) == 0.19526
+    assert abs(report.reference_value - _literal_chi_chain(spec, 2, (0, 0), (1, 0))) < 1e-12
+
+
 def test_half_subset_chain_literal_vs_fast_route():
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=14, even_denominator=True)
     stats = ez.slot_statistics(ez.embezzled_state(spec), spec)
@@ -450,6 +527,24 @@ def test_fast_chains_refuse_what_the_literal_routes_refuse():
         ez.correlation_measure_INn(spec, 1, (1, 0), (1, 0))
     with pytest.raises(ValueError, match="two distinct indices"):
         ez.fast_pair_chain(spec, 1, (1, 0), (1, 0), stats)
+    unknown = r"pair slot \(0, 5\) is not among the spec's slots"
+    with pytest.raises(ValueError, match=unknown):
+        ez.correlation_measure_INn(spec, 1, (0, 0), (0, 5))
+    with pytest.raises(ValueError, match=unknown):
+        ez.fast_pair_chain(spec, 1, (0, 0), (0, 5), stats)
+    stray = (subset[0], (0, 5)) + subset[2:]
+    stray_pairing = {**pairing, (0, 5): pairing[subset[1]]}
+    outside = {**pairing, subset[0]: (0, 5)}
+    for half_route in (
+        lambda half, partner: ez.correlation_measure_IJlNnl(spec, 1, half, partner),
+        lambda half, partner: ez.fast_half_subset_chain(spec, 1, half, partner, stats),
+    ):
+        with pytest.raises(ValueError, match=unknown):
+            half_route(stray, stray_pairing)
+        with pytest.raises(ValueError, match="pairing must be a bijection"):
+            half_route(subset, outside)
+        with pytest.raises(ValueError, match="pairing must be a bijection"):
+            half_route(subset, {})
 
 
 def test_half_subset_chain_deviation_bound_holds():
@@ -519,7 +614,7 @@ def test_sorted_extreme_half_subset_orders_by_weight():
 def test_embezzled_state_fidelity_against_chi_matches_report():
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=25)
     report = ez.embezzlement_fidelity(spec)
-    direct = fidelity(ez.embezzled_state(spec), ez.chi_state(spec))
+    direct = fidelity(ez.embezzled_state(spec), _chi_state(spec))
     assert direct == pytest.approx(report.computed_fidelity, abs=1e-12)
 
 
