@@ -337,19 +337,18 @@ def extract_side(spec: EmbezzleSpec, state: SparseState, side: str) -> SparseSta
 
 def embezzled_state(spec: EmbezzleSpec) -> SparseState:
     """The extraction map applied to both sides of `input_state(spec)`,
-    tau_n (x) |00> (x) phi (van Dam & Hayden 2003), built in one pass from
-    `_embezzled_terms`.
+    tau_n (x) |00> (x) phi (van Dam & Hayden 2003), built from the arrays of
+    `_embezzled_terms` with no per-entry Python object.
 
     The registry is (A2, B2) of dimension n, (A1, B1) of dimension max m and
     (A, B) of dimension d, the order `input_state` has, and term (q, j, i) is
-    key (q, q, j, j, i, i).  `extract_side` on both sides of `input_state` is
-    the literal route; the tests hold this state equal to it, key order and
-    amplitude bits included."""
-    terms = (column.tolist() for column in _embezzled_terms(spec, harmonic_number(spec.n)))
-    return SparseState(
-        _embezzled_registry(spec),
-        {(q, q, j, j, i, i): amplitude for q, j, i, amplitude in zip(*terms)},
-    )
+    key row (q, q, j, j, i, i).  `extract_side` on both sides of `input_state`
+    is the literal route; the tests hold this state equal to it, key order
+    and amplitude bits included."""
+    q, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
+    keys = np.stack([q, q, j, j, i, i], axis=1)
+    del q, j, i  # the state's checks then peak over its two arrays alone
+    return SparseState.from_arrays(_embezzled_registry(spec), keys, amplitude)
 
 
 def _embezzled_registry(spec: EmbezzleSpec) -> SystemRegistry:
@@ -758,59 +757,63 @@ class SlotStatistics:
         return math.fsum(products)
 
 
-def _slot_vectors(
-    r: int, row: np.ndarray, q: np.ndarray, amplitude: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Per slot row < r, the vector holding `amplitude` at level `q` of its
-    entries (distinct (row, q) pairs) and 0.0 at the levels it skips, up to
-    its highest level."""
-    lengths = np.zeros(r, dtype=np.int64)
+def _slot_rows(spec: EmbezzleSpec, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The row of slot (i, j) in the lexicographic `spec.pairs`:
+    m_0 + ... + m_{i-1} + j."""
+    return np.cumsum((0,) + spec.m[:-1])[i] + j
+
+
+def _slot_statistics(
+    spec: EmbezzleSpec, row: np.ndarray, q: np.ndarray, amplitude: np.ndarray
+) -> SlotStatistics:
+    """The statistics of real support entries at slot row `row`, level `q`.
+    `np.bincount` adds in entry order, one term at a time from 0.0, so each
+    weight is the sequential sum of the squared amplitudes of its slot and
+    each vector entry that of the amplitudes at its (slot, level); a vector
+    runs up to its slot's highest level, 0.0 where a level is absent."""
+    weights = np.bincount(row, weights=amplitude * amplitude, minlength=spec.r)
+    lengths = np.zeros(spec.r, dtype=np.int64)
     np.maximum.at(lengths, row, q + 1)
     ends = lengths.cumsum()
-    flat = np.zeros(int(ends[-1]))
-    flat[(ends - lengths)[row] + q] = amplitude
-    return tuple(np.split(flat, ends[:-1]))
+    flat = np.bincount((ends - lengths)[row] + q, weights=amplitude, minlength=int(ends[-1]))
+    return SlotStatistics(
+        pairs=spec.pairs,
+        weights=dict(zip(spec.pairs, weights.tolist())),
+        aux=tuple(np.split(flat, ends[:-1])),
+    )
 
 
 def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
-    """Extract slot weights and auxiliary amplitudes; refuses states that are not
-    slot-diagonal with real amplitudes (the fast formulas do not apply there)."""
-    axes = state.registry.axes(SIDES["A"] + SIDES["B"])
-    row = {s: k for k, s in enumerate(spec.pairs)}
-    weights: dict[Pair, float] = {s: 0.0 for s in spec.pairs}
-    aux: dict[tuple[int, int], float] = {}
-    for key, amp in state.amplitudes.items():
-        q_a, j_a, i_a, q_b, j_b, i_b = (key[axis] for axis in axes)
-        if (q_a, j_a, i_a) != (q_b, j_b, i_b):
+    """Slot weights and auxiliary amplitudes read from the state's arrays.
+
+    Refuses, at the first offending entry in key order, a state that is not
+    slot-diagonal, has an amplitude with an imaginary part above 1e-14, or
+    occupies a slot outside the spec's: the fast formulas do not apply
+    there."""
+    keys = state.keys[:, state.registry.axes(SIDES["A"] + SIDES["B"])]
+    q, j, i = keys[:, :3].T
+    values = state.values
+    m = np.array(spec.m, dtype=np.int64)
+    off_diagonal = (keys[:, :3] != keys[:, 3:]).any(axis=1)
+    imaginary = np.abs(values.imag) > 1e-14
+    outside = (i >= spec.d) | (j >= m[np.minimum(i, spec.d - 1)])
+    bad = off_diagonal | imaginary | outside
+    if bad.any():
+        k = int(bad.argmax())
+        if off_diagonal[k]:
             raise ValueError("state is not slot-diagonal; use the literal chain route")
-        value = complex(amp)
-        if abs(value.imag) > 1e-14:
+        if imaginary[k]:
             raise ValueError("slot fast path requires real amplitudes")
-        slot = (i_a, j_a)
-        if slot not in weights:
-            raise ValueError(f"state occupies slot {slot} outside the spec's slots")
-        value = value.real
-        weights[slot] += value * value
-        aux[row[slot], q_a] = aux.get((row[slot], q_a), 0.0) + value
-    row_q = np.fromiter(itertools.chain.from_iterable(aux), dtype=np.int64, count=2 * len(aux))
-    values = np.fromiter(aux.values(), dtype=np.float64, count=len(aux))
-    vectors = _slot_vectors(spec.r, row_q[0::2], row_q[1::2], values)
-    return SlotStatistics(pairs=spec.pairs, weights=weights, aux=vectors)
+        raise ValueError(f"state occupies slot {(int(i[k]), int(j[k]))} outside the spec's slots")
+    return _slot_statistics(spec, _slot_rows(spec, i, j), q, values.real)
 
 
 def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
     """`slot_statistics(embezzled_state(spec), spec)` from `_embezzled_terms`:
-    the same weights, bit for bit and in the same key order, and the same slot
-    vectors, without building the state.  `np.bincount` adds the squared
-    amplitudes in term order, one at a time, as the state loop does."""
+    the same body over the same terms in the same order, so the same weights
+    and vectors bit for bit, without building the state."""
     q, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
-    # slot (i, j) is row m_0 + ... + m_{i-1} + j of the lexicographic pairs
-    row = np.cumsum((0,) + spec.m[:-1])[i] + j
-    weights = np.bincount(row, weights=amplitude * amplitude, minlength=spec.r)
-    aux = _slot_vectors(spec.r, row, q, amplitude)
-    return SlotStatistics(
-        pairs=spec.pairs, weights=dict(zip(spec.pairs, weights.tolist())), aux=aux
-    )
+    return _slot_statistics(spec, _slot_rows(spec, i, j), q, amplitude)
 
 
 def _two_slot_chain(

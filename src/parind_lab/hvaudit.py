@@ -548,7 +548,10 @@ def pe_invariance_check(
 ) -> dict:
     """Premise-extension probe: attaching an unmeasured qubit spectator `W` in
     |0> must leave every per-lambda distribution unchanged (within 1e-12, the
-    float rounding of a model that reads only the measured registers)."""
+    float rounding of a model that reads only the measured registers).  The
+    extended state is `tensor(state, |0>_W)`: the state's key rows plus one
+    constant column, over the same amplitudes, so no dict of the state is
+    copied, and the model still sees an extended scenario."""
     if _SPECTATOR_LABEL in scenario.state.registry.labels:
         raise ValueError(f"spectator label {_SPECTATOR_LABEL!r} already in use")
     spectator = basis_state(SystemRegistry(((_SPECTATOR_LABEL, 2),)), (0,))

@@ -2,19 +2,25 @@
 Born-rule probabilities, the pure-state fidelity, and structured basis maps.
 
 States live on a registry of named finite-dimensional subsystems and store only
-nonzero amplitudes, keyed by one basis index per subsystem.  Projectors are spans
-of explicit ket lists (or complements of such spans), so rank stays small even when
-the ambient product space is huge.  Unitaries appear only as structured partial
-basis maps that refuse inputs outside their declared domain; nothing in this
-package ever materializes a dense operator on the full product space.
+nonzero amplitudes, as two arrays: one int64 key row per support entry (one basis
+index per subsystem) and one complex128 amplitude per row.  The key -> amplitude
+mapping that the literal routes read is a read-only view built on its first
+read; a state built from a mapping forms its arrays on the Born kernel's first
+read instead.  Projectors are spans of explicit ket lists (or complements of
+such spans), so rank stays small even when the ambient product space is huge.
+Unitaries appear only as structured partial basis maps that refuse inputs
+outside their declared domain; nothing in this package ever materializes a
+dense operator on the full product space.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from types import MappingProxyType
 from typing import NoReturn
 
 import numpy as np
@@ -92,7 +98,8 @@ def _clean_amplitudes(
     """Validate index arity/range and drop amplitudes below DROP_TOL.
 
     Arity and range are checked in bulk, one min/max per axis; only a failing
-    check rescans entry by entry, to name the first offending key."""
+    check rescans entry by entry, to name the first offending key.  A
+    non-finite amplitude is kept, for the norm check to name."""
     dims = registry.dimensions
     try:
         keys = [tuple(map(int, key)) for key in amplitudes]
@@ -104,7 +111,7 @@ def _clean_amplitudes(
         and all(0 <= min(axis) and max(axis) < dim for axis, dim in zip(zip(*keys), dims))
     ):
         _raise_first_bad_entry(amplitudes, dims)
-    return {key: value for key, value in zip(keys, values) if abs(value) > DROP_TOL}
+    return {key: value for key, value in zip(keys, values) if not abs(value) <= DROP_TOL}
 
 
 def _raise_first_bad_entry(
@@ -124,21 +131,146 @@ def _raise_first_bad_entry(
     raise AssertionError("the bulk check failed on entries that all pass one by one")
 
 
-@dataclasses.dataclass(frozen=True)
+def _refuse_norm(norm_sq: float, entries: Iterable[tuple[MultiIndex, complex]]) -> NoReturn:
+    """Raise for a squared norm off 1: for the first non-finite amplitude
+    among `entries` ((key, amplitude) pairs in key order), if the norm is
+    not finite, else for the norm."""
+    if not math.isfinite(norm_sq):
+        for key, value in entries:
+            if not cmath.isfinite(value):
+                raise ValueError(f"amplitude {value!r} at index {key} is not finite")
+    raise ValueError(f"state is not normalized: sum of |amplitude|^2 = {norm_sq!r}")
+
+
+# SparseState refuses attribute assignment; its own fields are set with this.
+_set = object.__setattr__
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class SparseState:
-    """Normalized pure state stored as a map from multi-indices to amplitudes."""
+    """Normalized pure state: one int64 key array (support x registers, one
+    basis index per register) and one complex128 amplitude array, validated
+    once and read-only.  Amplitudes at or below DROP_TOL are never stored.
 
-    registry: SystemRegistry
-    amplitudes: dict[MultiIndex, complex]
+    `SparseState(registry, mapping)` keeps the cleaned mapping and forms the
+    arrays when `keys` or `values` is first read, as the Born kernel does;
+    `SparseState.from_arrays` keeps the arrays and forms the mapping when
+    `amplitudes` is first read.  Either form is built at most once, in key
+    order, so a ket costs no array and a large state no dict until read."""
 
-    def __post_init__(self) -> None:
-        cleaned = _clean_amplitudes(self.registry, self.amplitudes)
-        object.__setattr__(self, "amplitudes", cleaned)
-        norm_sq = squared_norm(cleaned)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+    __slots__ = ("registry", "_amplitudes", "_keys", "_values")
+
+    def __init__(self, registry: SystemRegistry, amplitudes: Mapping[MultiIndex, complex]):
+        cleaned = _clean_amplitudes(registry, amplitudes)
+        try:
+            norm_sq = squared_norm(cleaned)
+        except OverflowError:
+            norm_sq = math.inf
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            _refuse_norm(norm_sq, cleaned.items())
+        _set(self, "registry", registry)
+        _set(self, "_amplitudes", MappingProxyType(cleaned))
+        _set(self, "_keys", None)
+        _set(self, "_values", None)
+
+    @classmethod
+    def from_arrays(
+        cls, registry: SystemRegistry, keys: np.ndarray, values: np.ndarray
+    ) -> SparseState:
+        """The state with amplitude values[r] at key row keys[r], checked as a
+        mapping is, in bulk and with the same messages (arity, range,
+        DROP_TOL, finiteness, norm), and refusing a repeated key.  The state
+        takes the arrays over as read-only views, copying them only to
+        convert their dtype or to drop an entry."""
+        keys = np.asarray(keys, dtype=np.int64)
+        values = np.asarray(values, dtype=np.complex128)
+        dims = registry.dimensions
+        if keys.ndim != 2 or values.shape != keys.shape[:1]:
             raise ValueError(
-                f"state is not normalized: sum of |amplitude|^2 = {norm_sq!r}"
+                f"keys of shape {keys.shape} do not give one row per amplitude of {values.shape}"
             )
+        if len(keys) and keys.shape[1] != len(dims):
+            raise ValueError(
+                f"index {tuple(keys[0].tolist())} has arity {keys.shape[1]}, expected {len(dims)}"
+            )
+        outside = ((keys < 0) | (keys >= dims)).any(axis=1)
+        if outside.any():
+            key = tuple(keys[outside.argmax()].tolist())
+            raise ValueError(f"index {key} out of range for dimensions {dims}")
+        # `not |v| <= DROP_TOL`, as for a mapping, keeps a NaN for the norm check
+        kept = ~(np.hypot(values.real, values.imag) <= DROP_TOL)
+        if not kept.all():
+            keys, values = keys[kept], values[kept]
+        code = _radix(keys, dims)[0]
+        if _dense(code)[1] < len(code):
+            _, first = np.unique(code, return_index=True)
+            repeated = np.ones(len(code), dtype=bool)
+            repeated[first] = False
+            row = int(repeated.argmax())
+            raise ValueError(f"index {tuple(keys[row].tolist())} is repeated")
+        try:
+            norm_sq = _cell_sum(values.real, values.imag)
+        except OverflowError:
+            norm_sq = math.inf
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            _refuse_norm(norm_sq, zip(map(tuple, keys.tolist()), values.tolist()))
+        state = cls.__new__(cls)
+        _set(state, "registry", registry)
+        _set(state, "_amplitudes", None)
+        _set(state, "_keys", _read_only(keys))
+        _set(state, "_values", _read_only(values))
+        return state
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"SparseState is immutable; cannot set {name!r}")
+
+    @property
+    def amplitudes(self) -> Mapping[MultiIndex, complex]:
+        """Read-only map from key tuples to amplitudes, in key order."""
+        if self._amplitudes is None:
+            mapping = dict(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
+            _set(self, "_amplitudes", MappingProxyType(mapping))
+        return self._amplitudes
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The support, one int64 row of basis indices per entry."""
+        if self._keys is None:
+            self._fill_arrays()
+        return self._keys
+
+    @property
+    def values(self) -> np.ndarray:
+        """The complex128 amplitude of each row of `keys`."""
+        if self._values is None:
+            self._fill_arrays()
+        return self._values
+
+    def _fill_arrays(self) -> None:
+        amplitudes = self._amplitudes
+        n, width = len(amplitudes), len(self.registry.labels)
+        keys = np.fromiter(
+            itertools.chain.from_iterable(amplitudes), dtype=np.int64, count=n * width
+        ).reshape(n, width)
+        values = np.fromiter(amplitudes.values(), dtype=np.complex128, count=n)
+        _set(self, "_keys", _read_only(keys))
+        _set(self, "_values", _read_only(values))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparseState):
+            return NotImplemented
+        return self.registry == other.registry and self.amplitudes == other.amplitudes
+
+    def __repr__(self) -> str:
+        return f"SparseState(registry={self.registry!r}, amplitudes={dict(self.amplitudes)!r})"
+
+    def __reduce__(self):
+        return (SparseState.from_arrays, (self.registry, self.keys, self.values))
 
 
 def squared_norm(amplitudes: Mapping[MultiIndex, complex]) -> float:
@@ -151,13 +283,22 @@ def basis_state(registry: SystemRegistry, indices: Sequence[int]) -> SparseState
 
 
 def tensor(left: SparseState, right: SparseState) -> SparseState:
-    """Tensor product on disjointly labeled registries; amplitudes multiply."""
+    """Tensor product on disjointly labeled registries, built from the two
+    states' arrays: row (a, b), a outer, is left key a followed by right key
+    b, with amplitude left[a] * right[b] as CPython multiplies complex
+    numbers, spelled out on float components.  The product is checked as any
+    state is (DROP_TOL, norm), so tensoring with |0> on a new register adds
+    one constant column over the same amplitudes."""
     registry = left.registry.merged_with(right.registry)
-    amplitudes: dict[MultiIndex, complex] = {}
-    for key_l, amp_l in left.amplitudes.items():
-        for key_r, amp_r in right.amplitudes.items():
-            amplitudes[key_l + key_r] = amp_l * amp_r
-    return SparseState(registry, amplitudes)
+    a, b = left.values, right.values
+    re, im = _complex_product(a.real[:, None], a.imag[:, None], b.real, b.imag)
+    split, width = len(left.registry.labels), len(registry.labels)
+    keys = np.empty((len(a), len(b), width), dtype=np.int64)
+    keys[:, :, :split] = left.keys[:, None]
+    keys[:, :, split:] = right.keys
+    values = np.empty(len(a) * len(b), dtype=np.complex128)
+    values.real, values.imag = re.ravel(), im.ravel()
+    return SparseState.from_arrays(registry, keys.reshape(-1, width), values)
 
 
 def _alignment_permutation(source: SystemRegistry, target: SystemRegistry) -> tuple[int, ...] | None:
@@ -750,7 +891,8 @@ def born_table(
     state: SparseState, observables: Sequence[Observable]
 ) -> dict[tuple[float, ...], float]:
     """Born probabilities of every eigenvalue tuple of observables on pairwise
-    disjoint subsystems, from one pass over the state.
+    disjoint subsystems, from one pass over the state's key and amplitude
+    arrays, read as they are.
 
     Each support entry becomes a row of int64 codes: the branches taken so
     far, the part no observable touches, and one acting column per
@@ -771,11 +913,8 @@ def born_table(
     _check_disjoint(observable.registry for observable in obs)
     host = state.registry
     plans = [_BornPlan(host, observable) for observable in obs]
-    n, width = len(state.amplitudes), len(host.labels)
-    support = np.fromiter(
-        itertools.chain.from_iterable(state.amplitudes), dtype=np.int64, count=n * width
-    ).reshape(n, width)
-    values = np.fromiter(state.amplitudes.values(), dtype=np.complex128, count=n)
+    support, values = state.keys, state.values
+    n, width = support.shape
     acting_axes = {axis for plan in plans for axis in plan.axes}
     rest_axes = [i for i in range(width) if i not in acting_axes]
     rest, rest_count = _row_codes(support[:, rest_axes], [host.dimensions[i] for i in rest_axes])

@@ -95,7 +95,7 @@ def test_second_kind_validates_post_states():
     psi = qubit_state(0.6, 0.8)
     registry = psi.registry
     bad = SparseState(registry, {(0,): 1.0})
-    object.__setattr__(bad, "amplitudes", {(0,): 0.5})  # force a broken norm
+    object.__setattr__(bad, "_amplitudes", {(0,): 0.5})  # force a broken norm
     with pytest.raises(ValueError, match="not normalized"):
         couplings.second_kind_coupling(
             psi, basis_projectors(registry), [bad, qubit_state(1.0, 0.0)]

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -671,6 +672,112 @@ def test_spec_only_routes_equal_the_state_routes(spec):
     assert [v.tobytes() for v in got.aux] == [v.tobytes() for v in expected.aux]
     c_n = ez.harmonic_number(spec.n)
     assert ez._chi_overlap(spec, c_n) == _chi_overlap_on_state(spec, state)
+
+
+def _slot_statistics_loop(state, spec):
+    """The entry-by-entry loop the array `slot_statistics` replaced: the
+    oracle for its refusals, weights, key order and slot vectors."""
+    axes = state.registry.axes(ez.SIDES["A"] + ez.SIDES["B"])
+    row = {s: k for k, s in enumerate(spec.pairs)}
+    weights = {s: 0.0 for s in spec.pairs}
+    aux = {}
+    for key, amp in state.amplitudes.items():
+        q_a, j_a, i_a, q_b, j_b, i_b = (key[axis] for axis in axes)
+        if (q_a, j_a, i_a) != (q_b, j_b, i_b):
+            raise ValueError("state is not slot-diagonal; use the literal chain route")
+        value = complex(amp)
+        if abs(value.imag) > 1e-14:
+            raise ValueError("slot fast path requires real amplitudes")
+        slot = (i_a, j_a)
+        if slot not in weights:
+            raise ValueError(f"state occupies slot {slot} outside the spec's slots")
+        value = value.real
+        weights[slot] += value * value
+        aux[row[slot], q_a] = aux.get((row[slot], q_a), 0.0) + value
+    vectors = [np.zeros(1 + max((q for r, q in aux if r == k), default=-1)) for k in range(spec.r)]
+    for (k, q), value in aux.items():
+        vectors[k][q] = value
+    return ez.SlotStatistics(pairs=spec.pairs, weights=weights, aux=tuple(vectors))
+
+
+def _slot_outcome(statistics, state, spec):
+    try:
+        stats = statistics(state, spec)
+    except ValueError as exc:  # the message itself is the outcome compared
+        return str(exc)
+    return stats.pairs, list(stats.weights.items()), [v.tobytes() for v in stats.aux]
+
+
+@settings(deadline=None, max_examples=100)
+@given(embezzle_specs(), st.data())
+def test_slot_statistics_read_the_arrays_as_the_entry_loop_did(spec, data):
+    """The embezzled state, with a spectator register or with one to three
+    entries moved off the slot diagonal, to an unknown slot or to a complex
+    amplitude: the vectorised checks refuse at the same first entry with the
+    same message, and otherwise the statistics keep their bits."""
+    state = ez.embezzled_state(spec)
+    registry = state.registry
+    if data.draw(st.booleans(), label="spectator"):
+        state = tensor(state, SparseState(SystemRegistry((("W", 2),)), {(1,): 1.0}))
+    keys, values = state.keys.copy(), state.values.copy()
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        k = data.draw(st.integers(0, len(keys) - 1), label="row")
+        kind = data.draw(st.sampled_from(["register", "slot", "phase"]), label="kind")
+        if kind == "phase":
+            values[k] *= data.draw(st.sampled_from([1j, 1 + 1e-13j, 1 + 1e-15j]), label="phase")
+        else:
+            # move one register's index, or both pointers' together, by a shift
+            if kind == "slot":
+                labels = ("A1", "B1")
+            else:
+                labels = (data.draw(st.sampled_from(registry.labels), label="register"),)
+            dim = registry.dimension(labels[0])
+            shift = data.draw(st.integers(1, max(1, dim - 1)), label="shift")
+            for label in labels:
+                axis = state.registry.axis(label)
+                keys[k, axis] = (keys[k, axis] + shift) % dim
+    try:
+        edited = SparseState.from_arrays(state.registry, keys, values)
+    except ValueError:  # an edit landed on a key the support already holds
+        reject()
+    assert _slot_outcome(ez.slot_statistics, edited, spec) == _slot_outcome(
+        _slot_statistics_loop, edited, spec
+    )
+
+
+MIB = 2**20
+
+
+def _traced_memory(build):
+    """What `build()` returns, with the bytes it still holds and its peak."""
+    tracemalloc.start()
+    try:
+        built = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return built, held, peak
+
+
+def test_embezzled_state_at_n_1e5_peaks_below_30_mib():
+    """The state is filled from `_embezzled_terms` as two arrays, about 12 MiB
+    for its 200 000 entries; a dict of key tuples peaked near 78 MiB."""
+    spec = ez.EmbezzleSpec.from_reals((1 / math.pi, 1 - 1 / math.pi), l=50, n=10**5)
+    state, _, peak = _traced_memory(lambda: ez.embezzled_state(spec))
+    assert state.keys.shape == (200_000, 6)
+    assert peak < 30 * MIB
+
+
+def test_spectator_extension_at_n_1e5_holds_below_15_mib_more():
+    """state (x) |0>_W, as the spectator premise builds it, is the key rows
+    with one more column and the product amplitudes, about 13.7 MiB; a
+    copied dict held 34 MiB."""
+    spec = ez.EmbezzleSpec.from_reals((1 / math.pi, 1 - 1 / math.pi), l=50, n=10**5)
+    state = ez.embezzled_state(spec)
+    spectator = SparseState(SystemRegistry((("W", 2),)), {(0,): 1.0})
+    extended, held, _ = _traced_memory(lambda: tensor(state, spectator))
+    assert extended.keys.shape == (200_000, 7)
+    assert held < 15 * MIB
 
 
 def _chi_overlap_loop(spec, c_n):

@@ -527,6 +527,16 @@ def test_ledger_arithmetic_on_spec_weights_matches_the_born_table_route(monkeypa
             assert block[key] == pytest.approx(expected[key], rel=0, abs=1e-14)
 
 
+def test_fine_ledger_point_keeps_its_bits():
+    """The fine point of acceptance check 11, (N, l, n) = (8, 50, 10^4), to
+    the last bit: the check itself pins it only to 1e-8."""
+    model, space = hv.fixture_model("trivial")
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=50, n=10**4)
+    report = hv.triviality_bound(model, space, spec, 8)
+    assert report["passed"]
+    assert report["achieved_epsilon"] == 0.06518891770642714
+
+
 def test_triviality_bound_shrinks_with_resources():
     model, space = hv.fixture_model("trivial")
     coarse = ez.EmbezzleSpec.from_reals([1.0 / 3.0, 2.0 / 3.0], l=3, n=60)

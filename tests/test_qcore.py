@@ -1,6 +1,7 @@
 """Tests for the sparse-state engine: registries, states, projectors,
 observables, Born tables, and structured basis maps."""
 
+import cmath
 import dataclasses
 import math
 import pickle
@@ -684,6 +685,125 @@ def test_born_table_does_not_depend_on_the_support_order(case, random):
     random.shuffle(keys)
     shuffled = SparseState(state.registry, {key: state.amplitudes[key] for key in keys})
     assert born_table(shuffled, observables) == born_table(state, observables)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: one state type, built from a mapping or from arrays
+
+
+def _bits(values):
+    """Each complex amplitude's exact bits, the sign of a zero part included."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@settings(deadline=None, max_examples=100)
+@given(born_cases(), st.data())
+def test_mapping_and_array_builds_are_one_state(case, data):
+    """A `born_cases` state and a few entries at or below DROP_TOL, in a drawn
+    key order, built from a mapping and from arrays: the same amplitudes in
+    the same order, Born cells that are the literal oracle's floats, and a
+    spectator |0>_W that only adds a constant column."""
+    state, observables = case
+    registry = state.registry
+    free = [key for key in np.ndindex(*registry.dimensions) if key not in state.amplitudes]
+    tiny = st.lists(st.sampled_from(free), max_size=3, unique=True) if free else st.just([])
+    tiny = data.draw(tiny, label="tiny")
+    small = st.sampled_from([0.0, -0.0, DROP_TOL, DROP_TOL * 0.5j, complex(-DROP_TOL, 0.0)])
+    entries = list(state.amplitudes.items()) + [(key, data.draw(small)) for key in tiny]
+    entries = data.draw(st.permutations(entries), label="order")
+    keys, values = zip(*entries)
+    from_mapping = SparseState(registry, dict(entries))
+    from_arrays = SparseState.from_arrays(
+        registry, np.array(keys, dtype=np.int64), np.array(values, dtype=complex)
+    )
+    kept = [(key, complex(value)) for key, value in entries if abs(value) > DROP_TOL]
+    for built in (from_mapping, from_arrays):
+        assert list(built.amplitudes) == [key for key, _ in kept]
+        assert _bits(built.amplitudes.values()) == _bits(value for _, value in kept)
+        assert built.keys.tolist() == [list(key) for key, _ in kept]
+        assert _bits(built.values.tolist()) == _bits(value for _, value in kept)
+        assert not (built.keys.flags.writeable or built.values.flags.writeable)
+    assert from_mapping == from_arrays == state
+    for built in (from_mapping, from_arrays):
+        assert _cells_off_oracle(built, observables) == []
+
+    spectator = basis_state(SystemRegistry((("W", 2),)), (0,))
+    extended = tensor(from_arrays, spectator)
+    assert extended.registry.labels == registry.labels + ("W",)
+    assert extended.keys[:, :-1].tolist() == from_arrays.keys.tolist()
+    assert set(extended.keys[:, -1].tolist()) == {0}
+    # CPython's product by 1 keeps each amplitude, up to the sign of a zero part
+    product = [a * (1 + 0j) for a in from_arrays.values.tolist()]
+    assert _bits(extended.values.tolist()) == _bits(product)
+    assert (extended.values == from_arrays.values).all()
+    assert born_table(extended, observables) == born_table(from_arrays, observables)
+
+
+def _mapping_build(registry, amplitudes):
+    return SparseState(registry, amplitudes).amplitudes
+
+
+def _array_build(registry, amplitudes):
+    keys = np.array(list(amplitudes), dtype=np.int64)
+    values = np.array(list(amplitudes.values()), dtype=complex)
+    return SparseState.from_arrays(registry, keys, values).amplitudes
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_mapping_and_array_builds_refuse_alike(data):
+    """Rows in range, or of one arity (the registry's, one less or one more)
+    with indices from -1 to the largest dimension, and amplitudes that may
+    be dropped, not finite or too large to square, scaled to unit norm or
+    not: both constructors build the same state or raise the same error
+    with the same text."""
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="dims")
+    registry = SystemRegistry(tuple((f"R{a}", d) for a, d in enumerate(dims)))
+    if data.draw(st.booleans(), label="in range"):
+        row = st.tuples(*[st.integers(0, d - 1) for d in dims])
+    else:
+        width = data.draw(st.integers(max(1, len(dims) - 1), len(dims) + 1), label="width")
+        row = st.tuples(*[st.integers(-1, max(dims))] * width)
+    keys = data.draw(st.lists(row, min_size=1, max_size=6, unique=True), label="keys")
+    amplitude = st.sampled_from(
+        [0.0, DROP_TOL, 0.6, -0.8j, 1.0, 0.5 + 0.5j, math.nan, -math.inf, 1e200]
+    )
+    values = [data.draw(amplitude) for _ in keys]
+    scale = math.hypot(*(abs(v) for v in values if cmath.isfinite(v)))
+    if scale and data.draw(st.booleans(), label="unit norm"):
+        values = [v / scale for v in values]
+    amplitudes = dict(zip(keys, values))
+    assert _outcome(_mapping_build, registry, amplitudes) == _outcome(
+        _array_build, registry, amplitudes
+    )
+
+
+def test_array_build_refuses_a_repeated_key_and_a_ragged_shape():
+    registry = SystemRegistry((("A", 2), ("B", 2)))
+    with pytest.raises(ValueError, match=r"index \(1, 0\) is repeated"):
+        SparseState.from_arrays(registry, [[1, 0], [0, 1], [1, 0]], [0.6, 0.8, 0.0 + 1e-3])
+    with pytest.raises(ValueError, match="one row per amplitude"):
+        SparseState.from_arrays(registry, [[1, 0]], [0.6, 0.8])
+
+
+def test_state_forms_each_view_once_and_only_on_read():
+    """A mapping-built state forms its arrays on the first read of `keys` or
+    `values` and an array-built state its mapping on the first read of
+    `amplitudes`; later reads return the same objects, and none is writable."""
+    registry = SystemRegistry((("A", 2), ("B", 2)))
+    ket = SparseState(registry, {(0, 0): 0.6, (1, 1): 0.8})
+    assert ket._keys is None and ket._values is None
+    assert ket.keys is ket.keys and ket.values is ket.values
+    rows = SparseState.from_arrays(registry, ket.keys, ket.values)
+    assert rows._amplitudes is None
+    assert rows.amplitudes is rows.amplitudes
+    with pytest.raises(TypeError):
+        rows.amplitudes[(0, 0)] = 1.0
+    with pytest.raises(ValueError):
+        rows.keys[0, 0] = 1
+    with pytest.raises(AttributeError):
+        rows.registry = registry
+    assert pickle.loads(pickle.dumps(rows)) == rows == ket
 
 
 def test_born_table_of_a_51_branch_slot_observable_peaks_below_20_mb():
