@@ -27,7 +27,7 @@ from .qcore import (
     RankedProjector,
     SparseState,
     SystemRegistry,
-    born_probability,
+    basis_span_projector,
     born_table,
     complete_with_complement,
     inner_product,
@@ -311,8 +311,15 @@ def correlation_measure_IN_prime(state: SparseState, spec: ChainSpec) -> ChainRe
     """
     registry_a = state.registry.restrict(("A",))
     lo, hi = spec.pair  # normalized by ChainSpec
-    weight_lo = born_probability(state, span_projector([SparseState(registry_a, {lo: 1.0})]))
-    weight_hi = born_probability(state, span_projector([SparseState(registry_a, {hi: 1.0})]))
+    # One basis observable on A: |lo> at 1, |hi> at -1, the rest closing at 0
+    # (of rank 0 when A is a qubit).
+    pair_basis = complete_with_complement(
+        [(1.0, basis_span_projector(registry_a, [lo])),
+         (-1.0, basis_span_projector(registry_a, [hi]))],
+        0.0,
+    )
+    weights = born_table(state, [pair_basis])
+    weight_lo, weight_hi = weights[(1.0,)], weights[(-1.0,)]
     if abs(weight_lo - weight_hi) > 1e-10:
         raise ValueError(
             f"rotated pair must carry equal coefficients: c_j^2 = {weight_lo}, "

@@ -40,7 +40,7 @@ from . import couplings
 from . import embezzle as ez
 from . import halfsum
 from . import hvaudit as hv
-from .qcore import SparseState, SystemRegistry, born_probability, span_projector
+from .qcore import SparseState, SystemRegistry, span_projector, squared_norm
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -681,6 +681,8 @@ def run_couple(cfg: dict) -> dict:
     seed = int(_option(cfg, "seed", 0))
     instances = int(_option(cfg, "instances", 18))
     tol = float(_option(cfg, "tol", 1e-10))
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
@@ -710,7 +712,10 @@ def run_couple(cfg: dict) -> dict:
         if kind in ("first", "second"):
             blocks = int(rng.integers(2, dim + 1))
             projectors = _random_split(rng, registry, blocks)
-            weights = [born_probability(psi, p) for p in projectors]
+            weights = [
+                min(1.0, max(0.0, squared_norm(branch)))
+                for branch in couplings.branch_amplitudes(psi, projectors)
+            ]
             if kind == "first":
                 out = couplings.first_kind_coupling(psi, projectors, pointer_label="P")
                 dist = couplings.pointer_distribution(out, "P")

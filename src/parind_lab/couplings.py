@@ -39,7 +39,7 @@ def pointer_distribution(state: SparseState, label: str) -> dict[int, float]:
     return dist
 
 
-def _branch_amplitudes(
+def branch_amplitudes(
     psi: SparseState, projectors: Sequence[RankedProjector]
 ) -> list[dict]:
     """Project psi through each branch and validate completeness on the state:
@@ -60,7 +60,7 @@ def first_kind_coupling(
     pointer_label: str = "B",
 ) -> SparseState:
     """sum_j E_j|psi> (x) |j>_pointer, with zero-weight branches dropped."""
-    branches = _branch_amplitudes(psi, projectors)
+    branches = branch_amplitudes(psi, projectors)
     pointer = SystemRegistry(((pointer_label, len(projectors)),))
     registry = psi.registry.merged_with(pointer)
     amplitudes = {}
@@ -89,7 +89,7 @@ def second_kind_coupling(
             raise ValueError(f"post state {j} lives on different subsystems than psi")
         if abs(squared_norm(post.amplitudes) - 1.0) > NORM_TOL:
             raise ValueError(f"post state {j} is not normalized")
-    branches = _branch_amplitudes(psi, projectors)
+    branches = branch_amplitudes(psi, projectors)
     pointers = SystemRegistry(
         ((pointer_labels[0], len(projectors)), (pointer_labels[1], len(projectors)))
     )

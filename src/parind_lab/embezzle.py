@@ -70,17 +70,6 @@ def interpolated_harmonic(y: float | Fraction) -> float:
     return harmonic_number(floor) + float(y - floor) / (floor + 1)
 
 
-def grouped_harmonic_sum(n: int, m: int) -> float:
-    """Independent oracle for Z(n/m): sum_{k<n} 1/(m * ceil((k+1)/m)).
-
-    Grouping k into runs of m equal ceiling values reproduces Z(n/m) exactly,
-    which pins down the floor-based interpolation of `interpolated_harmonic`.
-    """
-    if n < 0 or m < 1:
-        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
-    return math.fsum(1.0 / (m * math.ceil((k + 1) / m)) for k in range(n))
-
-
 # ---------------------------------------------------------------------------
 # Exact rational machinery
 

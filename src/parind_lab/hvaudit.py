@@ -62,7 +62,6 @@ from .qcore import (
     born_table,
     complete_with_complement,
     identity_projector,
-    joint_probability,
     tensor,
 )
 
@@ -751,25 +750,12 @@ def refutation_scan(
 # Perfect-correlation transfer
 
 
-def mismatch_probability(
-    state: SparseState,
-    event_a: RankedProjector,
-    event_b: RankedProjector,
-    direction: str = "both",
-) -> float:
-    """Born probability of disagreeing remote events.
-
-    "forward" is the one-sided event (a fires, b does not), "backward" its
-    mirror, and "both" their sum — the probability that exactly one fires.
-    One-sided events express refinements: a finer event on one wing implies a
-    coarser one on the other without the converse holding eventwise.
-    """
-    forward = joint_probability(state, [event_a, event_b.complement()])
-    backward = joint_probability(state, [event_a.complement(), event_b])
-    return _directed(forward, backward, direction)
-
-
 def _directed(forward: float, backward: float, direction: str) -> float:
+    """The mismatch of remote events a and b in one direction: "forward" is the
+    one-sided event (a fires, b does not), "backward" its mirror, and "both"
+    their sum, the probability that exactly one fires.  One-sided events
+    express refinements: a finer event on one wing implies a coarser one on
+    the other without the converse holding eventwise."""
     if direction == "forward":
         return forward
     if direction == "backward":
@@ -780,7 +766,7 @@ def _directed(forward: float, backward: float, direction: str) -> float:
 
 
 # A perfect-correlation event: (description, event_a, event_b, direction), with
-# direction "forward", "backward" or "both" as in `mismatch_probability`.
+# direction "forward", "backward" or "both" as `_directed` reads it.
 Event = tuple[str, RankedProjector, RankedProjector, str]
 
 
@@ -852,7 +838,8 @@ def perfect_correlation_check(
         obs_a = complete_with_complement([(1.0, event_a)], -1.0)
         obs_b = complete_with_complement([(1.0, event_b)], -1.0)
         # Cells (1, -1) and (-1, 1) are the one-sided mismatches, each the float
-        # `mismatch_probability` gives (the module tests pin the two routes).
+        # of the literal joint probability of one event and the other's
+        # complement (the tests pin it against the oracle in tests/oracles.py).
         born = Scenario(state, (obs_a, obs_b), description=description).born
         p = _directed(born[(1.0, -1.0)], born[(-1.0, 1.0)], direction)
         quantum.append({"event": description, "mismatch": p, "holds": p <= tol})

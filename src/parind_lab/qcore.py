@@ -1,16 +1,16 @@
 """Sparse state-vector core: labeled subsystems, low-rank projectors, observables,
-Born-rule probabilities, the pure-state fidelity, and structured basis maps.
+Born-rule probabilities, and structured basis maps.
 
 States live on a registry of named finite-dimensional subsystems and store only
 nonzero amplitudes, as two arrays: one int64 key row per support entry (one basis
 index per subsystem) and one complex128 amplitude per row.  The key -> amplitude
-mapping that the literal routes read is a read-only view built on its first
-read; a state built from a mapping forms its arrays on the Born kernel's first
-read instead.  Projectors are spans of explicit ket lists (or complements of
-such spans), so rank stays small even when the ambient product space is huge.
-Unitaries appear only as structured partial basis maps that refuse inputs
-outside their declared domain; nothing in this package ever materializes a
-dense operator on the full product space.
+mapping that `project_amplitudes` and `inner_product` read is a read-only view
+built on its first read; a state built from a mapping forms its arrays on the
+Born kernel's first read instead.  Projectors are spans of explicit ket lists
+(or complements of such spans), so rank stays small even when the ambient
+product space is huge.  Unitaries appear only as structured partial basis maps
+that refuse inputs outside their declared domain; nothing in this package ever
+materializes a dense operator on the full product space.
 """
 
 from __future__ import annotations
@@ -337,11 +337,6 @@ def inner_product(a: SparseState, b: SparseState) -> complex:
     return total
 
 
-def fidelity(a: SparseState, b: SparseState) -> float:
-    """Pure-state fidelity |<a|b>|."""
-    return abs(inner_product(a, b))
-
-
 def _meeting_pairs(
     registry: SystemRegistry, groups: Sequence[Sequence[SparseState]]
 ) -> list[tuple[SparseState, SparseState]]:
@@ -397,9 +392,6 @@ class RankedProjector:
     def rank_of_span(self) -> int:
         return len(self.kets)
 
-    def complement(self) -> RankedProjector:
-        return RankedProjector(self.registry, self.kets, not self.complemented)
-
 
 def identity_projector(registry: SystemRegistry) -> RankedProjector:
     return RankedProjector(registry, (), complemented=True)
@@ -449,110 +441,58 @@ def _check_disjoint(registries: Iterable[SystemRegistry]) -> None:
         seen |= labels
 
 
-class _ProjectionEngine:
-    """Applies a RankedProjector to amplitude maps over a host registry.
-
-    The host key splits into the acting part (the projector's subsystems) and the
-    rest; the projector contracts each rest-group against its kets.  Groups are
-    rebuilt sparsely, so cost scales with the state's nonzero count times the
-    projector's total ket support, never with the ambient dimension.
-    """
-
-    def __init__(self, host: SystemRegistry, projector: RankedProjector):
-        self.projector = projector
-        # Work in the host's subsystem order throughout, so split keys and ket keys
-        # agree even when the projector lists its subsystems differently.
-        host_order = _host_order(host, projector.registry)
-        self.acting_axes = host.axes(host_order.labels)
-        self.rest_axes = tuple(
-            i for i in range(len(host.labels)) if i not in set(self.acting_axes)
-        )
-        self.ket_amps: list[Mapping[MultiIndex, complex]] = [
-            dict(aligned_amplitudes(ket, host_order)) for ket in projector.kets
-        ]
-
-    def _split(self, key: MultiIndex) -> tuple[MultiIndex, MultiIndex]:
-        return (
-            tuple(key[i] for i in self.acting_axes),
-            tuple(key[i] for i in self.rest_axes),
-        )
-
-    def _join(self, acting: MultiIndex, rest: MultiIndex) -> MultiIndex:
-        key = [0] * (len(acting) + len(rest))
-        for axis, value in zip(self.acting_axes, acting):
-            key[axis] = value
-        for axis, value in zip(self.rest_axes, rest):
-            key[axis] = value
-        return tuple(key)
-
-    def span_image(self, amplitudes: Mapping[MultiIndex, complex]) -> dict[MultiIndex, complex]:
-        groups: dict[MultiIndex, dict[MultiIndex, complex]] = {}
-        for key, amp in amplitudes.items():
-            acting, rest = self._split(key)
-            groups.setdefault(rest, {})[acting] = amp
-        image: dict[MultiIndex, complex] = {}
-        for rest, vec in groups.items():
-            for ket in self.ket_amps:
-                coeff = 0.0 + 0.0j
-                for acting, ket_amp in ket.items():
-                    value = vec.get(acting)
-                    if value is not None:
-                        coeff += ket_amp.conjugate() * value
-                if abs(coeff) <= DROP_TOL:
-                    continue
-                for acting, ket_amp in ket.items():
-                    full = self._join(acting, rest)
-                    image[full] = image.get(full, 0.0) + coeff * ket_amp
-        return {k: v for k, v in image.items() if abs(v) > DROP_TOL}
-
-    def apply(self, amplitudes: Mapping[MultiIndex, complex]) -> dict[MultiIndex, complex]:
-        image = self.span_image(amplitudes)
-        if not self.projector.complemented:
-            return image
-        residual = dict(amplitudes)
-        for key, value in image.items():
-            left = residual.get(key, 0.0) - value
-            if abs(left) > DROP_TOL:
-                residual[key] = left
-            else:
-                residual.pop(key, None)
-        return residual
-
-
 def project_amplitudes(
     host: SystemRegistry,
     amplitudes: Mapping[MultiIndex, complex],
     projector: RankedProjector,
 ) -> dict[MultiIndex, complex]:
-    """Amplitude map of (P psi) for a possibly unnormalized amplitude map psi."""
-    return _ProjectionEngine(host, projector).apply(amplitudes)
+    """Amplitude map of (P psi) for a possibly unnormalized amplitude map psi.
 
-
-def born_probability(state: SparseState, projector: RankedProjector) -> float:
-    """Born probability <psi|P|psi> of a ranked projector.
-
-    For a span this is the summed squared overlap with each ket over every
-    configuration of the untouched subsystems; for a complemented projector it
-    is the squared norm of the residual psi minus its span image.  This literal
-    route is the oracle that `born_table` is tested against.
+    The host key splits into the acting part (the projector's subsystems) and
+    the rest; the projector contracts each rest-group against its kets.  Groups
+    are rebuilt sparsely, so cost scales with the state's nonzero count times
+    the projector's total ket support, never with the ambient dimension.  A
+    complemented projector returns the residual psi minus the span image.
     """
-    projected = project_amplitudes(state.registry, state.amplitudes, projector)
-    return min(1.0, max(0.0, squared_norm(projected)))
-
-
-def joint_probability(state: SparseState, projectors: Sequence[RankedProjector]) -> float:
-    """Born probability of a product of projectors on pairwise disjoint subsystems.
-
-    Disjointness makes the factors commute, so the product is itself a projector
-    and the joint outcome is well-defined.
-    """
-    _check_disjoint(projector.registry for projector in projectors)
-    amplitudes: Mapping[MultiIndex, complex] = state.amplitudes
-    for projector in projectors:
-        amplitudes = project_amplitudes(state.registry, amplitudes, projector)
-        if not amplitudes:
-            return 0.0
-    return min(1.0, max(0.0, squared_norm(amplitudes)))
+    # Work in the host's subsystem order throughout, so split keys and ket keys
+    # agree even when the projector lists its subsystems differently.
+    host_order = _host_order(host, projector.registry)
+    acting_axes = host.axes(host_order.labels)
+    rest_axes = tuple(i for i in range(len(host.labels)) if i not in acting_axes)
+    kets = [dict(aligned_amplitudes(ket, host_order)) for ket in projector.kets]
+    groups: dict[MultiIndex, dict[MultiIndex, complex]] = {}
+    for key, amp in amplitudes.items():
+        rest = tuple(key[i] for i in rest_axes)
+        groups.setdefault(rest, {})[tuple(key[i] for i in acting_axes)] = amp
+    image: dict[MultiIndex, complex] = {}
+    for rest, vec in groups.items():
+        for ket in kets:
+            coeff = 0.0 + 0.0j
+            for acting, ket_amp in ket.items():
+                value = vec.get(acting)
+                if value is not None:
+                    coeff += ket_amp.conjugate() * value
+            if abs(coeff) <= DROP_TOL:
+                continue
+            for acting, ket_amp in ket.items():
+                joined = [0] * len(host.labels)
+                for axis, value in zip(acting_axes, acting):
+                    joined[axis] = value
+                for axis, value in zip(rest_axes, rest):
+                    joined[axis] = value
+                full = tuple(joined)
+                image[full] = image.get(full, 0.0) + coeff * ket_amp
+    image = {k: v for k, v in image.items() if abs(v) > DROP_TOL}
+    if not projector.complemented:
+        return image
+    residual = dict(amplitudes)
+    for key, value in image.items():
+        left = residual.get(key, 0.0) - value
+        if abs(left) > DROP_TOL:
+            residual[key] = left
+        else:
+            residual.pop(key, None)
+    return residual
 
 
 @dataclasses.dataclass(frozen=True)
@@ -898,11 +838,14 @@ def born_table(
     far, the part no observable touches, and one acting column per
     observable.  One flat numpy pass per observable projects every row
     through every branch at once; only keys the state or a ket holds are
-    ever formed.  Every cell equals `joint_probability(state, [projectors in
-    that order])` (for one observable, `born_probability`) as a float,
-    complemented branches included: they are literal residuals, never one
-    minus the other cells.  The kernel does the oracle's float operations in
-    the oracle's order, with three rules where numpy and CPython round
+    ever formed.  This is the program's only Born route.  Its oracle lives
+    in `tests/oracles.py`: every cell equals, as a float,
+    `joint_probability(state, [projectors in that order])` (for one
+    observable, `born_probability`), the clipped squared norm of
+    `project_amplitudes` applied projector by projector, complemented
+    branches included: they are literal residuals, never one minus the
+    other cells.  The kernel does the oracle's float operations in the
+    oracle's order, with three rules where numpy and CPython round
     differently: complex products are CPython's, spelled out on float64
     components; |z| is `np.hypot`, as `abs()` computes it (not `np.abs`);
     and each final |v|^2 is `h ** 2` on a Python float (not `h * h`).

@@ -1,7 +1,9 @@
 """Tests for chained correlation measures on two-qubit and two-qutrit states."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from parind_lab import chained_bell as cb
@@ -11,10 +13,11 @@ from parind_lab.qcore import (
     PROB_TOL,
     SparseState,
     SystemRegistry,
-    born_probability,
+    basis_span_projector,
     born_table,
-    joint_probability,
 )
+
+from oracles import born_probability, joint_probability
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32, 64])
@@ -112,6 +115,60 @@ def test_ddim_chain_unequal_coefficients_rejected():
         cb.correlation_measure_IN_prime(state, spec)
 
 
+def _pair_weights(state, pair):
+    """The oracle's Born weights of |lo> and |hi> on wing A."""
+    registry_a = state.registry.restrict(("A",))
+    return [born_probability(state, basis_span_projector(registry_a, [i])) for i in pair]
+
+
+@pytest.mark.parametrize(
+    "squares, pair",
+    [
+        ([0.5, 0.5], (0, 1)),  # d = 2: the closing branch has rank 0
+        ([0.3, 0.4, 0.3], (2, 0)),
+        ([1.0 / 7.0, 2.0 / 7.0, 2.0 / 7.0, 2.0 / 7.0], (3, 1)),
+    ],
+)
+def test_ddim_chain_reads_the_oracle_weights(monkeypatch, squares, pair):
+    """The pair weights `correlation_measure_IN_prime` reads from its one
+    observable on A are the literal Born probabilities bit for bit, and its
+    closed form and bound are those of their mean."""
+    state = phi_schmidt([math.sqrt(s) for s in squares])
+    spec = cb.ChainSpec(N=3, pair=pair, eigenvalue_scheme=cb.dimension_scheme)
+    tables = []
+
+    def recording_born_table(state, observables):
+        table = born_table(state, observables)
+        tables.append((len(observables), table))
+        return table
+
+    monkeypatch.setattr(cb, "born_table", recording_born_table)
+    report = cb.correlation_measure_IN_prime(state, spec)
+    weights = _pair_weights(state, pair)
+    read = [table for count, table in tables if count == 1]
+    assert len(read) == 1 and [read[0][(1.0,)], read[0][(-1.0,)]] == weights
+    if len(squares) == 2:
+        assert read[0][(0.0,)] == 0.0
+    cj_squared = 0.5 * (weights[0] + weights[1])
+    assert report.closed_form == cb.ddim_chain_closed_form(3, cj_squared)
+    assert report.bound == cb.ddim_chain_bound(3, cj_squared)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ddim_chain_unequal_pair_names_the_oracle_weights(d):
+    """An unequal pair is refused with both oracle weights in the message."""
+    rng = np.random.default_rng(d)
+    registry = SystemRegistry((("A", d), ("B", d)))
+    vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    vec /= np.linalg.norm(vec)
+    state = SparseState(registry, dict(zip(np.ndindex(d, d), vec)))
+    pair = (d - 1, 0)
+    lo, hi = _pair_weights(state, pair)
+    message = f"rotated pair must carry equal coefficients: c_j^2 = {lo}, c_k^2 = {hi}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cb.correlation_measure_IN_prime(state, cb.ChainSpec(N=2, pair=pair))
+
+
 def test_ddim_chain_on_other_equal_pair():
     # c^2 = (1/6, 1/4, 1/4, 1/3): the equal slice sits at indices (1, 2)
     squares = [1.0 / 6.0, 0.25, 0.25, 1.0 / 3.0]
@@ -137,7 +194,6 @@ def test_terminal_setting_is_flipped_first_setting():
     registry = SystemRegistry((("A", 2),))
     family = cb.chain_observables(spec, registry, "A")
     state = SparseState(registry, {(0,): 1.0})
-    from parind_lab.qcore import born_probability
 
     # convention: eigenvalue -1 on the rotated ket, so |0> is the -1 branch at
     # angle 0 and the +1 branch at angle pi

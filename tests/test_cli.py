@@ -182,6 +182,13 @@ def test_zero_instances_is_config_error_not_the_default(capsys):
     assert out == ""
 
 
+def test_negative_couple_seed_names_its_flag(capsys):
+    """`couple` seeds numpy's generator, which takes no negative seed."""
+    code, out, err = run(capsys, "couple", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --seed must be >= 0, got -1")
+
+
 def test_zero_chain_depth_limit_is_config_error_not_the_default(capsys):
     code, out, err = run(capsys, "audit", "--N-max", "0")
     assert code == 2

@@ -4,6 +4,7 @@ and the finite-resource ledger."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,9 @@ from parind_lab.qcore import (
     basis_span_projector,
     born_table,
     complete_with_complement,
-    joint_probability,
 )
+
+from oracles import joint_probability, mismatch_probability
 
 
 def bell_families(N):
@@ -305,11 +307,21 @@ def test_mismatch_probability_directions():
     fine = basis_span_projector(registry.restrict(("A",)), [(0,)])
     coarse = basis_span_projector(registry.restrict(("B",)), [(0,), (1,)])
     # the fine event implies the coarse one, not conversely
-    assert hv.mismatch_probability(state, fine, coarse, "forward") == pytest.approx(0.0)
-    assert hv.mismatch_probability(state, fine, coarse, "backward") == pytest.approx(0.5)
-    assert hv.mismatch_probability(state, fine, coarse, "both") == pytest.approx(0.5)
+    assert mismatch_probability(state, fine, coarse, "forward") == pytest.approx(0.0)
+    assert mismatch_probability(state, fine, coarse, "backward") == pytest.approx(0.5)
+    assert mismatch_probability(state, fine, coarse, "both") == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        hv.mismatch_probability(state, fine, coarse, "sideways")
+        mismatch_probability(state, fine, coarse, "sideways")
+
+
+def test_perfect_correlation_check_refuses_an_unknown_direction():
+    registry = SystemRegistry((("A", 2), ("B", 2)))
+    state = SparseState(registry, {(0, 0): math.sqrt(0.5), (1, 1): math.sqrt(0.5)})
+    event = basis_span_projector(registry.restrict(("A",)), [(0,)])
+    remote = basis_span_projector(registry.restrict(("B",)), [(0,)])
+    message = "direction must be forward, backward or both, got 'sideways'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hv.perfect_correlation_check(state, [("index 0", event, remote, "sideways")])
 
 
 def test_schmidt_index_events_have_zero_mismatch():
@@ -367,7 +379,7 @@ def test_perfect_correlation_mismatch_is_the_literal_oracle_float():
         report = hv.perfect_correlation_check(psi, events)
         assert len(report["quantum"]) == len(events)
         for (_, event_a, event_b, direction), entry in zip(events, report["quantum"]):
-            oracle = hv.mismatch_probability(psi, event_a, event_b, direction)
+            oracle = mismatch_probability(psi, event_a, event_b, direction)
             assert entry["mismatch"] == oracle
             disagreeing += oracle > 0.1
     assert disagreeing == 8

@@ -8,21 +8,12 @@ function or class counts as read when `src/`, `bench/` or `demos/` loads it as
 a bare name that no enclosing function, lambda or comprehension rebinds, reads
 it as an attribute of a name bound to a `parind_lab` module, or names it as a
 `_Command` handler; a public method also counts as read by any attribute read.
-The only exceptions are the named oracles below.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# Public definitions no program path reads, kept as independent oracles.
-ORACLES = {
-    "fidelity": "qcore: |<a|b>| of two built states, the oracle for embezzle._chi_overlap",
-    "mismatch_probability": "hvaudit: the literal mismatch sum that pins the perfect-correlation cells",
-    "grouped_harmonic_sum": "embezzle: the run-grouped sum that pins interpolated_harmonic",
-}
-
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by the imports of `source` that it never reads."""
@@ -189,4 +180,4 @@ def test_every_public_definition_has_a_program_reader():
         for path in sorted((ROOT / "src").rglob("*.py"))
         for name in unread_definitions(path.read_text(), read)
     }
-    assert sorted(unread) == sorted(ORACLES), unread
+    assert unread == {}
