@@ -34,9 +34,7 @@ from .qcore import (
     Observable,
     PROB_TOL,
     SparseState,
-    StructuredBasisMap,
     SystemRegistry,
-    apply_structured_map,
     basis_state,
     complete_with_complement,
     span_projector,
@@ -293,55 +291,37 @@ def phi_schmidt(coefficients: Sequence[float]) -> SparseState:
     return SparseState(registry, {(i, i): float(c) for i, c in enumerate(coefficients)})
 
 
-def input_state(spec: EmbezzleSpec) -> SparseState:
-    """tau_n on the aux registers, |0>|0> pointers, Schmidt state on the systems."""
-    pointers = SystemRegistry(tuple((ptr, spec.max_m) for _, ptr, _ in SIDES.values()))
-    return tensor(
-        tensor(tau(spec.n), basis_state(pointers, (0, 0))), phi_schmidt(spec.c)
-    )
-
-
-def embezzle_map(
-    n: int, m: Sequence[int], registry: SystemRegistry
-) -> StructuredBasisMap:
-    """The extraction relabeling |k, 0, i> -> |floor(k/m_i), k mod m_i, i> for
-    k < n, i < d, on an (aux, pointer, system) sub-registry in that label order."""
-    if n < max(m):
-        raise ValueError(f"precision n={n} must be at least max numerator {max(m)}")
-    rules: dict[MultiIndex, tuple[MultiIndex, complex]] = {}
-    for i, m_i in enumerate(m):
-        for k in range(n):
-            rules[(k, 0, i)] = ((k // m_i, k % m_i, i), 1.0)
-    return StructuredBasisMap(registry, rules)
-
-
-def extract_side(spec: EmbezzleSpec, state: SparseState, side: str) -> SparseState:
-    """The extraction map applied to side "A" or "B"'s (aux, ptr, sys) registers."""
-    # restrict() keeps host order; the map needs (aux, ptr, sys) order.
-    ordered = SystemRegistry(
-        tuple((label, state.registry.dimension(label)) for label in SIDES[side])
-    )
-    return apply_structured_map(embezzle_map(spec.n, spec.m, ordered), state)
-
-
 def embezzled_state(spec: EmbezzleSpec) -> SparseState:
-    """The extraction map applied to both sides of `input_state(spec)`,
-    tau_n (x) |00> (x) phi (van Dam & Hayden 2003), built from the arrays of
-    `_embezzled_terms` with no per-entry Python object.
+    """tau_n (x) |00> (x) phi with the extraction relabeling applied on both
+    sides (van Dam & Hayden 2003), built from the arrays of `_embezzled_terms`
+    with no per-entry Python object.
 
-    The registry is (A2, B2) of dimension n, (A1, B1) of dimension max m and
-    (A, B) of dimension d, the order `input_state` has, and term (q, j, i) is
-    key row (q, q, j, j, i, i).  `extract_side` on both sides of `input_state`
-    is the literal route; the tests hold this state equal to it, key order
-    and amplitude bits included."""
+    The registry is `_embezzled_registry(spec)`, and term (q, j, i) is key row
+    (q, q, j, j, i, i).  The tests hold this state equal to the map route's,
+    the extraction map applied to each side of tau_n (x) |00> (x) phi, key
+    order and amplitude bits included."""
     q, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
     keys = np.stack([q, q, j, j, i, i], axis=1)
     del q, j, i  # the state's checks then peak over its two arrays alone
     return SparseState.from_arrays(_embezzled_registry(spec), keys, amplitude)
 
 
+def one_side_embezzled_state(spec: EmbezzleSpec) -> SparseState:
+    """tau_n (x) |00> (x) phi with the extraction relabeling applied on side A
+    only, from the same terms and on the same registry as `embezzled_state`.
+
+    Side B keeps aux level k = q m_i + j and pointer 0, so term (q, j, i) is
+    key row (q, k, j, 0, i, i).  The tests hold this state equal to the map
+    route's on side A, key order and amplitude bits included."""
+    q, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
+    k = q * np.array(spec.m, dtype=np.int64)[i] + j
+    keys = np.stack([q, k, j, np.zeros_like(j), i, i], axis=1)
+    del q, j, i, k
+    return SparseState.from_arrays(_embezzled_registry(spec), keys, amplitude)
+
+
 def _embezzled_registry(spec: EmbezzleSpec) -> SystemRegistry:
-    """The registry of `embezzled_state(spec)`: (A2, B2) of dimension n,
+    """The registry of both extracted states: (A2, B2) of dimension n,
     (A1, B1) of dimension max m and (A, B) of dimension d."""
     sides = SIDES.values()
     return SystemRegistry(
@@ -354,16 +334,17 @@ def _embezzled_registry(spec: EmbezzleSpec) -> SystemRegistry:
 def _embezzled_terms(
     spec: EmbezzleSpec, c_n: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The support of `embezzled_state(spec)` as four arrays (q, j, i,
-    amplitude) -- aux level, pointer, system -- the terms the state is built
-    from; `c_n` is `harmonic_number(spec.n)`, summed once by the caller.
+    """The support of the extracted states as four arrays (q, j, i,
+    amplitude) -- aux level, pointer, system -- the terms `embezzled_state`
+    and `one_side_embezzled_state` are built from; `c_n` is
+    `harmonic_number(spec.n)`, summed once by the caller.
 
-    The state relabels |k>|0>|i> of tau_n (x) phi to |k // m_i>|k mod m_i>|i>
-    on both sides, so term (k, i) has amplitude c_i / sqrt(C_n (k + 1)),
-    computed as (1 / sqrt(C_n (k + 1))) * c_i like the literal route's tensor
-    product, and kept above DROP_TOL.  The terms come in the state's key order
+    The extraction relabels |k>|0>|i> of tau_n (x) phi to |k // m_i>|k mod
+    m_i>|i>, so term (k, i) has amplitude c_i / sqrt(C_n (k + 1)), computed as
+    (1 / sqrt(C_n (k + 1))) * c_i like the tensor product tau_n (x) |00> (x)
+    phi, and kept above DROP_TOL.  The terms come in both states' key order
     (k outer, i inner), so any sequential sum over them equals the same sum
-    over the state bit for bit."""
+    over either state bit for bit."""
     if spec.n < spec.max_m:
         raise ValueError(f"precision n={spec.n} must be at least max numerator {spec.max_m}")
     k = np.arange(spec.n, dtype=np.int64)[:, None]

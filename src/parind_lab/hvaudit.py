@@ -99,6 +99,9 @@ class LambdaSpace:
             raise ValueError("hidden-parameter space must be nonempty")
         if len(set(self.points)) != len(self.points):
             raise ValueError("hidden-parameter points must be distinct")
+        for point, w in zip(self.points, self.weights):
+            if not isinstance(w, Rational) and not math.isfinite(w):
+                raise ValueError(f"weight {w} of hidden-parameter point {point!r} is not finite")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if any(w == 0 for w in self.weights):
@@ -394,6 +397,11 @@ def _validated_distribution(
                 f"for lambda {lam!r} (expected {width} entries)"
             )
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"model {model.name!r} returned non-finite probability {value} "
+                f"for outcome {outcome} at lambda {lam!r}"
+            )
         if value < -1e-12:
             raise ValueError(
                 f"model {model.name!r} returned negative probability {value} "
@@ -794,13 +802,13 @@ def schmidt_index_events(
 def extraction_block_events(spec: ez.EmbezzleSpec) -> tuple[SparseState, list[Event]]:
     """Events tying extraction-side slots to untouched remote blocks.
 
-    Applies the extraction map to one side only; each pulled-back slot event
-    (i, j) on the mapped wing must then fire together with the plain block
-    event i on the unmapped remote wing.
+    The state is tau_n (x) |00> (x) phi extracted on side A only
+    (`one_side_embezzled_state`); each slot event (i, j) on the extracted wing
+    must then fire together with the plain block event i on the untouched
+    remote wing.
     """
-    psi = ez.input_state(spec)
-    host = psi.registry
-    mapped = ez.extract_side(spec, psi, "A")
+    state = ez.one_side_embezzled_state(spec)
+    host = state.registry
     acting_a = ez.slot_registry(host, "A")
     _, _, b_sys = ez.SIDES["B"]
     acting_b = host.restrict((b_sys,))
@@ -824,7 +832,7 @@ def extraction_block_events(spec: ez.EmbezzleSpec) -> tuple[SparseState, list[Ev
             (f"remote block {i} implies some slot of {i}", block_a, block_b, "backward")
         )
         events.append((f"block {i} agreement", block_a, block_b, "both"))
-    return mapped, events
+    return state, events
 
 
 def perfect_correlation_check(

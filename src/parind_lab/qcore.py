@@ -1,5 +1,5 @@
 """Sparse state-vector core: labeled subsystems, low-rank projectors, observables,
-Born-rule probabilities, and structured basis maps.
+and Born-rule probabilities.
 
 States live on a registry of named finite-dimensional subsystems and store only
 nonzero amplitudes, as two arrays: one int64 key row per support entry (one basis
@@ -8,9 +8,8 @@ mapping that `project_amplitudes` and `inner_product` read is a read-only view
 built on its first read; a state built from a mapping forms its arrays on the
 Born kernel's first read instead.  Projectors are spans of explicit ket lists
 (or complements of such spans), so rank stays small even when the ambient
-product space is huge.  Unitaries appear only as structured partial basis maps
-that refuse inputs outside their declared domain; nothing in this package ever
-materializes a dense operator on the full product space.
+product space is huge.  Nothing in this package ever materializes a dense
+operator on the full product space.
 """
 
 from __future__ import annotations
@@ -878,65 +877,3 @@ def born_table(
     for cell, combo in enumerate(itertools.product(*(o.branches for o in obs))):
         table[tuple(e for e, _ in combo)] = min(1.0, max(0.0, sums.get(cell, 0.0)))
     return table
-
-
-@dataclasses.dataclass(frozen=True)
-class StructuredBasisMap:
-    """Injective partial basis map with per-branch phases on a sub-registry.
-
-    `rules` sends a domain basis index to an (image index, phase) pair.  The map
-    is only defined on its listed domain; applying it to a state whose support
-    leaves the domain is an error, which is how "the action elsewhere is
-    arbitrary" is made harmless: no computed quantity may depend on it.
-    """
-
-    registry: SystemRegistry
-    rules: dict[MultiIndex, tuple[MultiIndex, complex]]
-
-    def __post_init__(self) -> None:
-        dims = self.registry.dimensions
-        width = len(dims)
-        normalized: dict[MultiIndex, tuple[MultiIndex, complex]] = {}
-        images: set[MultiIndex] = set()
-        for source, (target, phase) in self.rules.items():
-            source = tuple(int(i) for i in source)
-            target = tuple(int(i) for i in target)
-            for key in (source, target):
-                if len(key) != width or any(not 0 <= k < d for k, d in zip(key, dims)):
-                    raise ValueError(f"basis index {key} out of range for dims {dims}")
-            phase = complex(phase)
-            if abs(abs(phase) - 1.0) > NORM_TOL:
-                raise ValueError(f"phase {phase} is not unimodular")
-            if target in images:
-                raise ValueError(f"map is not injective: image {target} repeated")
-            images.add(target)
-            normalized[source] = (target, phase)
-        object.__setattr__(self, "rules", normalized)
-
-
-def apply_structured_map(smap: StructuredBasisMap, state: SparseState) -> SparseState:
-    """Relocate amplitudes along a structured basis map; norm is preserved exactly.
-
-    Raises with the offending basis index if the state's support leaves the map's
-    domain.
-    """
-    host = state.registry
-    acting_axes = host.axes(smap.registry.labels)
-    for label in smap.registry.labels:
-        if host.dimension(label) != smap.registry.dimension(label):
-            raise ValueError(f"dimension mismatch on subsystem {label!r}")
-    amplitudes: dict[MultiIndex, complex] = {}
-    for key, amp in state.amplitudes.items():
-        acting = tuple(key[i] for i in acting_axes)
-        rule = smap.rules.get(acting)
-        if rule is None:
-            raise ValueError(
-                f"state support escapes the map's domain at basis index {acting} "
-                f"on subsystems {smap.registry.labels}"
-            )
-        target, phase = rule
-        new_key = list(key)
-        for axis, value in zip(acting_axes, target):
-            new_key[axis] = value
-        amplitudes[tuple(new_key)] = amp * phase
-    return SparseState(host, amplitudes)

@@ -9,20 +9,34 @@ none of them.
   which pins the perfect-correlation cells.
 - `grouped_harmonic_sum`: the run-grouped sum that pins
   `interpolated_harmonic`.
+- `StructuredBasisMap` and `apply_structured_map`: an injective partial
+  basis map and its literal application, entry by entry, refusing support
+  outside its domain.
+- `input_state`, `embezzle_map` and `extract_side`: the map route to the
+  extracted states, the extraction relabeling applied as a structured map to
+  one side of tau_n (x) |00> (x) phi, which pins `embezzled_state` (both
+  sides) and `one_side_embezzled_state` (side A) to their registry, key order
+  and amplitude bits.
 """
 
+import dataclasses
 import math
 from collections.abc import Mapping, Sequence
 
+from parind_lab.embezzle import SIDES, EmbezzleSpec, phi_schmidt, tau
 from parind_lab.hvaudit import _directed
 from parind_lab.qcore import (
+    NORM_TOL,
     MultiIndex,
     RankedProjector,
     SparseState,
+    SystemRegistry,
     _check_disjoint,
+    basis_state,
     inner_product,
     project_amplitudes,
     squared_norm,
+    tensor,
 )
 
 
@@ -85,3 +99,96 @@ def grouped_harmonic_sum(n: int, m: int) -> float:
     if n < 0 or m < 1:
         raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
     return math.fsum(1.0 / (m * math.ceil((k + 1) / m)) for k in range(n))
+
+
+@dataclasses.dataclass(frozen=True)
+class StructuredBasisMap:
+    """Injective partial basis map with per-branch phases on a sub-registry.
+
+    `rules` sends a domain basis index to an (image index, phase) pair.  The map
+    is only defined on its listed domain; applying it to a state whose support
+    leaves the domain is an error, which is how "the action elsewhere is
+    arbitrary" is made harmless: no computed quantity may depend on it.
+    """
+
+    registry: SystemRegistry
+    rules: dict[MultiIndex, tuple[MultiIndex, complex]]
+
+    def __post_init__(self) -> None:
+        dims = self.registry.dimensions
+        width = len(dims)
+        normalized: dict[MultiIndex, tuple[MultiIndex, complex]] = {}
+        images: set[MultiIndex] = set()
+        for source, (target, phase) in self.rules.items():
+            source = tuple(int(i) for i in source)
+            target = tuple(int(i) for i in target)
+            for key in (source, target):
+                if len(key) != width or any(not 0 <= k < d for k, d in zip(key, dims)):
+                    raise ValueError(f"basis index {key} out of range for dims {dims}")
+            phase = complex(phase)
+            if abs(abs(phase) - 1.0) > NORM_TOL:
+                raise ValueError(f"phase {phase} is not unimodular")
+            if target in images:
+                raise ValueError(f"map is not injective: image {target} repeated")
+            images.add(target)
+            normalized[source] = (target, phase)
+        object.__setattr__(self, "rules", normalized)
+
+
+def apply_structured_map(smap: StructuredBasisMap, state: SparseState) -> SparseState:
+    """Relocate amplitudes along a structured basis map; norm is preserved exactly.
+
+    Raises with the offending basis index if the state's support leaves the map's
+    domain.
+    """
+    host = state.registry
+    acting_axes = host.axes(smap.registry.labels)
+    for label in smap.registry.labels:
+        if host.dimension(label) != smap.registry.dimension(label):
+            raise ValueError(f"dimension mismatch on subsystem {label!r}")
+    amplitudes: dict[MultiIndex, complex] = {}
+    for key, amp in state.amplitudes.items():
+        acting = tuple(key[i] for i in acting_axes)
+        rule = smap.rules.get(acting)
+        if rule is None:
+            raise ValueError(
+                f"state support escapes the map's domain at basis index {acting} "
+                f"on subsystems {smap.registry.labels}"
+            )
+        target, phase = rule
+        new_key = list(key)
+        for axis, value in zip(acting_axes, target):
+            new_key[axis] = value
+        amplitudes[tuple(new_key)] = amp * phase
+    return SparseState(host, amplitudes)
+
+
+def input_state(spec: EmbezzleSpec) -> SparseState:
+    """tau_n on the aux registers, |0>|0> pointers, Schmidt state on the systems."""
+    pointers = SystemRegistry(tuple((ptr, spec.max_m) for _, ptr, _ in SIDES.values()))
+    return tensor(
+        tensor(tau(spec.n), basis_state(pointers, (0, 0))), phi_schmidt(spec.c)
+    )
+
+
+def embezzle_map(
+    n: int, m: Sequence[int], registry: SystemRegistry
+) -> StructuredBasisMap:
+    """The extraction relabeling |k, 0, i> -> |floor(k/m_i), k mod m_i, i> for
+    k < n, i < d, on an (aux, pointer, system) sub-registry in that label order."""
+    if n < max(m):
+        raise ValueError(f"precision n={n} must be at least max numerator {max(m)}")
+    rules: dict[MultiIndex, tuple[MultiIndex, complex]] = {}
+    for i, m_i in enumerate(m):
+        for k in range(n):
+            rules[(k, 0, i)] = ((k // m_i, k % m_i, i), 1.0)
+    return StructuredBasisMap(registry, rules)
+
+
+def extract_side(spec: EmbezzleSpec, state: SparseState, side: str) -> SparseState:
+    """The extraction map applied to side "A" or "B"'s (aux, ptr, sys) registers."""
+    # restrict() keeps host order; the map needs (aux, ptr, sys) order.
+    ordered = SystemRegistry(
+        tuple((label, state.registry.dimension(label)) for label in SIDES[side])
+    )
+    return apply_structured_map(embezzle_map(spec.n, spec.m, ordered), state)

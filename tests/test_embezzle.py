@@ -20,7 +20,13 @@ from parind_lab import cli
 from parind_lab import embezzle as ez
 from parind_lab.qcore import DROP_TOL, SparseState, SystemRegistry, squared_norm, tensor
 
-from oracles import fidelity, grouped_harmonic_sum
+from oracles import (
+    embezzle_map,
+    extract_side,
+    fidelity,
+    grouped_harmonic_sum,
+    input_state,
+)
 
 
 def _chi_state(spec):
@@ -236,9 +242,9 @@ def test_embezzled_state_is_slot_diagonal_and_normalized():
 def _map_route_state(spec):
     """The literal route to the embezzled state: the extraction map on side A,
     then on side B, of tau_n (x) |00> (x) phi."""
-    state = ez.input_state(spec)
+    state = input_state(spec)
     for side in ez.SIDES:
-        state = ez.extract_side(spec, state, side)
+        state = extract_side(spec, state, side)
     return state
 
 
@@ -265,15 +271,18 @@ def direct_state_specs(draw):
 @settings(deadline=None, max_examples=80)
 @given(direct_state_specs())
 def test_embezzled_state_is_the_map_route_state(spec):
-    """The state built from the terms is the map route's state: the same
-    registry, the same key order and the same amplitude bits."""
-    direct = ez.embezzled_state(spec)
-    literal = _map_route_state(spec)
-    assert direct.registry == literal.registry
-    assert list(direct.amplitudes) == list(literal.amplitudes)
-    assert [repr(a) for a in direct.amplitudes.values()] == [
-        repr(a) for a in literal.amplitudes.values()
-    ]
+    """The states built from the terms are the map route's states, extracted
+    on both sides and on side A alone: the same registry, the same key order
+    and the same amplitude bits."""
+    one_side = extract_side(spec, input_state(spec), "A")
+    for direct, literal in [
+        (ez.embezzled_state(spec), _map_route_state(spec)),
+        (ez.one_side_embezzled_state(spec), one_side),
+    ]:
+        assert direct.registry == literal.registry
+        assert np.array_equal(direct.keys, literal.keys)
+        assert list(direct.amplitudes) == list(literal.amplitudes)
+        assert direct.values.tobytes() == literal.values.tobytes()
 
 
 def test_embezzled_state_refuses_too_few_levels_like_the_map_route():
@@ -282,7 +291,13 @@ def test_embezzled_state_refuses_too_few_levels_like_the_map_route():
     with pytest.raises(ValueError, match=message):
         ez.embezzled_state(spec)
     with pytest.raises(ValueError, match=message):
+        ez.one_side_embezzled_state(spec)
+    with pytest.raises(ValueError, match=message):
         _map_route_state(spec)
+    with pytest.raises(ValueError, match=message):
+        extract_side(spec, input_state(spec), "A")
+    with pytest.raises(ValueError, match=message):
+        embezzle_map(spec.n, spec.m, SystemRegistry((("A2", 4), ("A1", 5), ("A", 2))))
 
 
 def test_chi_state_weights_are_numerator_fractions():

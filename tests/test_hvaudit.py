@@ -44,6 +44,9 @@ def test_lambda_space_validates_weights():
         hv.LambdaSpace((0, 1), (Fraction(3, 2), Fraction(-1, 2)))
     with pytest.raises(ValueError, match="nonzero"):
         hv.LambdaSpace((0, 1), (Fraction(1), Fraction(0)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"weight .* of hidden-parameter point 0 is not finite"):
+            hv.LambdaSpace((0, 1), (bad, 1.0))
 
 
 def test_lambda_space_uniform_and_min_weight():
@@ -293,6 +296,26 @@ def test_model_average_validates_model_output():
     scenario = hv.Scenario(state, (a_family[0],))
     with pytest.raises(ValueError, match="sums to"):
         hv.model_average(Broken(), hv.LambdaSpace((0,), (Fraction(1),)), scenario)
+
+
+def test_non_finite_probability_is_refused_not_clipped():
+    class NaNOutcome:
+        """The Bell state's own marginal beside a NaN on an outcome the
+        observable does not have, which clipping would read as 0."""
+
+        name = "nan-outcome"
+
+        def distribution(self, scenario, lam):
+            return {(1.0,): 0.5, (-1.0,): 0.5, (0.0,): math.nan}
+
+    state, a_family, _ = bell_families(1)
+    scenario = hv.Scenario(state, (a_family[0],))
+    space = hv.LambdaSpace((7,), (Fraction(1),))
+    message = r"model 'nan-outcome' returned non-finite probability nan for outcome \(0\.0,\) at lambda 7"
+    with pytest.raises(ValueError, match=message):
+        hv.model_average(NaNOutcome(), space, scenario)
+    with pytest.raises(ValueError, match=message):
+        hv.check_compquant(NaNOutcome(), space, [scenario])
 
 
 # ---------------------------------------------------------------------------

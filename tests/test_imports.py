@@ -1,5 +1,6 @@
 """Every name imported in `src/`, `tests/` and `demos/` is used in its module,
-and every public definition in `src/` is read by the program.
+every public definition in `src/` is read by the program, and every public
+definition of the test oracles is read by a test.
 
 Both scans read syntax trees.  A name bound by an import counts as used when it
 appears anywhere in the module as a bare name, which covers calls, attribute
@@ -168,16 +169,24 @@ def test_definition_scan_flags_only_unread_names():
     ]
 
 
+def reads_of(paths) -> tuple[set[str], set[str]]:
+    """The union of the `read_names` results of the files at `paths`."""
+    reads = [read_names(path.read_text()) for path in paths]
+    return set().union(*(r[0] for r in reads)), set().union(*(r[1] for r in reads))
+
+
 def test_every_public_definition_has_a_program_reader():
-    reads = [
-        read_names(path.read_text())
-        for folder in ("src", "bench", "demos")
-        for path in (ROOT / folder).rglob("*.py")
-    ]
-    read = (set().union(*(r[0] for r in reads)), set().union(*(r[1] for r in reads)))
+    read = reads_of(
+        path for folder in ("src", "bench", "demos") for path in (ROOT / folder).rglob("*.py")
+    )
     unread = {
         name: path.name
         for path in sorted((ROOT / "src").rglob("*.py"))
         for name in unread_definitions(path.read_text(), read)
     }
     assert unread == {}
+
+
+def test_every_oracle_has_a_test_reader():
+    read = reads_of((ROOT / "tests").glob("test_*.py"))
+    assert unread_definitions((ROOT / "tests" / "oracles.py").read_text(), read) == set()

@@ -1,5 +1,5 @@
 """Tests for the sparse-state engine: registries, states, projectors,
-observables, Born tables, and structured basis maps."""
+observables and Born tables, and the structured basis map oracle."""
 
 import cmath
 import dataclasses
@@ -21,7 +21,6 @@ from parind_lab.qcore import (
     RankedProjector,
     SparseState,
     SystemRegistry,
-    apply_structured_map,
     basis_span_projector,
     basis_state,
     born_table,
@@ -30,12 +29,18 @@ from parind_lab.qcore import (
     inner_product,
     project_amplitudes,
     span_projector,
-    StructuredBasisMap,
     tensor,
     two_outcome_observable,
 )
 
-from oracles import born_probability, complement, fidelity, joint_probability
+from oracles import (
+    StructuredBasisMap,
+    apply_structured_map,
+    born_probability,
+    complement,
+    fidelity,
+    joint_probability,
+)
 
 
 def random_state(rng, registry, *, complex_amps=True):
