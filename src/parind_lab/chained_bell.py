@@ -81,26 +81,13 @@ class ChainSpec:
 def theta_ket(
     theta: float, pair: tuple[MultiIndex | int, MultiIndex | int], registry: SystemRegistry
 ) -> SparseState:
-    """cos(theta/2)|lo> + sin(theta/2)|hi> on a sub-registry basis pair."""
+    """cos(theta/2)|lo> + sin(theta/2)|hi> on a sub-registry basis pair, written
+    from its two keys in one state build; a cos or sin at or below DROP_TOL (as
+    at theta = pi or 2 pi) is not stored."""
     lo, hi = (_normalize_index(p) for p in pair)
     if lo == hi:
         raise ValueError("theta ket needs two distinct basis indices")
-    return superposed_ket(
-        theta,
-        SparseState(registry, {lo: 1.0}),
-        SparseState(registry, {hi: 1.0}),
-    )
-
-
-def superposed_ket(theta: float, ket_lo: SparseState, ket_hi: SparseState) -> SparseState:
-    """cos(theta/2) ket_lo + sin(theta/2) ket_hi for orthonormal input kets."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    amplitudes: dict[MultiIndex, complex] = {}
-    for key, amp in ket_lo.amplitudes.items():
-        amplitudes[key] = amplitudes.get(key, 0.0) + c * amp
-    for key, amp in ket_hi.amplitudes.items():
-        amplitudes[key] = amplitudes.get(key, 0.0) + s * amp
-    return SparseState(ket_lo.registry, amplitudes)
+    return SparseState(registry, {lo: math.cos(theta / 2.0), hi: math.sin(theta / 2.0)})
 
 
 def o_theta(
@@ -112,10 +99,11 @@ def o_theta(
 ) -> Observable:
     """Two-outcome rotated observable -1*[theta] + 1*[theta+pi].
 
-    With a scheme, every basis index outside the rotated pair gets its own
-    spectator branch at `spectator_scheme(index)`, except the indices it maps to
-    None, which share one complemented branch at 0.0.  Without one, only the two
-    rotated branches are built, so the register must be the pair's plane.
+    The two rotated branches project onto `theta_ket`s.  With a scheme, every
+    basis index outside the rotated pair gets its own spectator branch at
+    `spectator_scheme(index)`, onto its basis ket, except the indices it maps
+    to None, which share one complemented branch at 0.0.  Without one, only the
+    two rotated branches are built, so the register must be the pair's plane.
     """
     lo, hi = (_normalize_index(p) for p in pair)
     minus = span_projector([theta_ket(theta, (lo, hi), registry)])
@@ -131,9 +119,7 @@ def o_theta(
         if eigenvalue is None:
             closed = True
         else:
-            branches.append(
-                (float(eigenvalue), span_projector([SparseState(registry, {index: 1.0})]))
-            )
+            branches.append((float(eigenvalue), basis_span_projector(registry, [index])))
     if closed:
         return complete_with_complement(branches, 0.0)
     return Observable(tuple(branches))

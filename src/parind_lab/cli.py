@@ -995,7 +995,7 @@ def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
                 continue
             try:
                 expected_value = recompute(row)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
                 diagnostics.append(f"row {index}, column {column!r}: cannot recompute ({exc})")
                 continue
             recorded = row[column]

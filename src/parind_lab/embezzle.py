@@ -35,9 +35,8 @@ from .qcore import (
     PROB_TOL,
     SparseState,
     SystemRegistry,
-    basis_state,
+    basis_span_projector,
     complete_with_complement,
-    span_projector,
     tensor,
     two_outcome_observable,
 )
@@ -484,15 +483,13 @@ def slot_key(pair: Pair, acting: SystemRegistry, side: str) -> MultiIndex:
 
 
 def slot_observable(spec: EmbezzleSpec, host: SystemRegistry, side: str) -> Observable:
-    """Observable resolving the pointer-system slots, eigenvalue 2^i 3^j + 2 on
-    slot (i, j) and 0 on the unused remainder of the pointer register."""
+    """Observable resolving the pointer-system slots: eigenvalue 2^i 3^j + 2 on
+    the basis ket of slot (i, j), and 0 on the unused remainder of the pointer
+    register."""
     acting = slot_registry(host, side)
     branches = [
-        (
-            pair_eigenvalue_scheme(pair),
-            span_projector([basis_state(acting, slot_key(pair, acting, side))]),
-        )
-        for pair in spec.pairs
+        (pair_eigenvalue_scheme(p), basis_span_projector(acting, [slot_key(p, acting, side)]))
+        for p in spec.pairs
     ]
     if len(spec.pairs) == acting.total_dimension:
         return Observable(tuple(branches))
@@ -619,15 +616,16 @@ def half_subset_observable(
 ) -> Observable:
     """One setting of the half-subset family: +1 on the span of the rotated kets
     cos(theta/2)|s> + sin(theta/2)|pairing(s)> at theta = setting * pi/(2N),
-    -1 on the complement."""
+    each a `cb.theta_ket` written from the two slot keys, and -1 on the
+    complement.  Refuses a chain depth N < 1."""
+    if N < 1:
+        raise ValueError(f"chain depth N must be >= 1, got {N}")
     subset_t = _require_half_subset(spec, subset, pairing)
     acting = slot_registry(host, side)
     theta = setting * math.pi / (2 * N)
     kets = [
-        cb.superposed_ket(
-            theta,
-            basis_state(acting, slot_key(s, acting, side)),
-            basis_state(acting, slot_key(tuple(pairing[s]), acting, side)),
+        cb.theta_ket(
+            theta, (slot_key(s, acting, side), slot_key(pairing[s], acting, side)), acting
         )
         for s in subset_t
     ]
@@ -645,19 +643,15 @@ def half_subset_observables(
     """Two-outcome chained family of `half_subset_observable` settings.
 
     On side A the terminal setting 2N is the negation of setting 0 by definition;
-    intermediate settings are genuine rotated observables.
+    intermediate settings are genuine rotated observables.  The first setting
+    is built before the others, so its `half_subset_observable` refuses N < 1.
     """
-    if N < 1:
-        raise ValueError(f"chain depth N must be >= 1, got {N}")
-    settings = range(0, 2 * N + 1, 2) if side == "A" else range(1, 2 * N, 2)
-    family: dict[int, Observable] = {}
-    for setting in settings:
-        if side == "A" and setting == 2 * N:
-            family[setting] = family[0].negated()
-        else:
-            family[setting] = half_subset_observable(
-                spec, N, subset, pairing, host, side, setting
-            )
+    first = 0 if side == "A" else 1
+    family = {first: half_subset_observable(spec, N, subset, pairing, host, side, first)}
+    for setting in range(first + 2, 2 * N, 2):
+        family[setting] = half_subset_observable(spec, N, subset, pairing, host, side, setting)
+    if side == "A":
+        family[2 * N] = family[0].negated()
     return family
 
 

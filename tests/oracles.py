@@ -7,6 +7,9 @@ none of them.
 - `fidelity`: the pure-state overlap |<a|b>| of two built states.
 - `mismatch_probability`: the literal mismatch sum of two remote events,
   which pins the perfect-correlation cells.
+- `superposed_ket`: the literal superposition cos(theta/2)|lo> + sin(theta/2)|hi>
+  of two built basis kets, which pins `chained_bell.theta_ket` to its registry,
+  key order and amplitude bits.
 - `grouped_harmonic_sum`: the run-grouped sum that pins
   `interpolated_harmonic`.
 - `StructuredBasisMap` and `apply_structured_map`: an injective partial
@@ -88,6 +91,17 @@ def mismatch_probability(
     forward = joint_probability(state, [event_a, complement(event_b)])
     backward = joint_probability(state, [complement(event_a), event_b])
     return _directed(forward, backward, direction)
+
+
+def superposed_ket(theta: float, ket_lo: SparseState, ket_hi: SparseState) -> SparseState:
+    """cos(theta/2) ket_lo + sin(theta/2) ket_hi for orthonormal input kets."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    amplitudes: dict[MultiIndex, complex] = {}
+    for key, amp in ket_lo.amplitudes.items():
+        amplitudes[key] = amplitudes.get(key, 0.0) + c * amp
+    for key, amp in ket_hi.amplitudes.items():
+        amplitudes[key] = amplitudes.get(key, 0.0) + s * amp
+    return SparseState(ket_lo.registry, amplitudes)
 
 
 def grouped_harmonic_sum(n: int, m: int) -> float:

@@ -14,10 +14,11 @@ from parind_lab.qcore import (
     SparseState,
     SystemRegistry,
     basis_span_projector,
+    basis_state,
     born_table,
 )
 
-from oracles import born_probability, joint_probability
+from oracles import born_probability, joint_probability, superposed_ket
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32, 64])
@@ -201,6 +202,44 @@ def test_terminal_setting_is_flipped_first_setting():
     p_last = born_probability(state, family[4].projector_for(1.0))
     assert p_first == pytest.approx(1.0)
     assert p_last == pytest.approx(1.0)
+
+
+def theta_ket_pairs():
+    """(registry, lo, hi) basis pairs: on one register, in either order, and
+    the (pointer, system) slot keys a half-subset ket rotates on each side."""
+    qubit, ququint = SystemRegistry((("A", 2),)), SystemRegistry((("A", 5),))
+    pairs = [(qubit, (0,), (1,)), (qubit, (1,), (0,)), (ququint, (3,), (1,))]
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=10, even_denominator=True)
+    host = ez.embezzled_state(spec).registry
+    subset = spec.pairs[: spec.r // 2]
+    pairing = ez.default_pairing(spec, subset)
+    for side in "AB":
+        acting = ez.slot_registry(host, side)
+        pairs += [
+            (acting, ez.slot_key(s, acting, side), ez.slot_key(pairing[s], acting, side))
+            for s in subset
+        ]
+    return pairs
+
+
+def test_theta_ket_is_the_literal_superposition():
+    """`theta_ket` writes cos(theta/2)|lo> + sin(theta/2)|hi> from its two keys
+    with the registry, key order and amplitude bits of the literal superposition
+    of two basis kets, at every chain angle s pi/2N and s pi/2N + pi, N <= 16,
+    s <= 2N, where theta = pi and 2 pi drop a near-zero term."""
+    dropped = 0
+    for registry, lo, hi in theta_ket_pairs():
+        ket_lo, ket_hi = basis_state(registry, lo), basis_state(registry, hi)
+        for N in range(1, 17):
+            for s in range(2 * N + 1):
+                for theta in (s * math.pi / (2 * N), s * math.pi / (2 * N) + math.pi):
+                    ket = cb.theta_ket(theta, (lo, hi), registry)
+                    oracle = superposed_ket(theta, ket_lo, ket_hi)
+                    assert ket.registry == oracle.registry
+                    assert list(ket.amplitudes) == list(oracle.amplitudes)
+                    assert ket.values.tobytes() == oracle.values.tobytes()
+                    dropped += len(ket.amplitudes) == 1
+    assert dropped > 0
 
 
 def test_dimension_scheme_distinguishes_indices():

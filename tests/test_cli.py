@@ -596,20 +596,58 @@ def test_validate_accepts_generated_reports(capsys, tmp_path):
     assert json.loads(out)["passed"]
 
 
-def test_validate_catches_corrupted_cells(capsys, tmp_path):
-    target = chain_csv(capsys, tmp_path)
+def set_first_row_cell(target, column, value):
+    """Overwrite one cell of the first data row of a CSV report."""
     lines = target.read_text().splitlines()
-    header = lines[0].split(",")
-    column = header.index("closed_form")
     row = lines[1].split(",")
-    row[column] = "0.9999"
+    row[lines[0].split(",").index(column)] = value
     lines[1] = ",".join(row)
     target.write_text("\n".join(lines) + "\n")
+
+
+def test_validate_catches_corrupted_cells(capsys, tmp_path):
+    target = chain_csv(capsys, tmp_path)
+    set_first_row_cell(target, "closed_form", "0.9999")
     code, out, _ = run(capsys, "validate", str(target), "--format", "json")
     assert code == 1
     report = json.loads(out)
     assert not report["passed"]
     assert any("closed_form" in d and "recomputed" in d for d in report["diagnostics"])
+
+
+@pytest.mark.parametrize(
+    "depth, reason",
+    [("0", "float division by zero"), ("9" * 400, "int too large to convert to float")],
+    ids=["zero", "400-digit"],
+)
+def test_validate_reports_a_chain_depth_it_cannot_recompute(capsys, tmp_path, depth, reason):
+    """A recorded N whose closed form raises an arithmetic error is a
+    diagnostic of an invalid report, not a traceback."""
+    target = chain_csv(capsys, tmp_path)
+    set_first_row_cell(target, "N", depth)
+    code, out, err = run(capsys, "validate", str(target), "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert not report["passed"] and not report["rows"][0]["valid"]
+    assert report["diagnostics"] == [
+        f"row 0, column {column!r}: cannot recompute ({reason})"
+        for column in ("closed_form", "bound")
+    ]
+
+
+def test_validate_reports_a_lemma_coefficient_it_cannot_recompute(capsys, tmp_path):
+    """A lemma row with r = 0 and an empty J has no coefficient to recompute."""
+    target = tmp_path / "lemma.json"
+    run(capsys, "lemma", "--r", "6", "--J", "1", "--seed", "0", "--format", "json",
+        "--out", str(target))
+    report = json.loads(target.read_text())
+    report["rows"][0].update(r=0, J=[])
+    target.write_text(json.dumps(report))
+    code, out, err = run(capsys, "validate", str(target), "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["diagnostics"] == [
+        "row 0, column 'coefficient': cannot recompute (Fraction(0, 0))"
+    ]
 
 
 def test_validate_strict_flags_extra_columns_lenient_allows(capsys, tmp_path):

@@ -532,7 +532,14 @@ def test_fast_chains_refuse_what_the_literal_routes_refuse():
     stats = ez.slot_statistics_from_spec(spec)
     subset = spec.pairs[: spec.r // 2]
     pairing = ez.default_pairing(spec, subset)
+    host = ez.embezzled_state(spec).registry
     for N in (0, -1):
+        # one setting and a whole half-subset family, before any angle divides by 2N
+        for side, setting in (("A", 0), ("B", 1)):
+            with pytest.raises(ValueError, match=f"chain depth N must be >= 1, got {N}"):
+                ez.half_subset_observable(spec, N, subset, pairing, host, side, setting)
+            with pytest.raises(ValueError, match=f"chain depth N must be >= 1, got {N}"):
+                ez.half_subset_observables(spec, N, subset, pairing, host, side)
         with pytest.raises(ValueError, match="chain depth N must be >= 1"):
             ez.correlation_measure_INn(spec, N, (0, 0), (1, 0))
         with pytest.raises(ValueError, match="chain depth N must be >= 1"):
