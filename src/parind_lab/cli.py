@@ -71,6 +71,9 @@ def _parse_int_list(text: str | list | tuple, flag: str) -> tuple[int, ...]:
         raise ConfigError(f"{flag} expects a comma list of integers, got {text!r}") from exc
     if not values:
         raise ConfigError(f"{flag} must not be empty")
+    # a size, depth or index past int64 would end in an OverflowError downstream
+    if any(v >= 2**63 for v in values):
+        raise ConfigError(f"{flag} values must be below 2**63, got {text!r}")
     return values
 
 
@@ -494,6 +497,8 @@ def run_lemma(cfg: dict) -> dict:
     seed = int(_option(cfg, "seed", 0))
     if r % 2 != 0 or r < 2:
         raise ConfigError(f"--r must be even and positive, got {r}")
+    if r > 10**6:
+        raise ConfigError(f"--r must be at most 10**6, got {r}")
     if any(not 0 <= j < r for j in J) or len(set(J)) != len(J):
         raise ConfigError(f"--J must list distinct indices below r={r}, got {J}")
     direct = len(J) <= r // 2
@@ -790,6 +795,8 @@ def run_audit(cfg: dict) -> dict:
     n_max = int(_option(cfg, "N_max", 8))
     if n_max < 1:
         raise ConfigError(f"--N-max must be >= 1, got {n_max}")
+    if n_max >= 2**63:
+        raise ConfigError(f"--N-max must be below 2**63, got {n_max}")
     tol = float(_option(cfg, "tol", 1e-9))
     scan = hv.refutation_scan(model, space, state, tuple(range(1, n_max + 1)), tol=tol)
 

@@ -15,19 +15,20 @@ both window families tile the positions [0, (r/2)*x) modulo M, so
     sum_{i in J} p_i = ( sum_a R_a - sum_b T_b ) / (r/2)
 
 holds exactly for arbitrary p and arbitrary enumeration order f.  The window
-sums are linear in p, so the system counts once how many K and L windows hold
-each index and evaluates R and T as dot products with those multiplicities.
-The identity takes exact rational entries only; the deviation lemma also takes
-measured floating-point probabilities, with a 1e-12 slack.
+sums are linear in p, so the system keeps only how many K and L windows hold
+each index, read off the tiling: each j in J lies in all r/2 K windows and in
+no L window, and with (covered, extra) = divmod((r/2)*x, M) the complement
+index f[q] lies in covered + [q < extra] windows of each family.  R and T are
+dot products with those multiplicities.  The identity takes exact rational
+entries only; the deviation lemma also takes measured floating-point
+probabilities, with a 1e-12 slack.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import operator
-import random
 from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Rational
@@ -42,10 +43,8 @@ class HalfSubsetSystem:
     r: int
     J: tuple[int, ...]
     f: tuple[int, ...]
-    K_sets: tuple[tuple[int, ...], ...] = dataclasses.field(init=False)
-    L_sets: tuple[tuple[int, ...], ...] = dataclasses.field(init=False)
-    # per index: how many K windows / L windows contain it, counted on the
-    # windows above, so that R = sum_i k_multiplicity[i] * p_i (likewise T)
+    # per index: how many K windows / L windows contain it, so that
+    # R = sum_i k_multiplicity[i] * p_i (likewise T)
     k_multiplicity: tuple[int, ...] = dataclasses.field(
         init=False, repr=False, compare=False
     )
@@ -66,25 +65,16 @@ class HalfSubsetSystem:
         if sorted(self.f) != sorted(set(range(self.r)) - set(self.J)):
             raise ValueError("f must enumerate the complement of J")
         half = self.r // 2
-        x = self.x
-        m = self.complement_size
-        k_sets = []
-        for a in range(half):
-            window = tuple(self.f[(a * x + t) % m] for t in range(x))
-            k_sets.append(tuple(self.J) + window)
-        l_sets = []
-        for b in range(x):
-            l_sets.append(tuple(self.f[(b * half + t) % m] for t in range(half)))
-        object.__setattr__(self, "K_sets", tuple(k_sets))
-        object.__setattr__(self, "L_sets", tuple(l_sets))
-        assert all(len(k) == half for k in self.K_sets)
-        assert all(len(l) == half for l in self.L_sets)
-        for name, windows in (("k_multiplicity", k_sets), ("l_multiplicity", l_sets)):
-            counts = [0] * self.r
-            for window in windows:
-                for i in window:
-                    counts[i] += 1
-            object.__setattr__(self, name, tuple(counts))
+        # Both families tile the positions [0, (r/2)*x) once, taken mod M.
+        covered, extra = divmod(half * self.x, self.complement_size)
+        l_counts = [0] * self.r
+        for position, i in enumerate(self.f):
+            l_counts[i] = covered + (position < extra)
+        k_counts = list(l_counts)
+        for j in self.J:
+            k_counts[j] = half
+        object.__setattr__(self, "k_multiplicity", tuple(k_counts))
+        object.__setattr__(self, "l_multiplicity", tuple(l_counts))
 
     @property
     def x(self) -> int:
@@ -191,40 +181,21 @@ class WeightedSequenceFamily:
         return total
 
 
-def _enumerated_hypothesis(
-    family: WeightedSequenceFamily,
-) -> tuple[Number, tuple[int, ...]]:
-    half = family.r // 2
-    target = Fraction(1, 2)
-    worst_value: Number = -1
-    worst_subset: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(family.r), half):
-        value = family.average_deviation(subset, target)
-        if value > worst_value:
-            worst_value, worst_subset = value, subset
-    return worst_value, worst_subset
-
-
-# Largest (subset count) x (weight count) product that is enumerated exactly.
-_ENUMERATION_LIMIT = 200_000
-
-
 def lemma_bound_check(
     family: WeightedSequenceFamily,
     epsilon: Number,
     *,
-    subsets: Sequence[Sequence[int]] | None = None,
+    subsets: Sequence[Sequence[int]],
 ) -> dict:
     """Check the half-subset deviation lemma on a weighted family.
 
-    Hypothesis: every half-size subset sum mu-averages within epsilon of 1/2 —
-    enumerated exactly when C(r, r/2) is small, otherwise certified through the
-    per-lambda sorted extreme.  Conclusion: every audited subset J deviates from
-    #J/r by less than bound_coefficient(r, #J) * epsilon (< 2*epsilon).  Audited
-    subsets are the provided `subsets`, else all 2^r when feasible, else
-    structured prefixes plus 64 samples seeded with 0.  Enumeration is feasible
-    while subsets times weights stays within 200 000.  Numeric slack 1e-12
-    applies when any input is a float.
+    Hypothesis: every half-size subset sum mu-averages within epsilon of 1/2,
+    certified through `family.sorted_extreme_deviation()`, reported as
+    `worst_half_value`.  It bounds every half subset's deviation, so it is a
+    sufficient condition: it may be stricter than the largest deviation, never
+    looser.  Conclusion: every subset J the caller names in `subsets` deviates
+    from #J/r by less than bound_coefficient(r, #J) * epsilon (< 2*epsilon).
+    Numeric slack 1e-12 applies when any input is a float.
     """
     r = family.r
     if r % 2 != 0:
@@ -236,36 +207,12 @@ def lemma_bound_check(
     ) and all(isinstance(w, Rational) for w in family.weights)
     slack = 0 if exact else 1e-12
 
-    n_half = math.comb(r, r // 2)
-    if n_half * len(family.weights) <= _ENUMERATION_LIMIT:
-        worst_value, worst_subset = _enumerated_hypothesis(family)
-        hypothesis_mode = "enumerated"
-    else:
-        worst_value = family.sorted_extreme_deviation()
-        worst_subset = ()
-        hypothesis_mode = "sorted-extreme upper bound"
+    worst_value = family.sorted_extreme_deviation()
     hypothesis_holds = bool(worst_value < epsilon + slack)
-
-    if subsets is None:
-        if 2**r * len(family.weights) <= _ENUMERATION_LIMIT:
-            audited = [
-                subset
-                for size in range(r + 1)
-                for subset in itertools.combinations(range(r), size)
-            ]
-        else:
-            rng = random.Random(0)
-            audited = [tuple(range(size)) for size in range(0, r + 1, max(1, r // 8))]
-            audited += [
-                tuple(sorted(rng.sample(range(r), rng.randrange(r + 1))))
-                for _ in range(64)
-            ]
-    else:
-        audited = [tuple(s) for s in subsets]
 
     conclusion = []
     all_hold = True
-    for subset in audited:
+    for subset in map(tuple, subsets):
         size = len(subset)
         coefficient = bound_coefficient(r, size)
         measured = family.average_deviation(subset, Fraction(size, r))
@@ -286,10 +233,8 @@ def lemma_bound_check(
     return {
         "r": r,
         "epsilon": epsilon,
-        "hypothesis_mode": hypothesis_mode,
         "hypothesis_holds": hypothesis_holds,
         "worst_half_value": worst_value,
-        "worst_half_subset": worst_subset,
         "conclusion_holds": all_hold,
         "subsets": conclusion,
         "passed": hypothesis_holds and all_hold,

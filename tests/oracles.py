@@ -20,13 +20,22 @@ none of them.
   one side of tau_n (x) |00> (x) phi, which pins `embezzled_state` (both
   sides) and `one_side_embezzled_state` (side A) to their registry, key order
   and amplitude bits.
+- `window_sets`: the literal K and L windows of a half-subset system, whose
+  counts pin the multiplicities `HalfSubsetSystem` reads off the tiling.
+- `enumerated_hypothesis`: the largest half-subset deviation from 1/2 over
+  every half-size subset, which the sorted extreme must bound.
+- `exact_trivial_epsilon`: the ledger's certified epsilon for the trivial
+  fixture in exact rationals, which pins the float epsilon of `triviality_bound`.
 """
 
 import dataclasses
+import itertools
 import math
 from collections.abc import Mapping, Sequence
+from fractions import Fraction
 
 from parind_lab.embezzle import SIDES, EmbezzleSpec, phi_schmidt, tau
+from parind_lab.halfsum import HalfSubsetSystem, Number, WeightedSequenceFamily
 from parind_lab.hvaudit import _directed
 from parind_lab.qcore import (
     NORM_TOL,
@@ -206,3 +215,60 @@ def extract_side(spec: EmbezzleSpec, state: SparseState, side: str) -> SparseSta
         tuple((label, state.registry.dimension(label)) for label in SIDES[side])
     )
     return apply_structured_map(embezzle_map(spec.n, spec.m, ordered), state)
+
+
+def window_sets(
+    system: HalfSubsetSystem,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The literal windows (K_a for a < r/2, L_b for b < x), as the `halfsum`
+    docstring states them: K_a = J + (f[(a*x + t) mod M] : t < x) and
+    L_b = (f[(b*(r/2) + t) mod M] : t < r/2)."""
+    half, x, m, f = system.r // 2, system.x, system.complement_size, system.f
+    k_sets = tuple(
+        tuple(system.J) + tuple(f[(a * x + t) % m] for t in range(x)) for a in range(half)
+    )
+    l_sets = tuple(tuple(f[(b * half + t) % m] for t in range(half)) for b in range(x))
+    return k_sets, l_sets
+
+
+def enumerated_hypothesis(family: WeightedSequenceFamily) -> tuple[Number, tuple[int, ...]]:
+    """The largest mu-averaged deviation of a half-size subset sum from 1/2,
+    with the first subset (in `itertools.combinations` order) that attains it."""
+    return max(
+        (
+            (family.average_deviation(subset, Fraction(1, 2)), subset)
+            for subset in itertools.combinations(range(family.r), family.r // 2)
+        ),
+        key=lambda pair: pair[0],
+    )
+
+
+def exact_trivial_epsilon(spec: EmbezzleSpec) -> Fraction:
+    """The certified epsilon of `triviality_bound` on the trivial fixture, exactly.
+
+    Its one lambda reads the slot weights c_i^2 * sum_{k<n, k = j mod m_i}
+    1/(k+1) / H_n, c_i the exact value of the float `spec.c[i]`; with
+    L = lcm(1..n) every 1/(k+1) is the integer L/(k+1) over L, which cancels.
+    No mass leaks off the slots.  epsilon_pair is the largest minus the
+    smallest weight, epsilon_half the larger deviation from 1/2 of the r/2
+    largest and of the r/2 smallest weights, block i is bounded by
+    min(m_i * epsilon_pair, coefficient(r, m_i) * epsilon_half) plus
+    max_i |m_i/r - c_i^2|, and epsilon is the largest block bound over 3."""
+    L = math.lcm(*range(1, spec.n + 1))
+    terms = [L // (k + 1) for k in range(spec.n)]
+    harmonic = sum(terms)
+    squares = [Fraction(c) ** 2 for c in spec.c]
+    weights = sorted(
+        squares[i] * Fraction(sum(terms[j::m_i]), harmonic)
+        for i, m_i in enumerate(spec.m)
+        for j in range(m_i)
+    )
+    half = spec.r // 2
+    eps_pair = weights[-1] - weights[0]
+    eps_half = max(abs(sum(part) - Fraction(1, 2)) for part in (weights[:half], weights[half:]))
+    coefficient_error = max(abs(Fraction(m_i, spec.r) - sq) for m_i, sq in zip(spec.m, squares))
+    blocks = [
+        min(m_i * eps_pair, Fraction(max(spec.r - m_i, m_i), half) * eps_half)
+        for m_i in spec.m
+    ]
+    return (max(blocks) + coefficient_error) / 3

@@ -196,6 +196,33 @@ def test_zero_chain_depth_limit_is_config_error_not_the_default(capsys):
     assert out == ""
 
 
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("chain", "--N", HUGE), "--N values must be below 2**63", id="chain"),
+        pytest.param(("dim", "--N", f"1,{HUGE}"), "--N values must be below 2**63", id="dim"),
+        pytest.param(
+            ("sqrt-rational", "--N", HUGE), "--N values must be below 2**63", id="sqrt-rational"
+        ),
+        pytest.param(("arbitrary", "--N", HUGE), "--N values must be below 2**63", id="arbitrary"),
+        pytest.param(("audit", "--N-max", HUGE), "--N-max must be below 2**63", id="audit"),
+        pytest.param(("lemma", "--r", HUGE, "--J", "1"), "--r must be at most 10**6", id="lemma"),
+        pytest.param(
+            ("lemma", "--r", "1000002", "--J", "1"), "--r must be at most 10**6", id="lemma-bound"
+        ),
+    ],
+)
+def test_huge_size_is_config_error_naming_its_flag(capsys, argv, message):
+    """A size past what the program can index is bad user input (exit 2), not
+    an OverflowError traceback read as a verdict failure."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {message}")
+
+
 def test_zero_tolerance_is_honoured(capsys):
     code, out, _ = run(capsys, "chain", "--N", "1,2", "--tol", "0", "--format", "json")
     report = json.loads(out)

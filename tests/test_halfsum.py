@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from parind_lab import halfsum
 
+from oracles import enumerated_hypothesis, window_sets
+
 
 def random_rational_vector(rng, r, denominator=64):
     return [Fraction(rng.randrange(0, denominator + 1), denominator) for _ in range(r)]
@@ -19,9 +21,10 @@ def random_rational_vector(rng, r, denominator=64):
 
 def literal_window_sums(system, p):
     """Oracle: sum p over every literal K and L window, as the identity is stated."""
+    k_sets, l_sets = window_sets(system)
     lhs = sum(p[i] for i in system.J)
-    r_sum = sum(p[i] for k in system.K_sets for i in k)
-    t_sum = sum(p[i] for l in system.L_sets for i in l)
+    r_sum = sum(p[i] for k in k_sets for i in k)
+    t_sum = sum(p[i] for l in l_sets for i in l)
     return lhs, (r_sum - t_sum) / Fraction(system.r, 2), r_sum, t_sum
 
 
@@ -43,15 +46,46 @@ exact_entries = st.one_of(
 )
 
 
+def all_subsets(r):
+    return [s for size in range(r + 1) for s in itertools.combinations(range(r), size)]
+
+
 def test_window_families_tile_positions():
     system = halfsum.build_system(10, (0, 1))
-    assert len(system.K_sets) == 5
-    assert len(system.L_sets) == system.x == 3
-    for window in system.K_sets + system.L_sets:
+    k_sets, l_sets = window_sets(system)
+    assert len(k_sets) == 5
+    assert len(l_sets) == system.x == 3
+    for window in k_sets + l_sets:
         assert len(window) == 5
     # every K window contains J itself
-    for window in system.K_sets:
+    for window in k_sets:
         assert set(system.J) <= set(window)
+
+
+def _assert_multiplicities_count_the_windows(system):
+    k_sets, l_sets = window_sets(system)
+    for multiplicity, windows in ((system.k_multiplicity, k_sets), (system.l_multiplicity, l_sets)):
+        assert multiplicity == tuple(sum(w.count(i) for w in windows) for i in range(system.r))
+    for i, (k, l) in enumerate(zip(system.k_multiplicity, system.l_multiplicity)):
+        assert 2 * (k - l) == system.r * (i in system.J)
+
+
+def test_multiplicities_read_off_the_tiling_count_the_literal_windows():
+    """The multiplicities are the counts over the literal windows, and their
+    difference proves the identity for every p: 2 (k - l) = r [i in J].  Every
+    J for even r <= 12 with the ascending complement order, plus seeded
+    systems up to r = 40 with a shuffled one."""
+    for r in range(2, 13, 2):
+        for size in range(r // 2 + 1):
+            for J in itertools.combinations(range(r), size):
+                _assert_multiplicities_count_the_windows(halfsum.build_system(r, J))
+    rng = random.Random(25)
+    for _ in range(2000):
+        r = rng.randrange(2, 41, 2)
+        J = tuple(rng.sample(range(r), rng.randrange(r // 2 + 1)))
+        f = [i for i in range(r) if i not in J]
+        rng.shuffle(f)
+        _assert_multiplicities_count_the_windows(halfsum.HalfSubsetSystem(r, J, tuple(f)))
 
 
 @pytest.mark.parametrize("r", [2, 4, 6, 8, 10, 12])
@@ -195,10 +229,11 @@ def test_lemma_bound_on_exact_family():
     family = halfsum.WeightedSequenceFamily(
         weights=(Fraction(1, 2), Fraction(1, 2)), sequences=(uniform, tilted)
     )
-    report = halfsum.lemma_bound_check(family, Fraction(1, 8))
-    assert report["hypothesis_mode"] == "enumerated"
+    report = halfsum.lemma_bound_check(family, Fraction(1, 8), subsets=all_subsets(4))
     assert report["hypothesis_holds"]
+    assert report["worst_half_value"] == enumerated_hypothesis(family)[0] == Fraction(1, 16)
     assert report["conclusion_holds"]
+    assert len(report["subsets"]) == 16
     assert report["passed"]
 
 
@@ -206,9 +241,10 @@ def test_lemma_bound_detects_violated_hypothesis():
     # all the weight on one extreme sequence: half-subset sums stray far from 1/2
     spiky = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     family = halfsum.WeightedSequenceFamily(weights=(Fraction(1),), sequences=(spiky,))
-    report = halfsum.lemma_bound_check(family, Fraction(1, 100))
+    report = halfsum.lemma_bound_check(family, Fraction(1, 100), subsets=all_subsets(4))
     assert not report["hypothesis_holds"]
-    assert report["worst_half_subset"] != ()
+    assert report["worst_half_value"] == enumerated_hypothesis(family)[0] == Fraction(1, 2)
+    assert not report["passed"]
 
 
 def test_lemma_bound_is_tight_up_to_coefficient():
@@ -225,7 +261,7 @@ def test_lemma_bound_is_tight_up_to_coefficient():
         weights=tuple(Fraction(1, 6) for _ in range(6)), sequences=tuple(sequences)
     )
     epsilon = family.sorted_extreme_deviation() + Fraction(1, 1000)
-    report = halfsum.lemma_bound_check(family, epsilon)
+    report = halfsum.lemma_bound_check(family, epsilon, subsets=all_subsets(r))
     assert report["passed"]
     for row in report["subsets"]:
         if 0 < row["size"] < r:
@@ -244,6 +280,33 @@ def test_sorted_extreme_dominates_every_half_subset():
     extreme = family.sorted_extreme_deviation()
     for subset in itertools.combinations(range(r), r // 2):
         assert family.average_deviation(subset, Fraction(1, 2)) <= extreme
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_sorted_extreme_bounds_the_enumerated_hypothesis(exact):
+    """The one hypothesis route is sufficient: the sorted extreme is at least
+    the largest half-subset deviation, exactly on Fraction families and
+    within 1e-15 on float ones (the float overshoot is of order 1e-16)."""
+    rng = random.Random(11 if exact else 12)
+    for r in range(2, 13, 2):
+        for count in (1, 2, 3):
+            for _ in range(4):
+                raw = [[rng.randrange(0, 65) for _ in range(r)] for _ in range(count)]
+                sequences = tuple(
+                    tuple(Fraction(v, sum(row) or 1) for v in row) for row in raw
+                )
+                weights = (Fraction(1, count),) * count
+                if not exact:
+                    sequences = tuple(tuple(map(float, seq)) for seq in sequences)
+                    weights = tuple(map(float, weights))
+                family = halfsum.WeightedSequenceFamily(weights=weights, sequences=sequences)
+                worst, subset = enumerated_hypothesis(family)
+                assert len(subset) == r // 2
+                extreme = family.sorted_extreme_deviation()
+                if exact:
+                    assert extreme >= worst
+                else:
+                    assert extreme >= worst - 1e-15
 
 
 def test_family_validates_weights():

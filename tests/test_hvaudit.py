@@ -2,10 +2,13 @@
 models, structural checks, chained refutation, perfect-correlation transfer,
 and the finite-resource ledger."""
 
+import csv
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from parind_lab.qcore import (
     complete_with_complement,
 )
 
-from oracles import joint_probability, mismatch_probability
+from oracles import exact_trivial_epsilon, joint_probability, mismatch_probability
+
+GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens"
 
 
 def bell_families(N):
@@ -570,6 +575,38 @@ def test_fine_ledger_point_keeps_its_bits():
     report = hv.triviality_bound(model, space, spec, 8)
     assert report["passed"]
     assert report["achieved_epsilon"] == 0.06518891770642714
+
+
+def _recorded_epsilons():
+    """(N, l, n) -> the certified epsilon on record: the `ledger` goldens, the
+    `arbitrary` golden rows and acceptance check 11's fine point."""
+    recorded = {
+        tuple(point["point"]): point["achieved_epsilon"]
+        for point in json.loads((GOLDENS / "ledger.json").read_text())
+    }
+    with open(GOLDENS / "cli" / "arbitrary.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            recorded[(int(row["N"]), int(row["l"]), int(row["n"]))] = float(row["achieved_epsilon"])
+    recorded[(8, 50, 10**4)] = 0.06518891770642714
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "point, recorded",
+    [pytest.param(p, e, id="N{}-l{}-n{}".format(*p)) for p, e in _recorded_epsilons().items()],
+)
+def test_certified_epsilon_matches_the_exact_rational_ledger(point, recorded):
+    """Every input to the trivial fixture's epsilon is rational, so the ledger
+    has an exact value; the float epsilon, computed and on record, is within
+    a relative 1e-14 of it (measured: within 1e-15)."""
+    N, l, n = point
+    model, space = hv.fixture_model("trivial")
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=l, n=n)
+    report = hv.triviality_bound(model, space, spec, N)
+    assert report["passed"]
+    assert report["achieved_epsilon"] == recorded
+    exact = exact_trivial_epsilon(spec)
+    assert abs(Fraction(recorded) - exact) <= Fraction(1, 10**14) * exact
 
 
 def test_triviality_bound_shrinks_with_resources():
