@@ -77,6 +77,19 @@ def _parse_int_list(text: str | list | tuple, flag: str) -> tuple[int, ...]:
     return values
 
 
+# The largest chain depth `--N` and `--N-max` take, as `lemma --r` takes at
+# most 10**6: a chain holds 2N + 1 settings and an audit N_max chains, so a
+# deeper one would end in a MemoryError or OverflowError, not a report.
+_MAX_DEPTH = 10**6
+
+
+def _parse_depths(text: str | list | tuple) -> tuple[int, ...]:
+    depths = _parse_int_list(text, "--N")
+    if any(N > _MAX_DEPTH for N in depths):
+        raise ConfigError(f"--N values must be at most 10**6, got {text!r}")
+    return depths
+
+
 def _parse_fraction_list(text: str | list | tuple, flag: str) -> tuple[Fraction, ...]:
     tokens = (
         [str(t) for t in text]
@@ -392,7 +405,7 @@ def _chain_point(args: tuple[int, float]) -> dict:
 
 
 def run_chain(cfg: dict) -> dict:
-    Ns = _parse_int_list(_option(cfg, "N", "1,2,4,8,16"), "--N")
+    Ns = _parse_depths(_option(cfg, "N", "1,2,4,8,16"))
     tol = float(_option(cfg, "tol", 1e-12))
     rows = _map_grid(_chain_point, [(N, tol) for N in Ns], _resolve_workers(cfg))
     return _report("chain", {"state": "bell", "N": list(Ns), "tol": tol}, rows)
@@ -415,7 +428,7 @@ def _dim_point(args: tuple[tuple[Fraction, ...], int, int, int, float]) -> dict:
 
 def run_dim(cfg: dict) -> dict:
     squares = _squares(cfg, "1/3,1/3,1/3")
-    Ns = _parse_int_list(_option(cfg, "N", "1,2,4,8"), "--N")
+    Ns = _parse_depths(_option(cfg, "N", "1,2,4,8"))
     tol = float(_option(cfg, "tol", 1e-12))
     pair = next(
         (
@@ -467,7 +480,7 @@ def _sqrt_rational_point(args: tuple[tuple[Fraction, ...], int, int, float]) -> 
 
 def run_sqrt_rational(cfg: dict) -> dict:
     squares = _squares(cfg, "1/3,2/3")
-    Ns = _parse_int_list(_option(cfg, "N", "2"), "--N")
+    Ns = _parse_depths(_option(cfg, "N", "2"))
     ns = _parse_int_list(_option(cfg, "n", "100"), "--n")
     tol = float(_option(cfg, "tol", 1e-12))
     points = [(squares, N, n, tol) for N in Ns for n in ns]
@@ -797,6 +810,8 @@ def run_audit(cfg: dict) -> dict:
         raise ConfigError(f"--N-max must be >= 1, got {n_max}")
     if n_max >= 2**63:
         raise ConfigError(f"--N-max must be below 2**63, got {n_max}")
+    if n_max > _MAX_DEPTH:
+        raise ConfigError(f"--N-max must be at most 10**6, got {n_max}")
     tol = float(_option(cfg, "tol", 1e-9))
     scan = hv.refutation_scan(model, space, state, tuple(range(1, n_max + 1)), tol=tol)
 
@@ -885,7 +900,7 @@ def run_arbitrary(cfg: dict) -> dict:
     squares = _parse_fraction_list(_option(cfg, "coeffs", "1/3,2/3"), "--coeffs")
     if abs(float(sum(squares)) - 1.0) > 1e-12:
         raise ConfigError(f"squared coefficients must sum to 1, got {sum(squares)}")
-    Ns = _parse_int_list(_option(cfg, "N", "2"), "--N")
+    Ns = _parse_depths(_option(cfg, "N", "2"))
     ls = _parse_int_list(_option(cfg, "l", "3"), "--l")
     ns = _parse_int_list(_option(cfg, "n", "100"), "--n")
     tol = float(_option(cfg, "tol", 1e-9))

@@ -35,6 +35,12 @@ from .qcore import (
     PROB_TOL,
     SparseState,
     SystemRegistry,
+    _check_disjoint,
+    _exact_parts,
+    _host_order,
+    _keep,
+    _squares,
+    aligned_amplitudes,
     basis_span_projector,
     complete_with_complement,
     tensor,
@@ -778,6 +784,163 @@ def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
     and vectors bit for bit, without building the state."""
     q, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
     return _slot_statistics(spec, _slot_rows(spec, i, j), q, amplitude)
+
+
+# ---------------------------------------------------------------------------
+# Born tables of slot observables from the terms
+#
+# A term (q, s) of the embezzled state is its row (q, q, s, s): one slot s on
+# both sides.  `born_table` projects the rows in groups that agree off the
+# observable's acting columns; on this state each group holds one row, as
+# long as every observable before the last keeps each row on its own key,
+# that is, holds only basis kets of amplitude 1.  Such an observable sends a
+# row whole to one branch, so a table of them alone has cells that are
+# unions of whole slots.  The last observable may rotate: a row at key x of
+# a real ket w gets coefficient w_x a, the images (w_x a) w_y on each key y
+# of the ket, each kept above DROP_TOL, and the residual a - image on x and
+# -image on the other key, as `born_table` forms them.  A cell is the fsum
+# of its values' squares, exactly rounded, so its bits depend only on the
+# values, not on their order.
+
+
+class SlotTerms:
+    """The terms of `embezzled_state(spec)` by slot, and the Born tables of
+    observables on its slot registers computed from them, with no state
+    built.  `born_table(observables)` equals `born_table(embezzled_state(
+    spec), observables)` cell for cell, bits and key order included.
+
+    Each observable must act on one side's (pointer, system) registers and
+    have real kets with at most two keys, no slot key in two kets, and its
+    complemented branch, if any, closing its span kets themselves (as
+    `complete_with_complement` builds it); every observable but the last
+    must hold only basis kets of amplitude 1.  Each slot's squared terms are
+    kept as exact parts (`qcore._exact_parts`), so a table of whole slots
+    costs O(r) fsum work after the one pass here."""
+
+    def __init__(self, spec: EmbezzleSpec):
+        _, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
+        slot = _slot_rows(spec, i, j)
+        order = slot.argsort()
+        self.spec = spec
+        self.registry = _embezzled_registry(spec)
+        self.slot, self.amplitude = slot[order], amplitude[order]
+        bounds = np.searchsorted(self.slot, np.arange(spec.r + 1)).tolist()
+        self.segments = list(zip(bounds[:-1], bounds[1:]))
+        self.weights = [
+            _exact_parts(list(_squares(self.amplitude[a:b]))) for a, b in self.segments
+        ]
+        # per side, its slot registry and the slot of each slot key there
+        self.sides = []
+        for side in SIDES:
+            acting = slot_registry(self.registry, side)
+            slots = {slot_key(pair, acting, side): s for s, pair in enumerate(spec.pairs)}
+            self.sides.append((acting, slots))
+
+    def born_table(self, observables: Sequence[Observable]) -> dict[tuple[float, ...], float]:
+        obs = tuple(observables)
+        if not obs:
+            raise ValueError("need at least one observable")
+        _check_disjoint(observable.registry for observable in obs)
+        *leading, last = (self._read(observable) for observable in obs)
+        if any(kets.rotated.any() for kets in leading):
+            raise ValueError("only the last observable may hold a ket other than a basis ket")
+        # each slot's branch on the leading observables; None where its rows vanish
+        prefixes = list(zip(*(kets.destination for kets in leading))) or [()] * self.spec.r
+        members: dict[tuple[int, ...], list] = {}
+        if last.rotated.any():
+            # one pass over the terms, then one fsum per cell over its slots' values
+            span, residual = self._projected(last)
+            for (a, b), prefix, branch in zip(self.segments, prefixes, last.branch):
+                for cell_branch, values in ((branch, span), (last.closing, residual)):
+                    if cell_branch is not None and None not in prefix:
+                        members.setdefault(prefix + (cell_branch,), []).append(values[a:b].ravel())
+            sums = {
+                cell: math.fsum(itertools.chain.from_iterable(map(_squares, views)))
+                for cell, views in members.items()
+            }
+        else:
+            # whole slots: one fsum per cell over its slots' exact parts
+            for parts, prefix, branch in zip(self.weights, prefixes, last.destination):
+                if None not in prefix and branch is not None:
+                    members.setdefault(prefix + (branch,), []).extend(parts)
+            sums = {cell: math.fsum(parts) for cell, parts in members.items()}
+        table: dict[tuple[float, ...], float] = {}
+        for combo in itertools.product(*(enumerate(o.branches) for o in obs)):
+            cell = tuple(b for b, _ in combo)
+            table[tuple(e for _, (e, _) in combo)] = min(1.0, max(0.0, sums.get(cell, 0.0)))
+        return table
+
+    def _read(self, observable: Observable) -> _SlotKets:
+        acting = _host_order(self.registry, observable.registry)
+        slot_of = next((slots for host, slots in self.sides if host == acting), None)
+        if slot_of is None:
+            raise ValueError(
+                f"observable acts on {acting.labels}, not on one side's slot registers"
+            )
+        kets = _SlotKets(self.spec.r)
+        span_kets: list[SparseState] = []
+        closing_kets: tuple[SparseState, ...] = ()
+        for b, (_, projector) in enumerate(observable.branches):
+            if projector.complemented:
+                kets.closing, closing_kets = b, projector.kets
+                continue
+            for ket in projector.kets:
+                span_kets.append(ket)
+                entries = list(aligned_amplitudes(ket, acting).items())
+                if len(entries) > 2 or any(amplitude.imag for _, amplitude in entries):
+                    raise ValueError("slot tables need real kets with at most two keys")
+                for key, amplitude in entries:
+                    s = slot_of.get(key)
+                    if s is None:
+                        continue
+                    if kets.branch[s] is not None:
+                        raise ValueError(f"slot {self.spec.pairs[s]} lies in two kets")
+                    kets.branch[s] = b
+                    kets.own[s] = amplitude.real
+                    kets.other[s] = next((w.real for k, w in entries if k != key), 0.0)
+        if kets.closing is not None and sorted(map(id, closing_kets)) != sorted(map(id, span_kets)):
+            raise ValueError("the complemented branch must close the span kets themselves")
+        return kets
+
+    def _projected(self, kets: _SlotKets) -> tuple[np.ndarray, np.ndarray]:
+        """Each term's two span values (the images on its own key and on the
+        other key of its ket) and its two residual values, as `born_table`
+        forms them; a value it drops is 0.0 here, which adds nothing to a
+        cell's exact sum."""
+        a = self.amplitude
+        own, other = kets.own[self.slot], kets.other[self.slot]
+        coefficient = own * a
+        live = _keep(coefficient, 0.0)
+        image = np.stack([coefficient * own, coefficient * other], axis=1)
+        image[~(live[:, None] & _keep(image, 0.0))] = 0.0
+        residual = np.stack([a - image[:, 0], -image[:, 1]], axis=1)
+        residual[~_keep(residual, 0.0)] = 0.0
+        return image, residual
+
+
+class _SlotKets:
+    """One observable read slot by slot: the branch of the ket holding the
+    slot's key (None if no ket does), that ket's amplitude there and on its
+    other key (0.0 if it has none), and the complemented branch (None if
+    there is none)."""
+
+    def __init__(self, r: int):
+        self.branch: list[int | None] = [None] * r
+        self.own = np.zeros(r)
+        self.other = np.zeros(r)
+        self.closing: int | None = None
+
+    @property
+    def rotated(self) -> np.ndarray:
+        """The slots whose ket is not a basis ket of amplitude 1."""
+        held = np.array([b is not None for b in self.branch])
+        return held & ((self.own != 1.0) | (self.other != 0.0))
+
+    @property
+    def destination(self) -> list[int | None]:
+        """Each slot's branch when no slot is rotated: its ket's branch, or
+        the complemented one (None if there is none, as the row vanishes)."""
+        return [self.closing if b is None else b for b in self.branch]
 
 
 def _two_slot_chain(

@@ -17,6 +17,13 @@ spectator invariance on the first.  The CLI's `audit` findings and the
 `triviality_bound` ledger both go through it; the ledger leaves the remote
 variants of half-subset links 1-6 unaudited (see its docstring).
 
+A scenario's preparation is a `SparseState`, whose Born tables are
+`qcore.born_table`'s, or a `Preparation`, which builds its state only when
+read and has a Born route of its own with the same bits.  The ledger's
+scenarios are of the second kind: their tables come from the embezzled
+state's slot terms (`embezzle.SlotTerms`), so a ledger call builds no state
+unless a model reads one.
+
 On top of the checks sit the refutation tools.  `chained_audit` runs the
 chained-correlation argument: a parameter-independent model whose setting-0
 marginals are near-deterministic must violate the chain's measured correlation
@@ -123,10 +130,31 @@ class LambdaSpace:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Scenario:
-    """A preparation together with measurements on disjoint subsystem groups."""
+class Preparation:
+    """A state known by its registry, built only when `state` is first read
+    (then kept), with a Born route of its own: `born_table(observables)` must
+    equal `born_table(state, observables)` cell for cell, bits and key order
+    included, for the observables its scenarios measure.  The ledger's
+    preparation is the embezzled state, its tables from the slot terms
+    (`embezzle.SlotTerms`)."""
 
-    state: SparseState
+    registry: SystemRegistry
+    build: Callable[[], SparseState]
+    born_table: Callable[[Sequence[Observable]], Distribution]
+
+    @functools.cached_property
+    def state(self) -> SparseState:
+        return self.build()
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Scenario:
+    """A preparation together with measurements on disjoint subsystem groups.
+
+    The preparation is a `SparseState`, whose Born tables are `born_table`'s,
+    or a `Preparation`, whose state is built only if `state` is read."""
+
+    preparation: SparseState | Preparation
     observables: tuple[Observable, ...]
     description: str = ""
 
@@ -136,7 +164,7 @@ class Scenario:
         seen: set[str] = set()
         for obs in self.observables:
             for label in obs.acting_subsystems:
-                if label not in self.state.registry.labels:
+                if label not in self.preparation.registry.labels:
                     raise KeyError(f"observable acts on unknown subsystem {label!r}")
                 if label in seen:
                     raise ValueError(
@@ -145,11 +173,22 @@ class Scenario:
                     )
                 seen.add(label)
 
+    @property
+    def state(self) -> SparseState:
+        """The prepared state; a `Preparation` builds it on its first read."""
+        preparation = self.preparation
+        return preparation if isinstance(preparation, SparseState) else preparation.state
+
     @functools.cached_property
     def born(self) -> Distribution:
         """Read-only Born joint distribution of this scenario, built on first
         read and kept for the scenario's lifetime."""
-        return types.MappingProxyType(born_joint_distribution(self.state, self.observables))
+        preparation = self.preparation
+        if isinstance(preparation, SparseState):
+            table = born_joint_distribution(preparation, self.observables)
+        else:
+            table = preparation.born_table(self.observables)
+        return types.MappingProxyType(table)
 
 
 def identity_observable(registry: SystemRegistry) -> Observable:
@@ -174,8 +213,12 @@ class HVModel(Protocol):
     """A hidden-variable response rule.
 
     `distribution` must be a pure function of (scenario, lam): same inputs,
-    same numbers.  It may inspect the scenario's state and observables but must
-    not mutate them.
+    same numbers.  It may read the scenario's `observables`, `description`,
+    Born table `born`, `preparation` and `state`, and must mutate none of
+    them.  On a ledger scenario (`triviality_bound`) the Born table comes
+    from the slot terms, with the bits `born_table` gives on the state, and
+    the state, `embezzled_state(spec)`, is built on the first read of
+    `state` and shared by every scenario of that ledger call.
     """
 
     name: str
@@ -502,7 +545,7 @@ def check_parind(
         raise ValueError("parameter independence needs at least two scenarios")
     anchor = scenarios[0]
     for scenario in scenarios[1:]:
-        if scenario.state is not anchor.state:
+        if scenario.preparation is not anchor.preparation:
             raise ValueError("all scenarios must share the same preparation")
         if scenario.observables[0] is not anchor.observables[0]:
             raise ValueError("all scenarios must share the observable at index 0")
@@ -558,12 +601,24 @@ def pe_invariance_check(
     float rounding of a model that reads only the measured registers).  The
     extended state is `tensor(state, |0>_W)`: the state's key rows plus one
     constant column, over the same amplitudes, so no dict of the state is
-    copied, and the model still sees an extended scenario."""
-    if _SPECTATOR_LABEL in scenario.state.registry.labels:
+    copied, and the model still sees an extended scenario.  On a
+    `Preparation` the extended state too is built only if read, and its Born
+    tables are the preparation's own: an unmeasured |0> factor moves no
+    cell."""
+    preparation = scenario.preparation
+    if _SPECTATOR_LABEL in preparation.registry.labels:
         raise ValueError(f"spectator label {_SPECTATOR_LABEL!r} already in use")
     spectator = basis_state(SystemRegistry(((_SPECTATOR_LABEL, 2),)), (0,))
+    if isinstance(preparation, SparseState):
+        extended_preparation = tensor(preparation, spectator)
+    else:
+        extended_preparation = Preparation(
+            preparation.registry.merged_with(spectator.registry),
+            lambda: tensor(preparation.state, spectator),
+            preparation.born_table,
+        )
     extended = Scenario(
-        tensor(scenario.state, spectator),
+        extended_preparation,
         scenario.observables,
         description=f"{scenario.description} + spectator",
     )
@@ -920,10 +975,16 @@ def triviality_bound(
     0's observable against remote setting 1, and the extraction-side slots
     against remote setting 1 and against an idle remote).  So quantum
     completeness covers every read, and parameter independence covers the
-    slots and link 0; the remote variants of links 1-6 stay unaudited (one
-    more pair of two-observable Born tables per link).  The first failed
-    premise raises `PremiseError`.  The ledger audits six half-subsets (plus
-    the sorted extreme) and six slot pairs, both drawn with `seed`.
+    slots and link 0; the remote variants of links 1-6 stay unaudited (each
+    would add one two-observable table, one more pass over the slot terms).
+    The first failed premise raises `PremiseError`.  The ledger audits six
+    half-subsets (plus the sorted extreme) and six slot pairs, both drawn
+    with `seed`.
+
+    Every scenario is on one `Preparation` of the embezzled state: its Born
+    tables come from the slot terms (`embezzle.SlotTerms`), with the bits of
+    `born_table` on the state, and the state is built only if a model reads
+    `scenario.state`.  Nothing is kept from one call to the next.
 
     This function is the measurement: it reads, per lambda, the model's slot
     probabilities on the extraction-side and remote-side pointer registers of
@@ -950,12 +1011,13 @@ def triviality_bound(
     """
     if N < 1:
         raise ValueError(f"chain depth N must be >= 1, got {N}")
-    state = ez.embezzled_state(spec)
+    terms = ez.SlotTerms(spec)
+    preparation = Preparation(terms.registry, lambda: ez.embezzled_state(spec), terms.born_table)
     stats = ez.slot_statistics_from_spec(spec)
-    slot_a = ez.slot_observable(spec, state.registry, "A")
-    slot_b = ez.slot_observable(spec, state.registry, "B")
-    scenario_a = Scenario(state, (slot_a,), description="extraction-side slots")
-    scenario_b = Scenario(state, (slot_b,), description="remote-side slots")
+    slot_a = ez.slot_observable(spec, preparation.registry, "A")
+    slot_b = ez.slot_observable(spec, preparation.registry, "B")
+    scenario_a = Scenario(preparation, (slot_a,), description="extraction-side slots")
+    scenario_b = Scenario(preparation, (slot_b,), description="remote-side slots")
 
     # The audit counts (six here, six slot pairs in `_certify`) set how many
     # chain links are checked, not the certified epsilon.
@@ -964,23 +1026,23 @@ def triviality_bound(
     if not any(set(J) == set(extreme) for J, _ in family):
         family.insert(0, (extreme, ez.default_pairing(spec, extreme)))
     j0_observables = [
-        ez.half_subset_observable(spec, N, J, pairing, state.registry, "A", 0)
+        ez.half_subset_observable(spec, N, J, pairing, preparation.registry, "A", 0)
         for J, pairing in family
     ]
     link_scenarios = [
-        Scenario(state, (obs,), description=f"half-subset {idx} at setting 0")
+        Scenario(preparation, (obs,), description=f"half-subset {idx} at setting 0")
         for idx, obs in enumerate(j0_observables)
     ]
     remote_b = ez.half_subset_observable(
-        spec, N, family[0][0], family[0][1], state.registry, "B", 1
+        spec, N, family[0][0], family[0][1], preparation.registry, "B", 1
     )
     pair_scenario = Scenario(
-        state, (j0_observables[0], remote_b), description="half-subset settings (0, 1)"
+        preparation, (j0_observables[0], remote_b), description="half-subset settings (0, 1)"
     )
-    remote_idle = identity_observable(ez.slot_registry(state.registry, "B"))
+    remote_idle = identity_observable(ez.slot_registry(preparation.registry, "B"))
     remote_variants = [
-        Scenario(state, (slot_a, remote_b), description="remote measures setting 1"),
-        Scenario(state, (slot_a, remote_idle), description="remote measures nothing"),
+        Scenario(preparation, (slot_a, remote_b), description="remote measures setting 1"),
+        Scenario(preparation, (slot_a, remote_idle), description="remote measures nothing"),
     ]
     scenarios = [scenario_a, scenario_b, *link_scenarios, pair_scenario, *remote_variants]
     for premise, report in preaudit(model, space, scenarios, tol=_PREAUDIT_TOL).items():

@@ -18,7 +18,7 @@ import cmath
 import dataclasses
 import itertools
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 from typing import NoReturn
 
@@ -741,11 +741,31 @@ def _keep(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.hypot(re, im) > DROP_TOL
 
 
+def _squares(re: np.ndarray, im: np.ndarray | float = 0.0) -> Iterator[float]:
+    """|v|^2 of each entry as `squared_norm` forms it (of real entries when
+    `im` is left out): abs(v) is hypot(re, im), squared by libm's pow as
+    `h ** 2` is on a Python float (`math.pow(h, 2.0)` calls the same pow;
+    h * h rounds differently)."""
+    return map(math.pow, np.hypot(re, im).tolist(), itertools.repeat(2.0))
+
+
 def _cell_sum(re: np.ndarray, im: np.ndarray) -> float:
-    """fsum of |v|^2 as `squared_norm` forms each term: abs(v) is
-    hypot(re, im), squared by libm's pow as `h ** 2` is on a Python float
-    (`math.pow(h, 2.0)` calls the same pow; h * h rounds differently)."""
-    return math.fsum(map(math.pow, np.hypot(re, im).tolist(), itertools.repeat(2.0)))
+    """fsum of the entries' `_squares`: exactly rounded, so its bits do not
+    depend on the entries' order."""
+    return math.fsum(_squares(re, im))
+
+
+def _exact_parts(terms: Sequence[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of `terms`, so that one fsum
+    over the parts of several lists has the bits of one fsum over all their
+    terms.  Each part is the fsum of the terms less the parts so far; fsum
+    is exactly rounded and an exact sum of floats is a multiple of the
+    least subnormal, so the remainder shrinks by 2**-52 a part and the loop
+    ends when it is exactly 0."""
+    parts: list[float] = []
+    while part := math.fsum(itertools.chain(terms, [-p for p in parts])):
+        parts.append(part)
+    return parts
 
 
 def _ordered_sums(
@@ -837,8 +857,11 @@ def born_table(
     far, the part no observable touches, and one acting column per
     observable.  One flat numpy pass per observable projects every row
     through every branch at once; only keys the state or a ket holds are
-    ever formed.  This is the program's only Born route.  Its oracle lives
-    in `tests/oracles.py`: every cell equals, as a float,
+    ever formed.  This is the program's Born route for any state; the one
+    other, `embezzle.SlotTerms`, gives the ledger's tables from the
+    embezzled state's slot terms with this route's bits, and the tests hold
+    it to this one.  This route's oracle lives in `tests/oracles.py`: every
+    cell equals, as a float,
     `joint_probability(state, [projectors in that order])` (for one
     observable, `born_probability`), the clipped squared norm of
     `project_amplitudes` applied projector by projector, complemented

@@ -223,6 +223,43 @@ def test_huge_size_is_config_error_naming_its_flag(capsys, argv, message):
     assert err.startswith(f"config error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("chain", "--N", str(2**62)), "--N values must be at most 10**6", id="chain-2**62"
+        ),
+        pytest.param(
+            ("chain", "--N", str(2**63 - 1)), "--N values must be at most 10**6", id="chain-int64"
+        ),
+        pytest.param(
+            ("dim", "--N", f"1,{2**62}"), "--N values must be at most 10**6", id="dim-2**62"
+        ),
+        pytest.param(
+            ("sqrt-rational", "--N", "1000001"), "--N values must be at most 10**6",
+            id="sqrt-rational",
+        ),
+        pytest.param(
+            ("arbitrary", "--N", "2,1000001"), "--N values must be at most 10**6", id="arbitrary"
+        ),
+        pytest.param(
+            ("audit", "--N-max", str(2**63 - 2)), "--N-max must be at most 10**6", id="audit-int64"
+        ),
+        pytest.param(
+            ("audit", "--N-max", "1000001"), "--N-max must be at most 10**6", id="audit-bound"
+        ),
+    ],
+)
+def test_depth_past_the_bound_is_config_error_naming_its_flag(capsys, argv, message):
+    """A chain depth that int64 can index but no memory can hold (2N + 1
+    settings, or N_max chains) is refused where it is parsed, before anything
+    is allocated: exit 2, not a MemoryError or OverflowError read as a
+    verdict failure."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {message}")
+
+
 def test_zero_tolerance_is_honoured(capsys):
     code, out, _ = run(capsys, "chain", "--N", "1,2", "--tol", "0", "--format", "json")
     report = json.loads(out)

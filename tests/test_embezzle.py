@@ -1,6 +1,7 @@
 """Tests for Schmidt-coefficient extraction from the embezzling state: harmonic
 sums, rational approximants, fidelity reports, and the approximate chains."""
 
+import dataclasses
 import math
 import os
 import re
@@ -18,7 +19,19 @@ from hypothesis import strategies as st
 from parind_lab import chained_bell as cb
 from parind_lab import cli
 from parind_lab import embezzle as ez
-from parind_lab.qcore import DROP_TOL, SparseState, SystemRegistry, squared_norm, tensor
+from parind_lab.qcore import (
+    DROP_TOL,
+    Observable,
+    SparseState,
+    SystemRegistry,
+    basis_state,
+    born_table,
+    complete_with_complement,
+    identity_projector,
+    span_projector,
+    squared_norm,
+    tensor,
+)
 
 from oracles import (
     embezzle_map,
@@ -903,3 +916,126 @@ def test_fidelity_commands_build_no_embezzled_state(argv, monkeypatch, capsys):
     assert cli.main([*argv, "--workers", "1"]) == 0
     assert capsys.readouterr().out
     assert len(builds) == 0
+
+
+# ---------------------------------------------------------------------------
+# Born tables from the slot terms
+
+
+@st.composite
+def slot_table_cases(draw):
+    """A spec with 2-4 coefficients and an even slot count, from exact
+    squares or from real squares through the denominator-2l approximants,
+    max m <= n <= 150; a depth N in 1-8 with a setting in 0 .. 2N; and a
+    random half-subset, in random order, with a random pairing onto its
+    complement."""
+    weights = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        squares = [Fraction(w, sum(weights)) for w in weights]
+        spec = ez.EmbezzleSpec.from_exact(squares, n=1, even_denominator=True)
+    else:
+        try:
+            spec = ez.EmbezzleSpec.from_reals(
+                [w / sum(weights) for w in weights], draw(st.integers(1, 12)), n=1
+            )
+        except ValueError:  # l below the smallest workable index
+            reject()
+    spec = spec.with_n(draw(st.integers(spec.max_m, 150)))
+    subset = draw(st.permutations(spec.pairs))[: spec.r // 2]
+    complement = draw(st.permutations([p for p in spec.pairs if p not in subset]))
+    N = draw(st.integers(1, 8))
+    return spec, N, draw(st.integers(0, 2 * N)), subset, dict(zip(subset, complement))
+
+
+def _table_bits(table):
+    return [(cell, value.hex()) for cell, value in table.items()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(slot_table_cases())
+def test_slot_term_tables_are_the_born_tables_of_the_state(case):
+    """Every table the terms route gives, on one observable or two, is
+    `born_table` on the built state: the same cells in the same order, to
+    the last bit.  The tables cover the ledger's (slot observables, setting-0
+    half-subsets, the idle remote, half-subset setting 1 on the remote side
+    against both), the other side's slots against a rotated setting, and the
+    spectator-extended state."""
+    spec, N, setting, subset, pairing = case
+    terms = ez.SlotTerms(spec)
+    state = ez.embezzled_state(spec)
+    host = state.registry
+    assert terms.registry == host
+    slots = {side: ez.slot_observable(spec, host, side) for side in ez.SIDES}
+    idle = Observable(((1.0, identity_projector(ez.slot_registry(host, "B"))),))
+
+    def half(side, k):
+        return ez.half_subset_observable(spec, N, subset, pairing, host, side, k)
+
+    remote = half("B", 1)
+    for observables in [
+        (slots["A"],),
+        (slots["B"],),
+        (half("A", 0),),
+        (half("A", 0), remote),
+        (slots["A"], remote),
+        (slots["A"], idle),
+        (idle,),
+        (remote,),
+        (slots["B"], half("A", setting)),
+        (half("B", 0), half("A", setting)),
+    ]:
+        got = terms.born_table(observables)
+        assert _table_bits(got) == _table_bits(born_table(state, observables))
+    extended = tensor(state, basis_state(SystemRegistry((("W", 2),)), (0,)))
+    assert _table_bits(terms.born_table((slots["A"],))) == _table_bits(
+        born_table(extended, (slots["A"],))
+    )
+
+
+@pytest.mark.parametrize(
+    "own, other",
+    [(math.nextafter(1.0, 0.0), 2e-15), (math.sqrt(1.0 - 1e-14), 1e-7)],
+    ids=["residual", "image"],
+)
+def test_slot_terms_drop_what_born_table_drops(own, other):
+    """Remote kets own |s> + other |t> whose residuals or images fall at or
+    below DROP_TOL, which `born_table` drops.  With own the float just below
+    1, a - own**2 a on s and the image 2e-15 a on t are dropped, so the slot
+    cell of s on the complemented branch holds nothing.  With other = 1e-7,
+    the image 1e-14 a on t of a row at t is dropped for a below 0.1, so that
+    row's residual is a itself, not a - 1e-14 a.  The terms route gives
+    every cell with `born_table`'s bits."""
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=60, even_denominator=True)
+    terms = ez.SlotTerms(spec)
+    state = ez.embezzled_state(spec)
+    acting = ez.slot_registry(state.registry, "B")
+    s, t = (ez.slot_key(pair, acting, "B") for pair in spec.pairs[:2])
+    ket = SparseState(acting, {s: own, t: other})
+    remote = complete_with_complement([(1.0, span_projector([ket]))], -1.0)
+    observables = (ez.slot_observable(spec, state.registry, "A"), remote)
+    got = terms.born_table(observables)
+    assert _table_bits(got) == _table_bits(born_table(state, observables))
+    if own == math.nextafter(1.0, 0.0):
+        assert got[(ez.pair_eigenvalue_scheme(spec.pairs[0]), -1.0)] == 0.0
+
+
+def test_slot_terms_refuse_what_they_cannot_read():
+    """A rotated observable before the last, an observable off one side's
+    slot registers, and a complemented branch that closes other kets than
+    the spans' are refused, not read."""
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=20, even_denominator=True)
+    terms = ez.SlotTerms(spec)
+    host = terms.registry
+    subset = spec.pairs[: spec.r // 2]
+    pairing = ez.default_pairing(spec, subset)
+    rotated = ez.half_subset_observable(spec, 2, subset, pairing, host, "A", 1)
+    with pytest.raises(ValueError, match="only the last observable"):
+        terms.born_table((rotated, ez.slot_observable(spec, host, "B")))
+    pointer = Observable(((1.0, identity_projector(host.restrict(("A1",)))),))
+    with pytest.raises(ValueError, match="not on one side's slot registers"):
+        terms.born_table((pointer,))
+    plus = rotated.projector_for(1.0)
+    copies = tuple(SparseState(k.registry, dict(k.amplitudes)) for k in plus.kets)
+    closing = dataclasses.replace(rotated.projector_for(-1.0), kets=copies)
+    with pytest.raises(ValueError, match="close the span kets themselves"):
+        terms.born_table((Observable(((1.0, plus), (-1.0, closing))),))

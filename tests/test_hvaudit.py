@@ -3,6 +3,7 @@ models, structural checks, chained refutation, perfect-correlation transfer,
 and the finite-resource ledger."""
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -16,12 +17,15 @@ import pytest
 from parind_lab import chained_bell as cb
 from parind_lab import embezzle as ez
 from parind_lab import hvaudit as hv
+from parind_lab import qcore
 from parind_lab.qcore import (
     SparseState,
     SystemRegistry,
     basis_span_projector,
+    basis_state,
     born_table,
     complete_with_complement,
+    tensor,
 )
 
 from oracles import exact_trivial_epsilon, joint_probability, mismatch_probability
@@ -519,24 +523,109 @@ def test_triviality_bound_on_trivial_model():
 
 
 def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
-    """A ledger pass asks for each distinct scenario's Born table once: the
-    two slot scenarios, one per audited half-subset (seven here), three remote
-    variants and the spectator-extended scenario."""
-    calls = []
-    original = hv.born_joint_distribution
+    """A ledger pass on the trivial fixture builds no state and calls no
+    `born_table`: it reads 13 distinct tables from the slot terms, each
+    once: the two slot scenarios, one per audited half-subset (seven here),
+    three remote variants and the spectator-extended scenario."""
 
-    def counted(state, observables):
-        calls.append((state, tuple(observables)))
-        return original(state, observables)
+    def refuse(*args):
+        raise AssertionError("the ledger must not build a state or call born_table")
 
-    monkeypatch.setattr(hv, "born_joint_distribution", counted)
+    monkeypatch.setattr(hv, "born_table", refuse)
+    monkeypatch.setattr(qcore, "born_table", refuse)
+    monkeypatch.setattr(ez, "embezzled_state", refuse)
+    reads, tables = [], []
+    original_born = hv.Scenario.born.func
+    original_table = ez.SlotTerms.born_table
+
+    def counted_born(scenario):
+        reads.append((id(scenario.preparation), tuple(map(id, scenario.observables))))
+        return original_born(scenario)
+
+    born = functools.cached_property(counted_born)
+    born.__set_name__(hv.Scenario, "born")
+    monkeypatch.setattr(hv.Scenario, "born", born)
+    def counted_table(terms, observables):
+        tables.append(observables)
+        return original_table(terms, observables)
+
+    monkeypatch.setattr(ez.SlotTerms, "born_table", counted_table)
     model, space = hv.fixture_model("trivial")
     spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=10, n=100)
     report = hv.triviality_bound(model, space, spec, 2)
     assert report["passed"]
     assert len(report["half_subset_links"]) == 7
-    assert len(calls) == 13
-    assert len({(id(state), tuple(map(id, obs))) for state, obs in calls}) == 13
+    assert len(reads) == len(set(reads)) == 13
+    assert len(tables) == 13
+
+
+class _StateBornModel:
+    """Reads the state: echoes `born_table` on `scenario.state`, and keeps
+    every state it was shown."""
+
+    name = "state-born"
+
+    def __init__(self):
+        self.states = []
+
+    def distribution(self, scenario, lam):
+        self.states.append(scenario.state)
+        return born_table(scenario.state, scenario.observables)
+
+
+def _same_state(seen, expected):
+    return (
+        seen.registry == expected.registry
+        and seen.keys.tobytes() == expected.keys.tobytes()
+        and seen.values.tobytes() == expected.values.tobytes()
+    )
+
+
+@pytest.mark.parametrize("l, n, N", [(10, 100, 2), (50, 100, 8), (3, 100, 1)])
+def test_a_model_that_reads_the_state_sees_the_embezzled_state(l, n, N):
+    """A model may still read `scenario.state`: it is built on that read,
+    once per ledger call, and is `embezzled_state(spec)` (with the spectator
+    column on the extended scenario) key for key and bit for bit; a model
+    that echoes `born_table` on it certifies the trivial fixture's epsilon."""
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=l, n=n)
+    trivial, space = hv.fixture_model("trivial")
+    expected = hv.triviality_bound(trivial, space, spec, N)["achieved_epsilon"]
+    model = _StateBornModel()
+    report = hv.triviality_bound(model, space, spec, N)
+    assert report["passed"]
+    assert repr(report["achieved_epsilon"]) == repr(expected)
+    state = ez.embezzled_state(spec)
+    extended = tensor(state, basis_state(SystemRegistry((("W", 2),)), (0,)))
+    plain = [seen for seen in model.states if "W" not in seen.registry.labels]
+    dressed = [seen for seen in model.states if "W" in seen.registry.labels]
+    assert plain and dressed
+    assert len({id(seen) for seen in plain}) == len({id(seen) for seen in dressed}) == 1
+    assert _same_state(plain[0], state)
+    assert _same_state(dressed[0], extended)
+
+
+def test_parameter_independence_refuses_scenarios_on_different_preparations():
+    """Two copies of one state, or two lazy preparations of one state, are
+    different preparations; one preparation shared is accepted."""
+    state, a_family, b_family = bell_families(1)
+    copy = SparseState(state.registry, dict(state.amplitudes))
+    lazy = [
+        hv.Preparation(state.registry, lambda: state, functools.partial(born_table, state))
+        for _ in range(2)
+    ]
+    model, space = hv.fixture_model("trivial")
+    for first, second in [(state, copy), tuple(lazy)]:
+        scenarios = [
+            hv.Scenario(first, (a_family[0], b_family[1])),
+            hv.Scenario(second, (a_family[0],)),
+        ]
+        with pytest.raises(ValueError, match="same preparation"):
+            hv.check_parind(model, space, scenarios)
+    shared = [
+        hv.Scenario(lazy[0], (a_family[0], b_family[1])),
+        hv.Scenario(lazy[0], (a_family[0],)),
+    ]
+    assert hv.check_parind(model, space, shared)["passed"]
 
 
 @pytest.mark.parametrize("l, n", [(10, 100), (10, 1000), (50, 100), (3, 100)])
@@ -565,6 +654,17 @@ def test_ledger_arithmetic_on_spec_weights_matches_the_born_table_route(monkeypa
     for block, expected in zip(report["blocks"], oracle["blocks"], strict=True):
         for key in ("final_bound", "remote_deviation", "target_deviation"):
             assert block[key] == pytest.approx(expected[key], rel=0, abs=1e-14)
+
+
+def test_ledger_point_at_n_1e5_keeps_its_bits():
+    """(N, l, n) = (8, 50, 10^5): 200 000 terms, read from the slot terms in
+    well under a second (3.8 s while the ledger built the state and ran
+    `born_table` on it)."""
+    model, space = hv.fixture_model("trivial")
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=50, n=10**5)
+    report = hv.triviality_bound(model, space, spec, 8)
+    assert report["passed"]
+    assert repr(report["achieved_epsilon"]) == "0.052861112648117665"
 
 
 def test_fine_ledger_point_keeps_its_bits():
