@@ -20,6 +20,7 @@ only in amplitudes and probabilities.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from collections.abc import Mapping, Sequence
@@ -702,17 +703,42 @@ def correlation_measure_IJlNnl(
 # W = w_s + w_t and G = G_st; summed over a half-subset J with partners pi(J),
 # W is the weight of J and pi(J) and G = sum_{s in J} G_{s,pi(s)}.  The
 # module tests pin these formulas against the literal projector route.
+#
+# The Born tables of slot observables come from the aux vectors too.  Entry
+# (q, s) is the one row at level q in slot s on both sides, so each of
+# `born_table`'s projection groups holds one row while every observable
+# before the last holds only basis kets of amplitude 1; such an observable
+# sends a row whole to one branch, so a table of them alone has cells that
+# are unions of whole slots.  The last observable may rotate: a row at key x
+# of a real ket w gets coefficient w_x a, the images (w_x a) w_y on each key
+# y of the ket, each kept above DROP_TOL, and the residual a - image on x
+# and -image on the other key, as `born_table` forms them.  A cell is the
+# exactly rounded fsum of its values' squares, so its bits do not depend on
+# their order, and a level a slot lacks (0.0) adds an exact zero.
 
 
 @dataclasses.dataclass(frozen=True)
 class SlotStatistics:
-    """Slot weights and auxiliary amplitudes of a slot-diagonal state: `aux[k]`
-    holds amp_s(q) of slot s = pairs[k] at its levels q = 0 .. Q_s - 1, Q_s
-    the slot's highest level present plus one, and 0.0 where s has no level q."""
+    """Slot weights and auxiliary amplitudes of a slot-diagonal state on
+    `registry`: `aux[k]` holds amp_s(q) of slot s = pairs[k] at its levels
+    q = 0 .. Q_s - 1, Q_s the slot's highest level present plus one, and 0.0
+    where s has no level q.
+
+    `born_table(observables)` gives, with no state built, `born_table(state,
+    observables)` cell for cell, bits and key order included, for
+    `embezzled_state(spec)` and for every state `slot_statistics` accepts
+    with real amplitudes.  Each observable must act on one side's (pointer,
+    system) registers and have real kets with at most two keys, no slot key
+    in two kets, and its complemented branch, if any, closing its span kets
+    themselves; every observable but the last must hold only basis kets of
+    amplitude 1.  What the tables read (each slot's squares as exact parts,
+    `qcore._exact_parts`) is derived on the first table read, so the fast
+    chains pay nothing for it."""
 
     pairs: tuple[Pair, ...]
     weights: dict[Pair, float]
     aux: tuple[np.ndarray, ...]
+    registry: SystemRegistry
 
     def overlap(self, links: Sequence[tuple[Pair, Pair]]) -> float:
         """sum of G_st over the (s, t) links, as one `math.fsum` of every
@@ -726,116 +752,6 @@ class SlotStatistics:
             products += (a[: len(b)] * b[: len(a)]).tolist()
         return math.fsum(products)
 
-
-def _slot_rows(spec: EmbezzleSpec, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The row of slot (i, j) in the lexicographic `spec.pairs`:
-    m_0 + ... + m_{i-1} + j."""
-    return np.cumsum((0,) + spec.m[:-1])[i] + j
-
-
-def _slot_statistics(
-    spec: EmbezzleSpec, row: np.ndarray, q: np.ndarray, amplitude: np.ndarray
-) -> SlotStatistics:
-    """The statistics of real support entries at slot row `row`, level `q`.
-    `np.bincount` adds in entry order, one term at a time from 0.0, so each
-    weight is the sequential sum of the squared amplitudes of its slot and
-    each vector entry that of the amplitudes at its (slot, level); a vector
-    runs up to its slot's highest level, 0.0 where a level is absent."""
-    weights = np.bincount(row, weights=amplitude * amplitude, minlength=spec.r)
-    lengths = np.zeros(spec.r, dtype=np.int64)
-    np.maximum.at(lengths, row, q + 1)
-    ends = lengths.cumsum()
-    flat = np.bincount((ends - lengths)[row] + q, weights=amplitude, minlength=int(ends[-1]))
-    return SlotStatistics(
-        pairs=spec.pairs,
-        weights=dict(zip(spec.pairs, weights.tolist())),
-        aux=tuple(np.split(flat, ends[:-1])),
-    )
-
-
-def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
-    """Slot weights and auxiliary amplitudes read from the state's arrays.
-
-    Refuses, at the first offending entry in key order, a state that is not
-    slot-diagonal, has an amplitude with an imaginary part above 1e-14, or
-    occupies a slot outside the spec's: the fast formulas do not apply
-    there."""
-    keys = state.keys[:, state.registry.axes(SIDES["A"] + SIDES["B"])]
-    q, j, i = keys[:, :3].T
-    values = state.values
-    m = np.array(spec.m, dtype=np.int64)
-    off_diagonal = (keys[:, :3] != keys[:, 3:]).any(axis=1)
-    imaginary = np.abs(values.imag) > 1e-14
-    outside = (i >= spec.d) | (j >= m[np.minimum(i, spec.d - 1)])
-    bad = off_diagonal | imaginary | outside
-    if bad.any():
-        k = int(bad.argmax())
-        if off_diagonal[k]:
-            raise ValueError("state is not slot-diagonal; use the literal chain route")
-        if imaginary[k]:
-            raise ValueError("slot fast path requires real amplitudes")
-        raise ValueError(f"state occupies slot {(int(i[k]), int(j[k]))} outside the spec's slots")
-    return _slot_statistics(spec, _slot_rows(spec, i, j), q, values.real)
-
-
-def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
-    """`slot_statistics(embezzled_state(spec), spec)` from `_embezzled_terms`:
-    the same body over the same terms in the same order, so the same weights
-    and vectors bit for bit, without building the state."""
-    q, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
-    return _slot_statistics(spec, _slot_rows(spec, i, j), q, amplitude)
-
-
-# ---------------------------------------------------------------------------
-# Born tables of slot observables from the terms
-#
-# A term (q, s) of the embezzled state is its row (q, q, s, s): one slot s on
-# both sides.  `born_table` projects the rows in groups that agree off the
-# observable's acting columns; on this state each group holds one row, as
-# long as every observable before the last keeps each row on its own key,
-# that is, holds only basis kets of amplitude 1.  Such an observable sends a
-# row whole to one branch, so a table of them alone has cells that are
-# unions of whole slots.  The last observable may rotate: a row at key x of
-# a real ket w gets coefficient w_x a, the images (w_x a) w_y on each key y
-# of the ket, each kept above DROP_TOL, and the residual a - image on x and
-# -image on the other key, as `born_table` forms them.  A cell is the fsum
-# of its values' squares, exactly rounded, so its bits depend only on the
-# values, not on their order.
-
-
-class SlotTerms:
-    """The terms of `embezzled_state(spec)` by slot, and the Born tables of
-    observables on its slot registers computed from them, with no state
-    built.  `born_table(observables)` equals `born_table(embezzled_state(
-    spec), observables)` cell for cell, bits and key order included.
-
-    Each observable must act on one side's (pointer, system) registers and
-    have real kets with at most two keys, no slot key in two kets, and its
-    complemented branch, if any, closing its span kets themselves (as
-    `complete_with_complement` builds it); every observable but the last
-    must hold only basis kets of amplitude 1.  Each slot's squared terms are
-    kept as exact parts (`qcore._exact_parts`), so a table of whole slots
-    costs O(r) fsum work after the one pass here."""
-
-    def __init__(self, spec: EmbezzleSpec):
-        _, j, i, amplitude = _embezzled_terms(spec, harmonic_number(spec.n))
-        slot = _slot_rows(spec, i, j)
-        order = slot.argsort()
-        self.spec = spec
-        self.registry = _embezzled_registry(spec)
-        self.slot, self.amplitude = slot[order], amplitude[order]
-        bounds = np.searchsorted(self.slot, np.arange(spec.r + 1)).tolist()
-        self.segments = list(zip(bounds[:-1], bounds[1:]))
-        self.weights = [
-            _exact_parts(list(_squares(self.amplitude[a:b]))) for a, b in self.segments
-        ]
-        # per side, its slot registry and the slot of each slot key there
-        self.sides = []
-        for side in SIDES:
-            acting = slot_registry(self.registry, side)
-            slots = {slot_key(pair, acting, side): s for s, pair in enumerate(spec.pairs)}
-            self.sides.append((acting, slots))
-
     def born_table(self, observables: Sequence[Observable]) -> dict[tuple[float, ...], float]:
         obs = tuple(observables)
         if not obs:
@@ -845,12 +761,13 @@ class SlotTerms:
         if any(kets.rotated.any() for kets in leading):
             raise ValueError("only the last observable may hold a ket other than a basis ket")
         # each slot's branch on the leading observables; None where its rows vanish
-        prefixes = list(zip(*(kets.destination for kets in leading))) or [()] * self.spec.r
+        prefixes = list(zip(*(kets.destination for kets in leading))) or [()] * len(self.pairs)
         members: dict[tuple[int, ...], list] = {}
         if last.rotated.any():
-            # one pass over the terms, then one fsum per cell over its slots' values
+            # one pass over the entries, then one fsum per cell over its slots' values
             span, residual = self._projected(last)
-            for (a, b), prefix, branch in zip(self.segments, prefixes, last.branch):
+            _, segments = self._entries
+            for (a, b), prefix, branch in zip(segments, prefixes, last.branch):
                 for cell_branch, values in ((branch, span), (last.closing, residual)):
                     if cell_branch is not None and None not in prefix:
                         members.setdefault(prefix + (cell_branch,), []).append(values[a:b].ravel())
@@ -860,7 +777,7 @@ class SlotTerms:
             }
         else:
             # whole slots: one fsum per cell over its slots' exact parts
-            for parts, prefix, branch in zip(self.weights, prefixes, last.destination):
+            for parts, prefix, branch in zip(self._parts, prefixes, last.destination):
                 if None not in prefix and branch is not None:
                     members.setdefault(prefix + (branch,), []).extend(parts)
             sums = {cell: math.fsum(parts) for cell, parts in members.items()}
@@ -870,14 +787,34 @@ class SlotTerms:
             table[tuple(e for _, (e, _) in combo)] = min(1.0, max(0.0, sums.get(cell, 0.0)))
         return table
 
+    @functools.cached_property
+    def _entries(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The aux vectors flattened, slot by slot, and each slot's span there."""
+        ends = np.cumsum([len(v) for v in self.aux]).tolist()
+        return np.concatenate(self.aux), list(zip([0, *ends[:-1]], ends))
+
+    @functools.cached_property
+    def _parts(self) -> list[list[float]]:
+        """Each slot's squared amplitudes as exact fsum parts."""
+        return [_exact_parts(list(_squares(v))) for v in self.aux]
+
+    @functools.cached_property
+    def _sides(self) -> list[tuple[SystemRegistry, dict[MultiIndex, int]]]:
+        """Per side, its slot registry and the slot row of each slot key there."""
+        sides = []
+        for side in SIDES:
+            acting = slot_registry(self.registry, side)
+            sides.append((acting, {slot_key(p, acting, side): s for s, p in enumerate(self.pairs)}))
+        return sides
+
     def _read(self, observable: Observable) -> _SlotKets:
         acting = _host_order(self.registry, observable.registry)
-        slot_of = next((slots for host, slots in self.sides if host == acting), None)
+        slot_of = next((slots for host, slots in self._sides if host == acting), None)
         if slot_of is None:
             raise ValueError(
                 f"observable acts on {acting.labels}, not on one side's slot registers"
             )
-        kets = _SlotKets(self.spec.r)
+        kets = _SlotKets(len(self.pairs))
         span_kets: list[SparseState] = []
         closing_kets: tuple[SparseState, ...] = ()
         for b, (_, projector) in enumerate(observable.branches):
@@ -894,7 +831,7 @@ class SlotTerms:
                     if s is None:
                         continue
                     if kets.branch[s] is not None:
-                        raise ValueError(f"slot {self.spec.pairs[s]} lies in two kets")
+                        raise ValueError(f"slot {self.pairs[s]} lies in two kets")
                     kets.branch[s] = b
                     kets.own[s] = amplitude.real
                     kets.other[s] = next((w.real for k, w in entries if k != key), 0.0)
@@ -903,12 +840,13 @@ class SlotTerms:
         return kets
 
     def _projected(self, kets: _SlotKets) -> tuple[np.ndarray, np.ndarray]:
-        """Each term's two span values (the images on its own key and on the
+        """Each entry's two span values (the images on its own key and on the
         other key of its ket) and its two residual values, as `born_table`
         forms them; a value it drops is 0.0 here, which adds nothing to a
         cell's exact sum."""
-        a = self.amplitude
-        own, other = kets.own[self.slot], kets.other[self.slot]
+        a, _ = self._entries
+        lengths = [len(v) for v in self.aux]
+        own, other = np.repeat(kets.own, lengths), np.repeat(kets.other, lengths)
         coefficient = own * a
         live = _keep(coefficient, 0.0)
         image = np.stack([coefficient * own, coefficient * other], axis=1)
@@ -916,6 +854,69 @@ class SlotTerms:
         residual = np.stack([a - image[:, 0], -image[:, 1]], axis=1)
         residual[~_keep(residual, 0.0)] = 0.0
         return image, residual
+
+
+def _slot_statistics(
+    spec: EmbezzleSpec, registry: SystemRegistry, terms: tuple[np.ndarray, ...]
+) -> SlotStatistics:
+    """The statistics of real support entries of a state on `registry`, as
+    `_embezzled_terms` lists them: (q, j, i, amplitude), aux level, pointer,
+    system.  `np.bincount` adds in entry order, one term at a time from 0.0,
+    so each weight is the sequential sum of the squared amplitudes of its
+    slot and each vector entry that of the amplitudes at its (slot, level);
+    a vector runs up to its slot's highest level, 0.0 where a level is
+    absent."""
+    q, j, i, amplitude = terms
+    row = np.cumsum((0,) + spec.m[:-1])[i] + j  # slot (i, j)'s row in `spec.pairs`
+    weights = np.bincount(row, weights=amplitude * amplitude, minlength=spec.r)
+    lengths = np.zeros(spec.r, dtype=np.int64)
+    np.maximum.at(lengths, row, q + 1)
+    ends = lengths.cumsum()
+    flat = np.bincount((ends - lengths)[row] + q, weights=amplitude, minlength=int(ends[-1]))
+    return SlotStatistics(
+        pairs=spec.pairs,
+        weights=dict(zip(spec.pairs, weights.tolist())),
+        aux=tuple(np.split(flat, ends[:-1])),
+        registry=registry,
+    )
+
+
+def slot_statistics(state: SparseState, spec: EmbezzleSpec) -> SlotStatistics:
+    """Slot weights and auxiliary amplitudes read from the state's arrays.
+
+    Refuses, at the first offending entry in key order, a state that is not
+    slot-diagonal, has an amplitude with an imaginary part above 1e-14, or
+    occupies a slot outside the spec's: the fast formulas do not apply
+    there.  Slot-diagonal means one entry per (slot, level), at the same
+    (level, pointer, system) on both sides."""
+    keys = state.keys[:, state.registry.axes(SIDES["A"] + SIDES["B"])]
+    q, j, i = keys[:, :3].T
+    values = state.values
+    m = np.array(spec.m, dtype=np.int64)
+    # lexsort is stable, so each run of equal (q, j, i) lists its entries in key order
+    order = np.lexsort((i, j, q))
+    repeated = np.zeros(len(keys), dtype=bool)
+    repeated[order[1:][(np.diff(keys[order, :3], axis=0) == 0).all(axis=1)]] = True
+    off_diagonal = (keys[:, :3] != keys[:, 3:]).any(axis=1) | repeated
+    imaginary = np.abs(values.imag) > 1e-14
+    outside = (i >= spec.d) | (j >= m[np.minimum(i, spec.d - 1)])
+    bad = off_diagonal | imaginary | outside
+    if bad.any():
+        k = int(bad.argmax())
+        if off_diagonal[k]:
+            raise ValueError("state is not slot-diagonal; use the literal chain route")
+        if imaginary[k]:
+            raise ValueError("slot fast path requires real amplitudes")
+        raise ValueError(f"state occupies slot {(int(i[k]), int(j[k]))} outside the spec's slots")
+    return _slot_statistics(spec, state.registry, (q, j, i, values.real))
+
+
+def slot_statistics_from_spec(spec: EmbezzleSpec) -> SlotStatistics:
+    """`slot_statistics(embezzled_state(spec), spec)` from `_embezzled_terms`:
+    the same body over the same terms in the same order, so the same weights
+    and vectors bit for bit, without building the state."""
+    terms = _embezzled_terms(spec, harmonic_number(spec.n))
+    return _slot_statistics(spec, _embezzled_registry(spec), terms)
 
 
 class _SlotKets:

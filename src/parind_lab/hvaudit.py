@@ -21,8 +21,8 @@ A scenario's preparation is a `SparseState`, whose Born tables are
 `qcore.born_table`'s, or a `Preparation`, which builds its state only when
 read and has a Born route of its own with the same bits.  The ledger's
 scenarios are of the second kind: their tables come from the embezzled
-state's slot terms (`embezzle.SlotTerms`), so a ledger call builds no state
-unless a model reads one.
+state's slot statistics (`embezzle.SlotStatistics.born_table`), so a ledger
+call builds no state unless a model reads one.
 
 On top of the checks sit the refutation tools.  `chained_audit` runs the
 chained-correlation argument: a parameter-independent model whose setting-0
@@ -135,8 +135,8 @@ class Preparation:
     (then kept), with a Born route of its own: `born_table(observables)` must
     equal `born_table(state, observables)` cell for cell, bits and key order
     included, for the observables its scenarios measure.  The ledger's
-    preparation is the embezzled state, its tables from the slot terms
-    (`embezzle.SlotTerms`)."""
+    preparation is the embezzled state, its tables from the slot statistics
+    (`embezzle.SlotStatistics.born_table`)."""
 
     registry: SystemRegistry
     build: Callable[[], SparseState]
@@ -185,7 +185,7 @@ class Scenario:
         read and kept for the scenario's lifetime."""
         preparation = self.preparation
         if isinstance(preparation, SparseState):
-            table = born_joint_distribution(preparation, self.observables)
+            table = born_table(preparation, self.observables)
         else:
             table = preparation.born_table(self.observables)
         return types.MappingProxyType(table)
@@ -194,14 +194,6 @@ class Scenario:
 def identity_observable(registry: SystemRegistry) -> Observable:
     """The trivial 'measure nothing' observable: eigenvalue 1 on everything."""
     return Observable(((1.0, identity_projector(registry)),))
-
-
-def born_joint_distribution(
-    state: SparseState, observables: Sequence[Observable]
-) -> Distribution:
-    """Born joint distribution over the observables' eigenvalue tuples: the
-    `born_table` of the state, every complemented cell a literal residual."""
-    return born_table(state, observables)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +208,10 @@ class HVModel(Protocol):
     same numbers.  It may read the scenario's `observables`, `description`,
     Born table `born`, `preparation` and `state`, and must mutate none of
     them.  On a ledger scenario (`triviality_bound`) the Born table comes
-    from the slot terms, with the bits `born_table` gives on the state, and
-    the state, `embezzled_state(spec)`, is built on the first read of
-    `state` and shared by every scenario of that ledger call.
+    from the slot statistics (`embezzle.SlotStatistics.born_table`), with
+    the bits `born_table` gives on the state, and the state,
+    `embezzled_state(spec)`, is built on the first read of `state` and
+    shared by every scenario of that ledger call.
     """
 
     name: str
@@ -976,15 +969,19 @@ def triviality_bound(
     against remote setting 1 and against an idle remote).  So quantum
     completeness covers every read, and parameter independence covers the
     slots and link 0; the remote variants of links 1-6 stay unaudited (each
-    would add one two-observable table, one more pass over the slot terms).
+    would add one two-observable table, one more pass over the slot
+    statistics' aux vectors).
     The first failed premise raises `PremiseError`.  The ledger audits six
     half-subsets (plus the sorted extreme) and six slot pairs, both drawn
     with `seed`.
 
     Every scenario is on one `Preparation` of the embezzled state: its Born
-    tables come from the slot terms (`embezzle.SlotTerms`), with the bits of
-    `born_table` on the state, and the state is built only if a model reads
-    `scenario.state`.  Nothing is kept from one call to the next.
+    tables come from the spec's slot statistics
+    (`embezzle.SlotStatistics.born_table`), with the bits of `born_table` on
+    the state, and the state is built only if a model reads
+    `scenario.state`.  The statistics are summed in one walk over the
+    state's terms and serve both the tables and `_certify`.  Nothing is
+    kept from one call to the next.
 
     This function is the measurement: it reads, per lambda, the model's slot
     probabilities on the extraction-side and remote-side pointer registers of
@@ -1011,9 +1008,8 @@ def triviality_bound(
     """
     if N < 1:
         raise ValueError(f"chain depth N must be >= 1, got {N}")
-    terms = ez.SlotTerms(spec)
-    preparation = Preparation(terms.registry, lambda: ez.embezzled_state(spec), terms.born_table)
     stats = ez.slot_statistics_from_spec(spec)
+    preparation = Preparation(stats.registry, lambda: ez.embezzled_state(spec), stats.born_table)
     slot_a = ez.slot_observable(spec, preparation.registry, "A")
     slot_b = ez.slot_observable(spec, preparation.registry, "B")
     scenario_a = Scenario(preparation, (slot_a,), description="extraction-side slots")

@@ -858,10 +858,10 @@ def born_table(
     observable.  One flat numpy pass per observable projects every row
     through every branch at once; only keys the state or a ket holds are
     ever formed.  This is the program's Born route for any state; the one
-    other, `embezzle.SlotTerms`, gives the ledger's tables from the
-    embezzled state's slot terms with this route's bits, and the tests hold
-    it to this one.  This route's oracle lives in `tests/oracles.py`: every
-    cell equals, as a float,
+    other, `embezzle.SlotStatistics.born_table`, gives the ledger's tables
+    from the embezzled state's slot statistics with this route's bits, and
+    the tests hold it to this one.  This route's oracle lives in
+    `tests/oracles.py`: every cell equals, as a float,
     `joint_probability(state, [projectors in that order])` (for one
     observable, `born_probability`), the clipped squared norm of
     `project_amplitudes` applied projector by projector, complemented

@@ -718,10 +718,12 @@ def _slot_statistics_loop(state, spec):
     row = {s: k for k, s in enumerate(spec.pairs)}
     weights = {s: 0.0 for s in spec.pairs}
     aux = {}
+    seen = set()
     for key, amp in state.amplitudes.items():
         q_a, j_a, i_a, q_b, j_b, i_b = (key[axis] for axis in axes)
-        if (q_a, j_a, i_a) != (q_b, j_b, i_b):
+        if (q_a, j_a, i_a) != (q_b, j_b, i_b) or (q_a, j_a, i_a) in seen:
             raise ValueError("state is not slot-diagonal; use the literal chain route")
+        seen.add((q_a, j_a, i_a))
         value = complex(amp)
         if abs(value.imag) > 1e-14:
             raise ValueError("slot fast path requires real amplitudes")
@@ -734,7 +736,9 @@ def _slot_statistics_loop(state, spec):
     vectors = [np.zeros(1 + max((q for r, q in aux if r == k), default=-1)) for k in range(spec.r)]
     for (k, q), value in aux.items():
         vectors[k][q] = value
-    return ez.SlotStatistics(pairs=spec.pairs, weights=weights, aux=tuple(vectors))
+    return ez.SlotStatistics(
+        pairs=spec.pairs, weights=weights, aux=tuple(vectors), registry=state.registry
+    )
 
 
 def _slot_outcome(statistics, state, spec):
@@ -742,7 +746,12 @@ def _slot_outcome(statistics, state, spec):
         stats = statistics(state, spec)
     except ValueError as exc:  # the message itself is the outcome compared
         return str(exc)
-    return stats.pairs, list(stats.weights.items()), [v.tobytes() for v in stats.aux]
+    return (
+        stats.pairs,
+        list(stats.weights.items()),
+        [v.tobytes() for v in stats.aux],
+        stats.registry,
+    )
 
 
 @settings(deadline=None, max_examples=100)
@@ -780,6 +789,25 @@ def test_slot_statistics_read_the_arrays_as_the_entry_loop_did(spec, data):
     assert _slot_outcome(ez.slot_statistics, edited, spec) == _slot_outcome(
         _slot_statistics_loop, edited, spec
     )
+
+
+def test_slot_statistics_refuse_two_entries_at_one_slot_level():
+    """A spectator register in superposition puts two entries at each
+    (slot, level); summing them into one aux amplitude would give the fast
+    chains wrong vectors, so both the array route and the entry loop refuse
+    the state as not slot-diagonal.  A spectator held in one basis state
+    stays accepted, with the bare state's statistics."""
+    spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=20)
+    state = ez.embezzled_state(spec)
+    plus = SparseState(SystemRegistry((("W", 2),)), {(0,): math.sqrt(0.5), (1,): math.sqrt(0.5)})
+    superposed = tensor(state, plus)
+    for statistics in (ez.slot_statistics, _slot_statistics_loop):
+        with pytest.raises(ValueError, match="not slot-diagonal"):
+            statistics(superposed, spec)
+    held = tensor(state, basis_state(SystemRegistry((("W", 2),)), (1,)))
+    got, bare = ez.slot_statistics(held, spec), ez.slot_statistics(state, spec)
+    assert got.weights == bare.weights
+    assert [v.tobytes() for v in got.aux] == [v.tobytes() for v in bare.aux]
 
 
 MIB = 2**20
@@ -919,7 +947,7 @@ def test_fidelity_commands_build_no_embezzled_state(argv, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Born tables from the slot terms
+# Born tables from the slot statistics
 
 
 @st.composite
@@ -954,42 +982,50 @@ def _table_bits(table):
 @settings(deadline=None, max_examples=60)
 @given(slot_table_cases())
 def test_slot_term_tables_are_the_born_tables_of_the_state(case):
-    """Every table the terms route gives, on one observable or two, is
-    `born_table` on the built state: the same cells in the same order, to
-    the last bit.  The tables cover the ledger's (slot observables, setting-0
-    half-subsets, the idle remote, half-subset setting 1 on the remote side
-    against both), the other side's slots against a rotated setting, and the
-    spectator-extended state."""
+    """Every table the slot statistics give, on one observable or two, is
+    `born_table` on the state: the same cells in the same order, to the
+    last bit.  The statistics are those of the embezzled state, summed from
+    the spec or read from the built state, and those of the uniform slot
+    state, a slot-diagonal state whose registers come in another order
+    (tau_n's aux pair first): the route's scope is every state
+    `slot_statistics` accepts with real amplitudes.  The tables cover the
+    ledger's (slot observables, setting-0 half-subsets, the idle remote,
+    half-subset setting 1 on the remote side against both), the other
+    side's slots against a rotated setting, and the spectator-extended
+    state."""
     spec, N, setting, subset, pairing = case
-    terms = ez.SlotTerms(spec)
-    state = ez.embezzled_state(spec)
-    host = state.registry
-    assert terms.registry == host
-    slots = {side: ez.slot_observable(spec, host, side) for side in ez.SIDES}
-    idle = Observable(((1.0, identity_projector(ez.slot_registry(host, "B"))),))
-
-    def half(side, k):
-        return ez.half_subset_observable(spec, N, subset, pairing, host, side, k)
-
-    remote = half("B", 1)
-    for observables in [
-        (slots["A"],),
-        (slots["B"],),
-        (half("A", 0),),
-        (half("A", 0), remote),
-        (slots["A"], remote),
-        (slots["A"], idle),
-        (idle,),
-        (remote,),
-        (slots["B"], half("A", setting)),
-        (half("B", 0), half("A", setting)),
+    embezzled, uniform = ez.embezzled_state(spec), ez.phi_uniform_state(spec)
+    assert uniform.registry != embezzled.registry
+    for state, routes in [
+        (embezzled, (ez.slot_statistics_from_spec(spec), ez.slot_statistics(embezzled, spec))),
+        (uniform, (ez.slot_statistics(uniform, spec),)),
     ]:
-        got = terms.born_table(observables)
-        assert _table_bits(got) == _table_bits(born_table(state, observables))
-    extended = tensor(state, basis_state(SystemRegistry((("W", 2),)), (0,)))
-    assert _table_bits(terms.born_table((slots["A"],))) == _table_bits(
-        born_table(extended, (slots["A"],))
-    )
+        host = state.registry
+        assert all(stats.registry == host for stats in routes)
+        slots = {side: ez.slot_observable(spec, host, side) for side in ez.SIDES}
+        idle = Observable(((1.0, identity_projector(ez.slot_registry(host, "B"))),))
+        half = {
+            (side, k): ez.half_subset_observable(spec, N, subset, pairing, host, side, k)
+            for side, k in [("A", 0), ("A", setting), ("B", 0), ("B", 1)]
+        }
+        remote = half["B", 1]
+        extended = tensor(state, basis_state(SystemRegistry((("W", 2),)), (0,)))
+        for target, observables in [
+            (state, (slots["A"],)),
+            (state, (slots["B"],)),
+            (state, (half["A", 0],)),
+            (state, (half["A", 0], remote)),
+            (state, (slots["A"], remote)),
+            (state, (slots["A"], idle)),
+            (state, (idle,)),
+            (state, (remote,)),
+            (state, (slots["B"], half["A", setting])),
+            (state, (half["B", 0], half["A", setting])),
+            (extended, (slots["A"],)),
+        ]:
+            expected = _table_bits(born_table(target, observables))
+            for stats in routes:
+                assert _table_bits(stats.born_table(observables)) == expected
 
 
 @pytest.mark.parametrize(
@@ -1003,20 +1039,21 @@ def test_slot_terms_drop_what_born_table_drops(own, other):
     1, a - own**2 a on s and the image 2e-15 a on t are dropped, so the slot
     cell of s on the complemented branch holds nothing.  With other = 1e-7,
     the image 1e-14 a on t of a row at t is dropped for a below 0.1, so that
-    row's residual is a itself, not a - 1e-14 a.  The terms route gives
-    every cell with `born_table`'s bits."""
+    row's residual is a itself, not a - 1e-14 a.  The slot statistics,
+    from the spec and from the state, give every cell with `born_table`'s
+    bits."""
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=60, even_denominator=True)
-    terms = ez.SlotTerms(spec)
     state = ez.embezzled_state(spec)
     acting = ez.slot_registry(state.registry, "B")
     s, t = (ez.slot_key(pair, acting, "B") for pair in spec.pairs[:2])
     ket = SparseState(acting, {s: own, t: other})
     remote = complete_with_complement([(1.0, span_projector([ket]))], -1.0)
     observables = (ez.slot_observable(spec, state.registry, "A"), remote)
-    got = terms.born_table(observables)
-    assert _table_bits(got) == _table_bits(born_table(state, observables))
-    if own == math.nextafter(1.0, 0.0):
-        assert got[(ez.pair_eigenvalue_scheme(spec.pairs[0]), -1.0)] == 0.0
+    for stats in (ez.slot_statistics_from_spec(spec), ez.slot_statistics(state, spec)):
+        got = stats.born_table(observables)
+        assert _table_bits(got) == _table_bits(born_table(state, observables))
+        if own == math.nextafter(1.0, 0.0):
+            assert got[(ez.pair_eigenvalue_scheme(spec.pairs[0]), -1.0)] == 0.0
 
 
 def test_slot_terms_refuse_what_they_cannot_read():
@@ -1024,18 +1061,19 @@ def test_slot_terms_refuse_what_they_cannot_read():
     slot registers, and a complemented branch that closes other kets than
     the spans' are refused, not read."""
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=20, even_denominator=True)
-    terms = ez.SlotTerms(spec)
-    host = terms.registry
+    state = ez.embezzled_state(spec)
+    host = state.registry
     subset = spec.pairs[: spec.r // 2]
     pairing = ez.default_pairing(spec, subset)
     rotated = ez.half_subset_observable(spec, 2, subset, pairing, host, "A", 1)
-    with pytest.raises(ValueError, match="only the last observable"):
-        terms.born_table((rotated, ez.slot_observable(spec, host, "B")))
     pointer = Observable(((1.0, identity_projector(host.restrict(("A1",)))),))
-    with pytest.raises(ValueError, match="not on one side's slot registers"):
-        terms.born_table((pointer,))
     plus = rotated.projector_for(1.0)
     copies = tuple(SparseState(k.registry, dict(k.amplitudes)) for k in plus.kets)
     closing = dataclasses.replace(rotated.projector_for(-1.0), kets=copies)
-    with pytest.raises(ValueError, match="close the span kets themselves"):
-        terms.born_table((Observable(((1.0, plus), (-1.0, closing))),))
+    for stats in (ez.slot_statistics_from_spec(spec), ez.slot_statistics(state, spec)):
+        with pytest.raises(ValueError, match="only the last observable"):
+            stats.born_table((rotated, ez.slot_observable(spec, host, "B")))
+        with pytest.raises(ValueError, match="not on one side's slot registers"):
+            stats.born_table((pointer,))
+        with pytest.raises(ValueError, match="close the span kets themselves"):
+            stats.born_table((Observable(((1.0, plus), (-1.0, closing))),))

@@ -86,7 +86,7 @@ def test_born_joint_two_observable_algebra_matches_literal_grid():
     literal projector route cell by cell."""
     state, a_family, b_family = bell_families(2)
     obs = (a_family[2], b_family[1])
-    table = hv.born_joint_distribution(state, obs)
+    table = born_table(state, obs)
     assert math.fsum(table.values()) == pytest.approx(1.0)
     for combo, value in table.items():
         projectors = [o.projector_for(e) for o, e in zip(obs, combo)]
@@ -114,7 +114,7 @@ def test_born_joint_three_observables():
         hv.identity_observable(registry.restrict((label,))) for label in "AC"
     ]
     z_b = cb.o_theta(0.0, (0, 1), registry.restrict(("B",)))
-    table = hv.born_joint_distribution(ghz, (families[0], z_b, families[1]))
+    table = born_table(ghz, (families[0], z_b, families[1]))
     assert table[(1.0, -1.0, 1.0)] == pytest.approx(0.5)
     assert table[(1.0, 1.0, 1.0)] == pytest.approx(0.5)
 
@@ -469,7 +469,7 @@ class _RemoteSensitiveModel:
         self.delta = delta
 
     def distribution(self, scenario, lam):
-        base = hv.born_joint_distribution(scenario.state, scenario.observables)
+        base = born_table(scenario.state, scenario.observables)
         remote_active = len(scenario.observables) > 1 and any(
             len(o.branches) > 1 for o in scenario.observables[1:]
         )
@@ -524,9 +524,9 @@ def test_triviality_bound_on_trivial_model():
 
 def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
     """A ledger pass on the trivial fixture builds no state and calls no
-    `born_table`: it reads 13 distinct tables from the slot terms, each
-    once: the two slot scenarios, one per audited half-subset (seven here),
-    three remote variants and the spectator-extended scenario."""
+    `born_table`: it reads 13 distinct tables from the slot statistics,
+    each once: the two slot scenarios, one per audited half-subset (seven
+    here), three remote variants and the spectator-extended scenario."""
 
     def refuse(*args):
         raise AssertionError("the ledger must not build a state or call born_table")
@@ -536,7 +536,7 @@ def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
     monkeypatch.setattr(ez, "embezzled_state", refuse)
     reads, tables = [], []
     original_born = hv.Scenario.born.func
-    original_table = ez.SlotTerms.born_table
+    original_table = ez.SlotStatistics.born_table
 
     def counted_born(scenario):
         reads.append((id(scenario.preparation), tuple(map(id, scenario.observables))))
@@ -545,11 +545,11 @@ def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
     born = functools.cached_property(counted_born)
     born.__set_name__(hv.Scenario, "born")
     monkeypatch.setattr(hv.Scenario, "born", born)
-    def counted_table(terms, observables):
+    def counted_table(stats, observables):
         tables.append(observables)
-        return original_table(terms, observables)
+        return original_table(stats, observables)
 
-    monkeypatch.setattr(ez.SlotTerms, "born_table", counted_table)
+    monkeypatch.setattr(ez.SlotStatistics, "born_table", counted_table)
     model, space = hv.fixture_model("trivial")
     spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=10, n=100)
     report = hv.triviality_bound(model, space, spec, 2)
@@ -557,6 +557,23 @@ def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
     assert len(report["half_subset_links"]) == 7
     assert len(reads) == len(set(reads)) == 13
     assert len(tables) == 13
+
+
+def test_triviality_bound_walks_the_embezzled_terms_once(monkeypatch):
+    """One ledger call sums the spec's slot statistics once, and both the
+    Born tables and `_certify` read them: `_embezzled_terms` runs once."""
+    calls = []
+    original = ez._embezzled_terms
+
+    def counted(spec, c_n):
+        calls.append(spec)
+        return original(spec, c_n)
+
+    monkeypatch.setattr(ez, "_embezzled_terms", counted)
+    model, space = hv.fixture_model("trivial")
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=10, n=100)
+    assert hv.triviality_bound(model, space, spec, 2)["passed"]
+    assert calls == [spec]
 
 
 class _StateBornModel:
@@ -657,9 +674,9 @@ def test_ledger_arithmetic_on_spec_weights_matches_the_born_table_route(monkeypa
 
 
 def test_ledger_point_at_n_1e5_keeps_its_bits():
-    """(N, l, n) = (8, 50, 10^5): 200 000 terms, read from the slot terms in
-    well under a second (3.8 s while the ledger built the state and ran
-    `born_table` on it)."""
+    """(N, l, n) = (8, 50, 10^5): 200 000 terms, read from the slot
+    statistics in well under a second (3.8 s while the ledger built the
+    state and ran `born_table` on it)."""
     model, space = hv.fixture_model("trivial")
     spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=50, n=10**5)
     report = hv.triviality_bound(model, space, spec, 8)
@@ -747,7 +764,7 @@ def test_slot_observable_resolves_slots():
     spec = ez.EmbezzleSpec.from_exact(["1/3", "2/3"], n=12)
     state = ez.embezzled_state(spec)
     obs = ez.slot_observable(spec, state.registry, side="A")
-    dist = hv.born_joint_distribution(state, (obs,))
+    dist = born_table(state, (obs,))
     stats = ez.slot_statistics(state, spec)
     for pair in spec.pairs:
         eig = ez.pair_eigenvalue_scheme(pair)
