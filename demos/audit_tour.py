@@ -5,7 +5,8 @@ ignore the remote setting choice is squeezed by the chain: its predicted
 anti-correlation triangle value can never exceed I_N, and I_N -> 0.  The
 three bundled fixtures show the possible verdicts:
 
-* trivial            — outcomes uniformly random; survives every audit.
+* trivial            — ignores lambda and echoes the Born table; survives
+                        every audit.
 * deterministic-chain — lambda fixes +/-1 outcomes; refuted at N=2 and its
                         joint statistics already fail the quantum cross-check.
 * signalling-toy     — reproduces quantum statistics but shifts outcome
@@ -24,9 +25,10 @@ def main() -> None:
     state = cb.bell_state()
     chain2 = cb.ChainSpec(N=2, pair=(0, 1))
     a_family, b_family = cb.chain_families(chain2, state.registry)
-    pair = hv.Scenario(state, (a_family[0], b_family[1]), description="settings (0, 1)")
+    preparation = hv.Preparation.of(state)
+    pair = hv.Scenario(preparation, (a_family[0], b_family[1]), description="settings (0, 1)")
     idle = hv.Scenario(
-        state,
+        preparation,
         (a_family[0], hv.identity_observable(b_family[1].registry)),
         description="remote idle",
     )

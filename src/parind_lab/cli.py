@@ -675,8 +675,8 @@ def _random_split(
     return projectors
 
 
-def _pointer_mismatch(state: SparseState, label_1: str, label_2: str) -> float:
-    axis_1, axis_2 = state.registry.axis(label_1), state.registry.axis(label_2)
+def _pointer_mismatch(state: SparseState) -> float:
+    axis_1, axis_2 = state.registry.axis("B1"), state.registry.axis("B2")
     return sum(
         abs(amp) ** 2
         for key, amp in state.amplitudes.items()
@@ -713,7 +713,7 @@ def run_couple(cfg: dict) -> dict:
     direct = couplings.povm_probabilities(psi_2, trine, "S")
     dist = couplings.pointer_distribution(coupled, "B1")
     deviation = max(abs(dist.get(j, 0.0) - p) for j, p in enumerate(direct))
-    deviation = max(deviation, _pointer_mismatch(coupled, "B1", "B2"))
+    deviation = max(deviation, _pointer_mismatch(coupled))
     rows.append(
         {
             "command": "couple", "instance": "trine", "kind": "povm",
@@ -735,24 +735,22 @@ def run_couple(cfg: dict) -> dict:
                 for branch in couplings.branch_amplitudes(psi, projectors)
             ]
             if kind == "first":
-                out = couplings.first_kind_coupling(psi, projectors, pointer_label="P")
-                dist = couplings.pointer_distribution(out, "P")
+                out = couplings.first_kind_coupling(psi, projectors)
+                dist = couplings.pointer_distribution(out, "B")
             else:
                 posts = [_random_state(rng, registry) for _ in projectors]
-                out = couplings.second_kind_coupling(
-                    psi, projectors, posts, pointer_labels=("P1", "P2")
-                )
-                dist = couplings.pointer_distribution(out, "P1")
+                out = couplings.second_kind_coupling(psi, projectors, posts)
+                dist = couplings.pointer_distribution(out, "B1")
             deviation = max(abs(dist.get(j, 0.0) - w) for j, w in enumerate(weights))
             if kind == "second":
-                deviation = max(deviation, _pointer_mismatch(out, "P1", "P2"))
+                deviation = max(deviation, _pointer_mismatch(out))
         else:
             povm = _random_povm(rng, dim, int(rng.integers(2, 5)))
-            out = couplings.povm_coupling(psi, povm, "S", pointer_labels=("P1", "P2"))
+            out = couplings.povm_coupling(psi, povm, "S")
             direct = couplings.povm_probabilities(psi, povm, "S")
-            dist = couplings.pointer_distribution(out, "P1")
+            dist = couplings.pointer_distribution(out, "B1")
             deviation = max(abs(dist.get(j, 0.0) - p) for j, p in enumerate(direct))
-            deviation = max(deviation, _pointer_mismatch(out, "P1", "P2"))
+            deviation = max(deviation, _pointer_mismatch(out))
         norm_gap = abs(sum(abs(a) ** 2 for a in out.amplitudes.values()) - 1.0)
         deviation = max(deviation, norm_gap)
         rows.append(
@@ -817,10 +815,11 @@ def run_audit(cfg: dict) -> dict:
 
     chain2 = cb.ChainSpec(N=min(2, n_max), pair=(0, 1))
     a_family, b_family = cb.chain_families(chain2, state.registry)
-    single = hv.Scenario(state, (a_family[0],), description="setting 0 alone")
-    pair = hv.Scenario(state, (a_family[0], b_family[1]), description="settings (0, 1)")
+    preparation = hv.Preparation.of(state)
+    single = hv.Scenario(preparation, (a_family[0],), description="setting 0 alone")
+    pair = hv.Scenario(preparation, (a_family[0], b_family[1]), description="settings (0, 1)")
     idle = hv.Scenario(
-        state,
+        preparation,
         (a_family[0], hv.identity_observable(b_family[1].registry)),
         description="remote idle",
     )

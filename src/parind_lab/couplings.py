@@ -57,11 +57,10 @@ def branch_amplitudes(
 def first_kind_coupling(
     psi: SparseState,
     projectors: Sequence[RankedProjector],
-    pointer_label: str = "B",
 ) -> SparseState:
-    """sum_j E_j|psi> (x) |j>_pointer, with zero-weight branches dropped."""
+    """sum_j E_j|psi> (x) |j>_B, with zero-weight branches dropped."""
     branches = branch_amplitudes(psi, projectors)
-    pointer = SystemRegistry(((pointer_label, len(projectors)),))
+    pointer = SystemRegistry((("B", len(projectors)),))
     registry = psi.registry.merged_with(pointer)
     amplitudes = {}
     for j, branch in enumerate(branches):
@@ -74,7 +73,6 @@ def second_kind_coupling(
     psi: SparseState,
     projectors: Sequence[RankedProjector],
     post_states: Sequence[SparseState],
-    pointer_labels: tuple[str, str] = ("B1", "B2"),
 ) -> SparseState:
     """sum_j c_j |post_j> (x) |j>_B1 (x) |j>_B2 with c_j = ||E_j psi||.
 
@@ -90,9 +88,7 @@ def second_kind_coupling(
         if abs(squared_norm(post.amplitudes) - 1.0) > NORM_TOL:
             raise ValueError(f"post state {j} is not normalized")
     branches = branch_amplitudes(psi, projectors)
-    pointers = SystemRegistry(
-        ((pointer_labels[0], len(projectors)), (pointer_labels[1], len(projectors)))
-    )
+    pointers = SystemRegistry((("B1", len(projectors)), ("B2", len(projectors))))
     registry = psi.registry.merged_with(pointers)
     amplitudes = {}
     for j, branch in enumerate(branches):
@@ -175,7 +171,6 @@ def povm_coupling(
     psi: SparseState,
     povm: PovmElementSet,
     measured_label: str,
-    pointer_labels: tuple[str, str] = ("B1", "B2"),
 ) -> SparseState:
     """sum_j c_j |j>_A |j>_B1 |j>_B2 with c_j = ||M_j psi|| and |j>_A the
     normalized Kraus image M_j psi / c_j; zero-probability branches dropped."""
@@ -186,7 +181,7 @@ def povm_coupling(
             f"{measured_label!r} of dimension {psi.registry.dimension(measured_label)}"
         )
     n = len(povm.matrices)
-    pointers = SystemRegistry(((pointer_labels[0], n), (pointer_labels[1], n)))
+    pointers = SystemRegistry((("B1", n), ("B2", n)))
     registry = psi.registry.merged_with(pointers)
     amplitudes = {}
     for j, m in enumerate(povm.matrices):

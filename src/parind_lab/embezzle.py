@@ -191,7 +191,6 @@ class EmbezzleSpec:
     m: tuple[int, ...]
     exact_squares: tuple[Fraction, ...] | None = None
     l: int | None = None
-    even_denominator: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -202,8 +201,6 @@ class EmbezzleSpec:
             raise ValueError(f"numerators {self.m} do not sum to denominator {self.r}")
         if any(mi < 1 for mi in self.m):
             raise ValueError(f"numerators must be positive, got {self.m}")
-        if self.even_denominator and self.r % 2 != 0:
-            raise ValueError(f"denominator r={self.r} must be even")
         if self.exact_squares is not None:
             for mi, sq in zip(self.m, self.exact_squares):
                 if Fraction(mi, self.r) != sq:
@@ -225,7 +222,6 @@ class EmbezzleSpec:
             r=r,
             m=m,
             exact_squares=exact,
-            even_denominator=even_denominator,
         )
 
     @classmethod
@@ -239,7 +235,6 @@ class EmbezzleSpec:
             m=m,
             exact_squares=None,
             l=l,
-            even_denominator=True,
         )
 
     @property

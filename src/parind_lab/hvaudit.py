@@ -17,12 +17,12 @@ spectator invariance on the first.  The CLI's `audit` findings and the
 `triviality_bound` ledger both go through it; the ledger leaves the remote
 variants of half-subset links 1-6 unaudited (see its docstring).
 
-A scenario's preparation is a `SparseState`, whose Born tables are
-`qcore.born_table`'s, or a `Preparation`, which builds its state only when
-read and has a Born route of its own with the same bits.  The ledger's
-scenarios are of the second kind: their tables come from the embezzled
-state's slot statistics (`embezzle.SlotStatistics.born_table`), so a ledger
-call builds no state unless a model reads one.
+Every scenario is on a `Preparation`: a state known by its registry, built
+only when read, with a Born route of its own.  `Preparation.of(state)` wraps a
+built state, its tables `qcore.born_table`'s.  The ledger's preparation reads
+its tables from the embezzled state's slot statistics
+(`embezzle.SlotStatistics.born_table`), with the same bits, so a ledger call
+builds no state unless a model reads one.
 
 On top of the checks sit the refutation tools.  `chained_audit` runs the
 chained-correlation argument: a parameter-independent model whose setting-0
@@ -134,9 +134,11 @@ class Preparation:
     """A state known by its registry, built only when `state` is first read
     (then kept), with a Born route of its own: `born_table(observables)` must
     equal `born_table(state, observables)` cell for cell, bits and key order
-    included, for the observables its scenarios measure.  The ledger's
-    preparation is the embezzled state, its tables from the slot statistics
-    (`embezzle.SlotStatistics.born_table`)."""
+    included, for the observables its scenarios measure.  `of` wraps a built
+    state; the ledger's preparation is the embezzled state, its tables from
+    the slot statistics (`embezzle.SlotStatistics.born_table`).  The audits
+    compare scenarios on one preparation by identity, so wrap a state once
+    and share the object."""
 
     registry: SystemRegistry
     build: Callable[[], SparseState]
@@ -146,15 +148,18 @@ class Preparation:
     def state(self) -> SparseState:
         return self.build()
 
+    @classmethod
+    def of(cls, state: SparseState) -> Preparation:
+        """The preparation of a built state, its tables `born_table`'s."""
+        return cls(state.registry, lambda: state, functools.partial(born_table, state))
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Scenario:
-    """A preparation together with measurements on disjoint subsystem groups.
+    """A preparation together with measurements on disjoint subsystem groups;
+    the preparation's state is built only if `state` is read."""
 
-    The preparation is a `SparseState`, whose Born tables are `born_table`'s,
-    or a `Preparation`, whose state is built only if `state` is read."""
-
-    preparation: SparseState | Preparation
+    preparation: Preparation
     observables: tuple[Observable, ...]
     description: str = ""
 
@@ -175,20 +180,14 @@ class Scenario:
 
     @property
     def state(self) -> SparseState:
-        """The prepared state; a `Preparation` builds it on its first read."""
-        preparation = self.preparation
-        return preparation if isinstance(preparation, SparseState) else preparation.state
+        """The prepared state, built on the preparation's first read."""
+        return self.preparation.state
 
     @functools.cached_property
     def born(self) -> Distribution:
         """Read-only Born joint distribution of this scenario, built on first
         read and kept for the scenario's lifetime."""
-        preparation = self.preparation
-        if isinstance(preparation, SparseState):
-            table = born_table(preparation, self.observables)
-        else:
-            table = preparation.born_table(self.observables)
-        return types.MappingProxyType(table)
+        return types.MappingProxyType(self.preparation.born_table(self.observables))
 
 
 def identity_observable(registry: SystemRegistry) -> Observable:
@@ -207,11 +206,12 @@ class HVModel(Protocol):
     `distribution` must be a pure function of (scenario, lam): same inputs,
     same numbers.  It may read the scenario's `observables`, `description`,
     Born table `born`, `preparation` and `state`, and must mutate none of
-    them.  On a ledger scenario (`triviality_bound`) the Born table comes
-    from the slot statistics (`embezzle.SlotStatistics.born_table`), with
-    the bits `born_table` gives on the state, and the state,
-    `embezzled_state(spec)`, is built on the first read of `state` and
-    shared by every scenario of that ledger call.
+    them.  The table is the preparation's, with the bits `born_table` gives
+    on the state; the state is built on the first read of `state` and shared
+    by every scenario on that preparation.  On a ledger scenario
+    (`triviality_bound`) the table comes from the slot statistics
+    (`embezzle.SlotStatistics.born_table`) and the state is
+    `embezzled_state(spec)`.
     """
 
     name: str
@@ -529,10 +529,10 @@ def check_parind(
 ) -> dict:
     """Parameter independence: per-lambda local marginals ignore remote settings.
 
-    All scenarios must share the same state and the same local observable at
-    index 0; the remaining slots may carry anything, including the identity
-    observable standing in for 'no measurement'.  Failures name the lambda,
-    the two scenarios, the outcome, and the marginal gap.
+    All scenarios must share one `Preparation` object and the same local
+    observable at index 0; the remaining slots may carry anything, including
+    the identity observable standing in for 'no measurement'.  Failures name
+    the lambda, the two scenarios, the outcome, and the marginal gap.
     """
     if len(scenarios) < 2:
         raise ValueError("parameter independence needs at least two scenarios")
@@ -593,23 +593,18 @@ def pe_invariance_check(
     |0> must leave every per-lambda distribution unchanged (within 1e-12, the
     float rounding of a model that reads only the measured registers).  The
     extended state is `tensor(state, |0>_W)`: the state's key rows plus one
-    constant column, over the same amplitudes, so no dict of the state is
-    copied, and the model still sees an extended scenario.  On a
-    `Preparation` the extended state too is built only if read, and its Born
-    tables are the preparation's own: an unmeasured |0> factor moves no
-    cell."""
+    constant column, over the same amplitudes.  It is built only if a model
+    reads it, and its Born tables are the preparation's own: an unmeasured
+    |0> factor moves no cell, key order and bits included."""
     preparation = scenario.preparation
     if _SPECTATOR_LABEL in preparation.registry.labels:
         raise ValueError(f"spectator label {_SPECTATOR_LABEL!r} already in use")
     spectator = basis_state(SystemRegistry(((_SPECTATOR_LABEL, 2),)), (0,))
-    if isinstance(preparation, SparseState):
-        extended_preparation = tensor(preparation, spectator)
-    else:
-        extended_preparation = Preparation(
-            preparation.registry.merged_with(spectator.registry),
-            lambda: tensor(preparation.state, spectator),
-            preparation.born_table,
-        )
+    extended_preparation = Preparation(
+        preparation.registry.merged_with(spectator.registry),
+        lambda: tensor(preparation.state, spectator),
+        preparation.born_table,
+    )
     extended = Scenario(
         extended_preparation,
         scenario.observables,
@@ -699,13 +694,14 @@ def chained_audit(
     independent outcomes are flagged by the negation-consistency entry.
     """
     a_family, b_family = cb.chain_families(cb.ChainSpec(N=N, pair=(0, 1)), state.registry)
+    preparation = Preparation.of(state)
 
     pairs = []
     born_terms, model_terms = [], []
     compquant_worst: tuple[float, tuple[int, int] | None] = (0.0, None)
     for a, b in cb.adjacent_setting_pairs(N):
         scenario = Scenario(
-            state, (a_family[a], b_family[b]), description=f"settings ({a}, {b})"
+            preparation, (a_family[a], b_family[b]), description=f"settings ({a}, {b})"
         )
         born = scenario.born
         averaged = model_average(model, space, scenario)
@@ -731,8 +727,8 @@ def chained_audit(
     chain_value = math.fsum(born_terms)
     model_chain_value = math.fsum(model_terms)
 
-    setting0 = Scenario(state, (a_family[0],), description="setting 0 alone")
-    terminal = Scenario(state, (a_family[2 * N],), description="setting 2N alone")
+    setting0 = Scenario(preparation, (a_family[0],), description="setting 0 alone")
+    terminal = Scenario(preparation, (a_family[2 * N],), description="setting 2N alone")
     lhs_terms, delta_terms, negation_devs = [], [], []
     for lam, weight in space.items():
         p0 = _local_marginal(_validated_distribution(model, setting0, lam))
@@ -896,7 +892,7 @@ def perfect_correlation_check(
         # Cells (1, -1) and (-1, 1) are the one-sided mismatches, each the float
         # of the literal joint probability of one event and the other's
         # complement (the tests pin it against the oracle in tests/oracles.py).
-        born = Scenario(state, (obs_a, obs_b), description=description).born
+        born = born_table(state, (obs_a, obs_b))
         p = _directed(born[(1.0, -1.0)], born[(-1.0, 1.0)], direction)
         quantum.append({"event": description, "mismatch": p, "holds": p <= tol})
     return {

@@ -261,9 +261,10 @@ def test_acceptance_09_fixture_refutations(acceptance):
     state = cb.bell_state()
     chain2 = cb.ChainSpec(N=2, pair=(0, 1))
     a_family, b_family = cb.chain_families(chain2, state.registry)
-    pair = hv.Scenario(state, (a_family[0], b_family[1]), description="settings (0, 1)")
+    preparation = hv.Preparation.of(state)
+    pair = hv.Scenario(preparation, (a_family[0], b_family[1]), description="settings (0, 1)")
     idle = hv.Scenario(
-        state,
+        preparation,
         (a_family[0], hv.identity_observable(b_family[1].registry)),
         description="remote idle",
     )

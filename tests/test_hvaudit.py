@@ -67,14 +67,14 @@ def test_lambda_space_uniform_and_min_weight():
 def test_scenario_rejects_overlapping_observables():
     state, a_family, _ = bell_families(1)
     with pytest.raises(ValueError, match="disjoint"):
-        hv.Scenario(state, (a_family[0], a_family[2]))
+        hv.Scenario(hv.Preparation.of(state), (a_family[0], a_family[2]))
 
 
 def test_scenario_rejects_unknown_subsystems():
     state, a_family, _ = bell_families(1)
     other = SparseState(SystemRegistry((("X", 2),)), {(0,): 1.0})
     with pytest.raises(KeyError):
-        hv.Scenario(other, (a_family[0],))
+        hv.Scenario(hv.Preparation.of(other), (a_family[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_born_joint_two_observable_algebra_matches_literal_grid():
 
 def test_scenario_born_is_the_read_only_born_table():
     state, a_family, b_family = bell_families(2)
-    scenario = hv.Scenario(state, (a_family[2], b_family[1]))
+    scenario = hv.Scenario(hv.Preparation.of(state), (a_family[2], b_family[1]))
     table = born_table(state, scenario.observables)
     assert set(scenario.born) == set(table)
     for cell, value in table.items():
@@ -134,15 +134,16 @@ def test_rotation_angle_roundtrip():
 def test_trivial_model_passes_everything():
     model, space = hv.fixture_model("trivial")
     state, a_family, b_family = bell_families(2)
+    preparation = hv.Preparation.of(state)
     scenarios = [
-        hv.Scenario(state, (a_family[a], b_family[b]), description=f"({a}, {b})")
+        hv.Scenario(preparation, (a_family[a], b_family[b]), description=f"({a}, {b})")
         for a, b in cb.adjacent_setting_pairs(2)
     ]
     assert hv.check_compquant(model, space, scenarios)["passed"]
     idle = hv.identity_observable(state.registry.restrict(("B",)))
     variants = [
-        hv.Scenario(state, (a_family[0], b_family[1]), description="remote active"),
-        hv.Scenario(state, (a_family[0], idle), description="remote idle"),
+        hv.Scenario(preparation, (a_family[0], b_family[1]), description="remote active"),
+        hv.Scenario(preparation, (a_family[0], idle), description="remote idle"),
     ]
     assert hv.check_parind(model, space, variants)["passed"]
     assert hv.pe_invariance_check(model, space, scenarios[0])["passed"]
@@ -170,7 +171,7 @@ def test_deterministic_chain_compquant_failure_is_localized():
     model, space = hv.fixture_model("deterministic-chain")
     state, a_family, b_family = bell_families(2)
     scenario = hv.Scenario(
-        state, (a_family[0], b_family[1]), description="settings (0, 1)"
+        hv.Preparation.of(state), (a_family[0], b_family[1]), description="settings (0, 1)"
     )
     report = hv.check_compquant(model, space, [scenario])
     assert not report["passed"]
@@ -200,10 +201,11 @@ def test_local_cosine_respects_parameter_independence():
     model, space = hv.fixture_model("local-cosine", grid_points=16)
     assert model.grid_points == 16
     state, a_family, b_family = bell_families(2)
+    preparation = hv.Preparation.of(state)
     idle = hv.identity_observable(state.registry.restrict(("B",)))
     variants = [
-        hv.Scenario(state, (a_family[0], b_family[1]), description="active"),
-        hv.Scenario(state, (a_family[0], idle), description="idle"),
+        hv.Scenario(preparation, (a_family[0], b_family[1]), description="active"),
+        hv.Scenario(preparation, (a_family[0], idle), description="idle"),
     ]
     assert hv.check_parind(model, space, variants)["passed"]
 
@@ -211,16 +213,17 @@ def test_local_cosine_respects_parameter_independence():
 def test_signalling_toy_fails_parind_by_its_shift():
     model, space = hv.fixture_model("signalling-toy")
     state, a_family, b_family = bell_families(2)
+    preparation = hv.Preparation.of(state)
     idle = hv.identity_observable(state.registry.restrict(("B",)))
     variants = [
-        hv.Scenario(state, (a_family[0], b_family[1]), description="active"),
-        hv.Scenario(state, (a_family[0], idle), description="idle"),
+        hv.Scenario(preparation, (a_family[0], b_family[1]), description="active"),
+        hv.Scenario(preparation, (a_family[0], idle), description="idle"),
     ]
     report = hv.check_parind(model, space, variants)
     assert not report["passed"]
     assert report["first_failure"]["deviation"] == pytest.approx(0.1, abs=1e-15)
     # the shifts cancel in the average, so quantum completeness still holds
-    pair = hv.Scenario(state, (a_family[0], b_family[1]), description="pair")
+    pair = hv.Scenario(preparation, (a_family[0], b_family[1]), description="pair")
     assert hv.check_compquant(model, space, [pair])["passed"]
     # deep chains have joint cells smaller than the shift; the model declines
     # those depths and the scan records the refusal instead of refuting
@@ -268,10 +271,11 @@ def test_fixture_model_rejects_bad_parameter_values(name, params, match):
 def test_preaudit_derives_its_checks_from_the_scenarios():
     model, space = hv.fixture_model("signalling-toy")
     state, a_family, b_family = bell_families(2)
+    preparation = hv.Preparation.of(state)
     idle = hv.identity_observable(state.registry.restrict(("B",)))
-    single = hv.Scenario(state, (a_family[0],), description="single")
-    pair = hv.Scenario(state, (a_family[0], b_family[1]), description="pair")
-    other = hv.Scenario(state, (a_family[2], idle), description="other")
+    single = hv.Scenario(preparation, (a_family[0],), description="single")
+    pair = hv.Scenario(preparation, (a_family[0], b_family[1]), description="pair")
+    other = hv.Scenario(preparation, (a_family[2], idle), description="other")
     # a scenario alone in its index-0 group is not compared with anything
     alone = hv.preaudit(model, space, [pair, other], tol=1e-9)
     assert list(alone) == [
@@ -287,7 +291,7 @@ def test_preaudit_derives_its_checks_from_the_scenarios():
     model, space = hv.fixture_model("deterministic-chain")
     index = basis_span_projector(state.registry.restrict(("A",)), [(0,)])
     two_valued = complete_with_complement([(2.0, index)], 0.0)
-    refused = hv.preaudit(model, space, [hv.Scenario(state, (two_valued,))], tol=1e-9)
+    refused = hv.preaudit(model, space, [hv.Scenario(preparation, (two_valued,))], tol=1e-9)
     assert not refused["quantum completeness"]["passed"]
     assert "undefined" in refused["quantum completeness"]["first_failure"]
     assert refused["parameter independence"]["passed"]  # nothing to compare
@@ -302,7 +306,7 @@ def test_model_average_validates_model_output():
             return {(1.0,): 0.7}  # does not sum to 1
 
     state, a_family, _ = bell_families(1)
-    scenario = hv.Scenario(state, (a_family[0],))
+    scenario = hv.Scenario(hv.Preparation.of(state), (a_family[0],))
     with pytest.raises(ValueError, match="sums to"):
         hv.model_average(Broken(), hv.LambdaSpace((0,), (Fraction(1),)), scenario)
 
@@ -318,7 +322,7 @@ def test_non_finite_probability_is_refused_not_clipped():
             return {(1.0,): 0.5, (-1.0,): 0.5, (0.0,): math.nan}
 
     state, a_family, _ = bell_families(1)
-    scenario = hv.Scenario(state, (a_family[0],))
+    scenario = hv.Scenario(hv.Preparation.of(state), (a_family[0],))
     space = hv.LambdaSpace((7,), (Fraction(1),))
     message = r"model 'nan-outcome' returned non-finite probability nan for outcome \(0\.0,\) at lambda 7"
     with pytest.raises(ValueError, match=message):
@@ -435,9 +439,10 @@ def test_quantum_completeness_decides_perfect_correlation_for_models():
     state = ez.phi_schmidt([math.sqrt(0.5), math.sqrt(0.5)])
     events = hv.schmidt_index_events(state.registry, [(0,), (1,)])
     assert hv.perfect_correlation_check(state, events)["passed"]
+    preparation = hv.Preparation.of(state)
     scenarios = [
         hv.Scenario(
-            state,
+            preparation,
             tuple(complete_with_complement([(1.0, e)], -1.0) for e in (a, b)),
             description=description,
         )
@@ -598,6 +603,18 @@ def _same_state(seen, expected):
     )
 
 
+def _assert_saw_the_state_and_its_extension(states, state):
+    """The states a model was shown are one object that is `state` and one
+    that is `tensor(state, |0>_W)`, key for key and bit for bit."""
+    extended = tensor(state, basis_state(SystemRegistry((("W", 2),)), (0,)))
+    plain = [seen for seen in states if "W" not in seen.registry.labels]
+    dressed = [seen for seen in states if "W" in seen.registry.labels]
+    assert plain and dressed
+    assert len({id(seen) for seen in plain}) == len({id(seen) for seen in dressed}) == 1
+    assert _same_state(plain[0], state)
+    assert _same_state(dressed[0], extended)
+
+
 @pytest.mark.parametrize("l, n, N", [(10, 100, 2), (50, 100, 8), (3, 100, 1)])
 def test_a_model_that_reads_the_state_sees_the_embezzled_state(l, n, N):
     """A model may still read `scenario.state`: it is built on that read,
@@ -611,36 +628,58 @@ def test_a_model_that_reads_the_state_sees_the_embezzled_state(l, n, N):
     report = hv.triviality_bound(model, space, spec, N)
     assert report["passed"]
     assert repr(report["achieved_epsilon"]) == repr(expected)
-    state = ez.embezzled_state(spec)
-    extended = tensor(state, basis_state(SystemRegistry((("W", 2),)), (0,)))
-    plain = [seen for seen in model.states if "W" not in seen.registry.labels]
-    dressed = [seen for seen in model.states if "W" in seen.registry.labels]
-    assert plain and dressed
-    assert len({id(seen) for seen in plain}) == len({id(seen) for seen in dressed}) == 1
-    assert _same_state(plain[0], state)
-    assert _same_state(dressed[0], extended)
+    _assert_saw_the_state_and_its_extension(model.states, ez.embezzled_state(spec))
+
+
+def test_a_model_that_reads_a_built_state_sees_it_and_its_extension():
+    """On the Bell audit's premises, all on one `Preparation.of(state)`, a
+    model that reads `scenario.state` is shown the built state itself, and
+    on the spectator-extended scenario `tensor(state, |0>_W)`, built on that
+    read; a model that echoes `born_table` on them passes every premise."""
+    state, a_family, b_family = bell_families(2)
+    preparation = hv.Preparation.of(state)
+    idle = hv.identity_observable(b_family[1].registry)
+    scenarios = [
+        hv.Scenario(preparation, (a_family[0],), description="setting 0 alone"),
+        hv.Scenario(preparation, (a_family[0], b_family[1]), description="settings (0, 1)"),
+        hv.Scenario(preparation, (a_family[0], idle), description="remote idle"),
+    ]
+    model = _StateBornModel()
+    reports = hv.preaudit(model, hv.LambdaSpace.uniform((0, 1)), scenarios, tol=1e-9)
+    assert all(report["passed"] for report in reports.values())
+    assert any(seen is state for seen in model.states)
+    _assert_saw_the_state_and_its_extension(model.states, state)
+
+
+def test_the_spectator_premise_extends_a_built_state_only_if_read(monkeypatch):
+    """The trivial fixture reads only `born`, so the spectator premise on a
+    `Preparation.of(state)` scenario runs no `tensor`."""
+
+    def refuse(*args):
+        raise AssertionError("the extended state must be built only if a model reads it")
+
+    monkeypatch.setattr(hv, "tensor", refuse)
+    state, a_family, b_family = bell_families(2)
+    scenario = hv.Scenario(hv.Preparation.of(state), (a_family[0], b_family[1]))
+    model, space = hv.fixture_model("trivial")
+    assert hv.pe_invariance_check(model, space, scenario)["passed"]
 
 
 def test_parameter_independence_refuses_scenarios_on_different_preparations():
-    """Two copies of one state, or two lazy preparations of one state, are
-    different preparations; one preparation shared is accepted."""
+    """Two `Preparation.of` wraps of one state are different preparations;
+    one preparation shared is accepted."""
     state, a_family, b_family = bell_families(1)
-    copy = SparseState(state.registry, dict(state.amplitudes))
-    lazy = [
-        hv.Preparation(state.registry, lambda: state, functools.partial(born_table, state))
-        for _ in range(2)
-    ]
+    first, second = hv.Preparation.of(state), hv.Preparation.of(state)
     model, space = hv.fixture_model("trivial")
-    for first, second in [(state, copy), tuple(lazy)]:
-        scenarios = [
-            hv.Scenario(first, (a_family[0], b_family[1])),
-            hv.Scenario(second, (a_family[0],)),
-        ]
-        with pytest.raises(ValueError, match="same preparation"):
-            hv.check_parind(model, space, scenarios)
+    scenarios = [
+        hv.Scenario(first, (a_family[0], b_family[1])),
+        hv.Scenario(second, (a_family[0],)),
+    ]
+    with pytest.raises(ValueError, match="same preparation"):
+        hv.check_parind(model, space, scenarios)
     shared = [
-        hv.Scenario(lazy[0], (a_family[0], b_family[1])),
-        hv.Scenario(lazy[0], (a_family[0],)),
+        hv.Scenario(first, (a_family[0], b_family[1])),
+        hv.Scenario(first, (a_family[0],)),
     ]
     assert hv.check_parind(model, space, shared)["passed"]
 
@@ -758,6 +797,52 @@ def test_triviality_bound_rejects_the_shipped_signalling_toy():
         hv.triviality_bound(model, space, spec, 2)
     assert "'scenario_b': 'half-subset settings (0, 1)'" in str(raised.value)
     assert isinstance(raised.value, ValueError)
+
+
+class _LambdaTiltModel:
+    """Lambda-dependent, and compliant as far as `preaudit` looks: on
+    `LambdaSpace.uniform((0, 1))` it scales each Born row by
+    1 + sigma * eta * (u(a) - u_bar), with sigma = +1 at lambda 0 and -1 at
+    lambda 1, u alternating 0, 1, 0, ... over the sorted eigenvalues of the
+    first observable, and u_bar = sum_a p(a) u(a) over its Born marginal.
+    Each index-0 marginal, per lambda, depends on that Born marginal alone,
+    and the lambda-average is Born.  The marginals of the other observables
+    do move with the first one's setting, which `preaudit` does not compare.
+    It keeps what it returned, by scenario description and lambda."""
+
+    name = "lambda-tilt"
+
+    def __init__(self, eta):
+        self.eta = eta
+        self.returned = {}
+
+    def distribution(self, scenario, lam):
+        born = scenario.born
+        u = {e: k % 2 for k, e in enumerate(sorted(scenario.observables[0].eigenvalues))}
+        u_bar = math.fsum(p * u[cell[0]] for cell, p in born.items())
+        tilt = self.eta if lam == 0 else -self.eta
+        dist = {cell: p * (1.0 + tilt * (u[cell[0]] - u_bar)) for cell, p in born.items()}
+        self.returned[scenario.description, lam] = dist
+        return dist
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.1, 0.5])
+@pytest.mark.parametrize("N, l, n", [(2, 10, 100), (2, 10, 1000), (8, 50, 100)])
+def test_the_ledger_holds_on_a_compliant_model_that_depends_on_lambda(eta, N, l, n):
+    """At the `ledger` points the lambda-tilt model passes the pre-audit
+    (`triviality_bound` raises no `PremiseError`), its slot responses differ
+    across lambda, and every block's target deviation is within its final
+    bound.  At eta = 0.5 and (8, 50, 100) its half-subset links fail: the
+    chain catches the tilt there."""
+    spec = ez.EmbezzleSpec.from_reals([1.0 / math.pi, 1.0 - 1.0 / math.pi], l=l, n=n)
+    model = _LambdaTiltModel(eta)
+    report = hv.triviality_bound(model, hv.LambdaSpace.uniform((0, 1)), spec, N)
+    for side in ("extraction-side slots", "remote-side slots"):
+        assert model.returned[side, 0] != model.returned[side, 1]
+    assert report["conclusion_holds"]
+    for block in report["blocks"]:
+        assert block["target_deviation"] <= block["final_bound"]
+    assert report["links_hold"] == ((eta, N, l, n) != (0.5, 8, 50, 100))
 
 
 def test_slot_observable_resolves_slots():
