@@ -24,11 +24,12 @@ def main() -> None:
     print("source state: 0.6|0> + 0.8|1>  (weights 0.36 / 0.64)")
     print()
 
-    first = couplings.first_kind_coupling(psi, projectors)
+    branches = couplings.branch_amplitudes(psi, projectors)
+    first = couplings.first_kind_coupling(psi, branches)
     print("first kind:", couplings.pointer_distribution(first, "B"))
 
     posts = [basis_state(registry, (1,)), basis_state(registry, (0,))]
-    second = couplings.second_kind_coupling(psi, projectors, posts)
+    second = couplings.second_kind_coupling(psi, branches, posts)
     print("second kind (B1):", couplings.pointer_distribution(second, "B1"))
     print("second kind (B2):", couplings.pointer_distribution(second, "B2"))
     print()

@@ -158,10 +158,25 @@ def _write_report(report: dict, fmt: str, out: str | None) -> None:
         text = _render_csv(report)
     else:
         text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {out!r}: {exc.strerror}") from exc
+
+
+def _read_text(path: Path, what: str) -> str:
+    """The text of the `what` file at `path`, newlines as written; a path that
+    cannot be read is a config error naming it."""
+    try:
+        with path.open(newline="") as handle:
+            return handle.read()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} {str(path)!r} does not exist") from exc
+    except OSError as exc:
+        raise ConfigError(f"{what} {str(path)!r} cannot be read: {exc.strerror}") from exc
 
 
 def _resolve_workers(cfg: dict) -> int:
@@ -195,6 +210,24 @@ def _squares(cfg: dict, default: str) -> tuple[Fraction, ...]:
     return squares
 
 
+def _levels(
+    rows: list[dict], size: int, level: tuple[str, ...], inner: str, column: str,
+    strict: bool = False,
+) -> list[dict]:
+    """The per-level convergence of `column`: one entry per run of `size`
+    consecutive rows, holding the run's `level` cells, its `inner` and
+    `column` cells as lists, and whether `column` decreases along the run."""
+    entries = []
+    for start in range(0, len(rows), size):
+        run = rows[start:start + size]
+        values = [row[column] for row in run]
+        entries.append({
+            **{key: run[0][key] for key in level}, inner: [row[inner] for row in run],
+            column: values, "decreasing": _monotone_decreasing(values, strict),
+        })
+    return entries
+
+
 def _set_level_gaps(rows: list[dict], column: str, level: tuple[str, ...]) -> None:
     """Set each row's `level_gap`: the change in `column` since the previous row
     of the same level (equal values of the `level` columns), None where a level
@@ -216,8 +249,8 @@ def _abs_difference(minuend: str, subtrahend: str):
 
 def _closed_form_columns(closed_form, bound) -> tuple:
     """The columns that end chain and dim rows: the measured chain value against
-    its closed form and bound, which `closed_form` and `bound` recompute from a
-    row.  `_closed_form_row` fills them in this order."""
+    its closed form and bound, which the rules `closed_form` and `bound` write
+    from the row's other cells; `_closed_form_verdicts` reads them."""
     return (
         "value",
         ("closed_form", closed_form),
@@ -270,10 +303,12 @@ class _Command:
     `handler` names the module-level `run_*` function that builds the report.
     It is looked up when the command runs, so a wrapper bound to that name
     (as `bench/tracer.py` installs) is what runs.  `columns` lists the report
-    columns in order: a derived column is a (name, rule) pair, where the rule
-    recomputes the cell from the row's other cells and `validate` checks it.
-    `flags` names the `_FLAGS` destinations the handler reads, in `--help`
-    order; every subcommand also takes `_REPORT_FLAGS`.
+    columns in order, and a row holds exactly these cells.  A derived column is
+    a (name, rule) pair: the rule computes the cell from the row's earlier
+    cells, `_derive` writes it with that rule, and `validate` recomputes it
+    with the same rule and compares exactly.  `flags` names the `_FLAGS`
+    destinations the handler reads, in `--help` order; every subcommand also
+    takes `_REPORT_FLAGS`.
     """
 
     handler: str
@@ -312,8 +347,8 @@ _COMMANDS: dict[str, _Command] = {
         (
             "command", "N", "n", "r", "slots", "value",
             # 2N (2/r) sin^2(pi/4N): two rotated slots of weight 1/r each
-            ("reference",
-             lambda row: cb.bell_chain_closed_form(int(row["N"])) * 2.0 / int(row["r"])),
+            ("reference", lambda row: 2 * int(row["N"])
+             * ez.uniform_pair_disagreement_closed_form(int(row["r"]), int(row["N"]))),
             ("gap", _abs_difference("value", "reference")),
             "gap_bound", "level_gap", "verdict",
         ),
@@ -361,17 +396,49 @@ _COMMANDS: dict[str, _Command] = {
         flags=("model", "N_max", "tol"),
     ),
     "validate": _Command(
-        "run_validate", "json", ("command", "file", "valid", "diagnostics"),
+        "run_validate", "json", ("command", "file", "valid", "diagnostics", "verdict"),
         flags=("file", "lenient"),
     ),
 }
+
+
+def _schema_diagnostics(command: str, cells, strict: bool = True) -> list[str]:
+    """How `cells` (a header, or a row's cell names) depart from `command`'s
+    columns: one diagnostic per missing column, and in strict mode one naming
+    the added ones."""
+    names = _COMMANDS[command].names
+    diagnostics = [f"missing {name!r}" for name in names if name not in cells]
+    added = [name for name in cells if name not in names]
+    if added and strict:
+        diagnostics.append(f"unexpected {added} (strict mode)")
+    return diagnostics
+
+
+def _derive(command: str, rows: list[dict]) -> list[dict]:
+    """Write each row's derived cells with their `_COMMANDS` rules, in column
+    order, so that a verdict can read them off the row.  A row that holds one
+    already is refused: the rule is the cell's one formula."""
+    rules = _COMMANDS[command].recompute
+    for row in rows:
+        written = sorted(rules.keys() & row.keys())
+        if written:
+            raise RuntimeError(f"a {command} row writes its derived cells {written}")
+        for column, rule in rules.items():
+            row[column] = rule(row)
+    return rows
 
 
 def _report(
     command: str, parameters: dict, rows: list[dict], passed: bool = True, **extra
 ) -> dict:
     """A report of `command` with its table columns; it passes when every row's
-    verdict passed and `passed` holds."""
+    verdict passed and `passed` holds.  Each row gets its `command` cell here,
+    and a row whose cells are then not exactly the columns is refused."""
+    for index, row in enumerate(rows):
+        row["command"] = command
+        diagnostics = _schema_diagnostics(command, row)
+        if diagnostics:
+            raise RuntimeError(f"{command} row {index}: " + "; ".join(diagnostics))
     return {
         "command": command,
         "parameters": parameters,
@@ -386,44 +453,39 @@ def _report(
 # chain: two-outcome chained correlations on the Bell state
 
 
-def _closed_form_row(command: str, head: tuple, report: cb.ChainReport, tol: float) -> dict:
-    """A chain or dim row: the `head` cells, then the `_closed_form_columns`
-    cells of `report`."""
-    deviation = abs(report.value - report.closed_form)
-    bound_holds = report.value <= report.bound + tol
-    cells = (
-        *head, report.value, report.closed_form, report.bound, deviation, bound_holds,
-        _verdict(deviation <= tol and bound_holds),
-    )
-    return dict(zip(_COMMANDS[command].names, cells, strict=True))
+def _closed_form_verdicts(rows: list[dict], tol: float) -> list[dict]:
+    """Set each chain or dim row's `bound_holds` and `verdict`, read off its
+    derived `bound` and `closed_form_deviation` cells."""
+    for row in rows:
+        row["bound_holds"] = row["value"] <= row["bound"] + tol
+        row["verdict"] = _verdict(row["closed_form_deviation"] <= tol and row["bound_holds"])
+    return rows
 
 
-def _chain_point(args: tuple[int, float]) -> dict:
-    N, tol = args
+def _chain_point(N: int) -> dict:
     report = cb.correlation_measure_IN(cb.bell_state(), cb.ChainSpec(N=N, pair=(0, 1)))
-    return _closed_form_row("chain", ("chain", N), report, tol)
+    return {"N": N, "value": report.value}
 
 
 def run_chain(cfg: dict) -> dict:
     Ns = _parse_depths(_option(cfg, "N", "1,2,4,8,16"))
     tol = float(_option(cfg, "tol", 1e-12))
-    rows = _map_grid(_chain_point, [(N, tol) for N in Ns], _resolve_workers(cfg))
-    return _report("chain", {"state": "bell", "N": list(Ns), "tol": tol}, rows)
+    rows = _derive("chain", _map_grid(_chain_point, list(Ns), _resolve_workers(cfg)))
+    return _report("chain", {"state": "bell", "N": list(Ns), "tol": tol},
+                   _closed_form_verdicts(rows, tol))
 
 
 # ---------------------------------------------------------------------------
 # dim: chained correlations on a rotated pair inside a d-dimensional state
 
 
-def _dim_point(args: tuple[tuple[Fraction, ...], int, int, int, float]) -> dict:
-    squares, lo, hi, N, tol = args
+def _dim_point(args: tuple[tuple[Fraction, ...], int, int, int]) -> dict:
+    squares, lo, hi, N = args
     state = ez.phi_schmidt([math.sqrt(float(q)) for q in squares])
-    spec = cb.ChainSpec(
-        N=N, pair=(lo, hi), eigenvalue_scheme=cb.dimension_scheme
-    )
+    spec = cb.ChainSpec(N=N, pair=(lo, hi), eigenvalue_scheme=cb.dimension_scheme)
     report = cb.correlation_measure_IN_prime(state, spec)
-    head = ("dim", N, len(squares), (lo, hi), float(squares[lo]))
-    return _closed_form_row("dim", head, report, tol)
+    return {"N": N, "d": len(squares), "pair": (lo, hi),
+            "pair_square": float(squares[lo]), "value": report.value}
 
 
 def run_dim(cfg: dict) -> dict:
@@ -441,40 +503,32 @@ def run_dim(cfg: dict) -> dict:
     )
     if pair is None:
         raise ConfigError("dim needs at least one equal pair of squared coefficients")
-    points = [(squares, pair[0], pair[1], N, tol) for N in Ns]
-    rows = _map_grid(_dim_point, points, _resolve_workers(cfg))
+    points = [(squares, pair[0], pair[1], N) for N in Ns]
+    rows = _derive("dim", _map_grid(_dim_point, points, _resolve_workers(cfg)))
     parameters = {"coeffs": [str(q) for q in squares], "pair": list(pair), "N": list(Ns), "tol": tol}
-    return _report("dim", parameters, rows)
+    return _report("dim", parameters, _closed_form_verdicts(rows, tol))
 
 
 # ---------------------------------------------------------------------------
 # sqrt-rational: exact rational squares through the extraction route
 
 
-def _sqrt_rational_point(args: tuple[tuple[Fraction, ...], int, int, float]) -> dict:
-    squares, N, n, tol = args
+def _sqrt_rational_point(args: tuple[tuple[Fraction, ...], int, int]) -> dict:
+    squares, N, n = args
     spec = ez.EmbezzleSpec.from_exact(squares, n)
     stats = ez.slot_statistics_from_spec(spec)
     ordered = sorted(spec.pairs, key=lambda p: stats.weights[p])
     lo, hi = ordered[0], ordered[-1]
-    measured = ez.fast_pair_chain(spec, N, lo, hi, stats).value
-    # The squares are exact, so every c_i^2 = m_i / r and chi is the uniform
-    # slot state: its pair chain is the uniform closed form.
-    reference = 2 * N * ez.uniform_pair_disagreement_closed_form(spec, N)
     d1, _ = ez.extraction_distances(spec)
-    bound = 2 * N * d1
-    gap = abs(measured - reference)
+    # The squares are exact, so every c_i^2 = m_i / r and chi is the uniform
+    # slot state: the `reference` rule is its pair chain's closed form.
     return {
-        "command": "sqrt-rational",
         "N": N,
         "n": n,
         "r": spec.r,
         "slots": (lo, hi),
-        "value": measured,
-        "reference": reference,
-        "gap": gap,
-        "gap_bound": bound,
-        "verdict": _verdict(gap <= bound + tol),
+        "value": ez.fast_pair_chain(spec, N, lo, hi, stats).value,
+        "gap_bound": 2 * N * d1,
     }
 
 
@@ -483,21 +537,17 @@ def run_sqrt_rational(cfg: dict) -> dict:
     Ns = _parse_depths(_option(cfg, "N", "2"))
     ns = _parse_int_list(_option(cfg, "n", "100"), "--n")
     tol = float(_option(cfg, "tol", 1e-12))
-    points = [(squares, N, n, tol) for N in Ns for n in ns]
-    rows = _map_grid(_sqrt_rational_point, points, _resolve_workers(cfg))
-    convergence = []
-    for k, N in enumerate(Ns):
-        gaps = [rows[k * len(ns) + j]["gap"] for j in range(len(ns))]
-        convergence.append(
-            {"N": N, "n": list(ns), "gap": gaps,
-             "decreasing": _monotone_decreasing(gaps, strict=False)}
-        )
+    points = [(squares, N, n) for N in Ns for n in ns]
+    rows = _derive("sqrt-rational", _map_grid(_sqrt_rational_point, points, _resolve_workers(cfg)))
+    for row in rows:
+        row["verdict"] = _verdict(row["gap"] <= row["gap_bound"] + tol)
     _set_level_gaps(rows, "gap", ("N",))
     parameters = {
         "coeffs": [str(q) for q in squares], "N": list(Ns), "n": list(ns),
         "tol": tol, "nesting": ["N", "n (innermost)"],
     }
-    return _report("sqrt-rational", parameters, rows, convergence=convergence)
+    return _report("sqrt-rational", parameters, rows,
+                   convergence=_levels(rows, len(ns), ("N",), "n", "gap"))
 
 
 # ---------------------------------------------------------------------------
@@ -527,21 +577,19 @@ def run_lemma(cfg: dict) -> dict:
         rhs = result["rhs"] if direct else sum(p) - result["rhs"]
         rows.append(
             {
-                "command": "lemma",
                 "r": r,
                 "J": tuple(J),
                 "check": check_index,
                 "lhs": lhs,
                 "rhs": rhs,
                 "exact": lhs == rhs,
-                "coefficient": halfsum.bound_coefficient(r, len(J)),
                 "verdict": _verdict(lhs == rhs and result["holds"]),
             }
         )
     return _report(
         "lemma",
         {"r": r, "J": list(J), "seed": seed, "via_complement": not direct},
-        rows,
+        _derive("lemma", rows),
         coefficient=halfsum.bound_coefficient(r, len(J)),
         window_size=system.x,
     )
@@ -551,8 +599,8 @@ def run_lemma(cfg: dict) -> dict:
 # embezzle: extraction fidelity sweep
 
 
-def _embezzle_point(args: tuple[tuple[Fraction, ...], int | None, int, float]) -> dict:
-    squares, l, n, tol = args
+def _embezzle_point(args: tuple[tuple[Fraction, ...], int | None, int]) -> dict:
+    squares, l, n = args
     if l is None:
         spec = ez.EmbezzleSpec.from_exact(squares, n)
     else:
@@ -560,15 +608,12 @@ def _embezzle_point(args: tuple[tuple[Fraction, ...], int | None, int, float]) -
     report = ez.embezzlement_fidelity(spec)
     ok = report.lower_bound_holds and report.distance_bound_holds
     return {
-        "command": "embezzle",
         "l": l,
         "n": n,
         "r": spec.r,
         "numerators": spec.m,
         "fidelity": report.computed_fidelity,
         "z_form": report.z_form_fidelity,
-        "z_form_gap": report.z_form_gap,
-        "one_minus_fidelity": 1.0 - report.computed_fidelity,
         "trace_distance": report.trace_distance,
         "distance_bound": report.distance_bound,
         "lower_bound_holds": report.lower_bound_holds,
@@ -583,17 +628,10 @@ def run_embezzle(cfg: dict) -> dict:
     ls: tuple[int | None, ...]
     ls = _parse_int_list(cfg["l"], "--l") if cfg.get("l") is not None else (None,)
     tol = float(_option(cfg, "tol", 1e-12))
-    points = [(squares, l, n, tol) for l in ls for n in ns]
-    rows = _map_grid(_embezzle_point, points, _resolve_workers(cfg))
-    convergence = []
-    all_decreasing = True
-    for k, l in enumerate(ls):
-        losses = [rows[k * len(ns) + j]["one_minus_fidelity"] for j in range(len(ns))]
-        decreasing = _monotone_decreasing(losses)
-        all_decreasing &= decreasing
-        convergence.append(
-            {"l": l, "n": list(ns), "one_minus_fidelity": losses, "decreasing": decreasing}
-        )
+    points = [(squares, l, n) for l in ls for n in ns]
+    rows = _derive("embezzle", _map_grid(_embezzle_point, points, _resolve_workers(cfg)))
+    convergence = _levels(rows, len(ns), ("l",), "n", "one_minus_fidelity", strict=True)
+    all_decreasing = all(level["decreasing"] for level in convergence)
     _set_level_gaps(rows, "one_minus_fidelity", ("l",))
     parameters = {
         "coeffs": [str(q) for q in squares], "l": list(ls), "n": list(ns),
@@ -622,7 +660,7 @@ def run_pc(cfg: dict) -> dict:
     schmidt_report = hv.perfect_correlation_check(state, events, tol=tol)
     rows = [
         {
-            "command": "pc", "family": "schmidt", "n": None,
+            "family": "schmidt", "n": None,
             "event": q["event"], "mismatch": q["mismatch"],
             "verdict": _verdict(q["holds"]),
         }
@@ -636,7 +674,7 @@ def run_pc(cfg: dict) -> dict:
         extraction_reports.append({"n": n, "max_mismatch": report["max_mismatch"]})
         rows.extend(
             {
-                "command": "pc", "family": "extraction", "n": n,
+                "family": "extraction", "n": n,
                 "event": q["event"], "mismatch": q["mismatch"],
                 "verdict": _verdict(q["holds"]),
             }
@@ -716,7 +754,7 @@ def run_couple(cfg: dict) -> dict:
     deviation = max(deviation, _pointer_mismatch(coupled))
     rows.append(
         {
-            "command": "couple", "instance": "trine", "kind": "povm",
+            "instance": "trine", "kind": "povm",
             "dimension": 2, "max_deviation": deviation,
             "verdict": _verdict(deviation <= tol),
         }
@@ -730,16 +768,14 @@ def run_couple(cfg: dict) -> dict:
         if kind in ("first", "second"):
             blocks = int(rng.integers(2, dim + 1))
             projectors = _random_split(rng, registry, blocks)
-            weights = [
-                min(1.0, max(0.0, squared_norm(branch)))
-                for branch in couplings.branch_amplitudes(psi, projectors)
-            ]
+            branches = couplings.branch_amplitudes(psi, projectors)
+            weights = [min(1.0, max(0.0, squared_norm(branch))) for branch in branches]
             if kind == "first":
-                out = couplings.first_kind_coupling(psi, projectors)
+                out = couplings.first_kind_coupling(psi, branches)
                 dist = couplings.pointer_distribution(out, "B")
             else:
                 posts = [_random_state(rng, registry) for _ in projectors]
-                out = couplings.second_kind_coupling(psi, projectors, posts)
+                out = couplings.second_kind_coupling(psi, branches, posts)
                 dist = couplings.pointer_distribution(out, "B1")
             deviation = max(abs(dist.get(j, 0.0) - w) for j, w in enumerate(weights))
             if kind == "second":
@@ -755,7 +791,7 @@ def run_couple(cfg: dict) -> dict:
         deviation = max(deviation, norm_gap)
         rows.append(
             {
-                "command": "couple", "instance": index, "kind": kind,
+                "instance": index, "kind": kind,
                 "dimension": dim, "max_deviation": deviation,
                 "verdict": _verdict(deviation <= tol),
             }
@@ -778,11 +814,8 @@ def _model_name(cfg: dict) -> str:
 def _load_model(cfg: dict) -> tuple[hv.HVModel, hv.LambdaSpace]:
     name = _model_name(cfg)
     if name.endswith(".json"):
-        path = Path(name)
-        if not path.exists():
-            raise ConfigError(f"model file {name!r} does not exist")
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(_read_text(Path(name), "model file"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model file {name!r} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "fixture" not in payload:
@@ -832,23 +865,21 @@ def run_audit(cfg: dict) -> dict:
             # the model declined this depth; Born integrity is still checkable
             spec = cb.ChainSpec(N=report["N"], pair=(0, 1))
             value = cb.correlation_measure_IN(state, spec).value
-            closed = cb.bell_chain_closed_form(report["N"])
         else:
-            value, closed = report["chain_value"], report["chain_closed_form"]
+            value = report["chain_value"]
         rows.append(
             {
-                "command": "audit",
                 "model": model.name,
                 "N": report["N"],
                 "chain_value": value,
-                "chain_closed_form": closed,
                 "lhs": report.get("lhs"),
                 "model_chain_value": report.get("model_chain_value"),
                 "refuted": report["refuted"],
                 "undefined": report["undefined"] if undefined else "",
-                "verdict": _verdict(abs(value - closed) <= 1e-9),
             }
         )
+    for row in _derive("audit", rows):
+        row["verdict"] = _verdict(abs(row["chain_value"] - row["chain_closed_form"]) <= 1e-9)
     return _report(
         "audit",
         {"model": model.name, "state": "bell", "N_max": n_max, "tol": tol},
@@ -879,7 +910,6 @@ def _arbitrary_point(
     model, space = hv.fixture_model(model_name)
     report = hv.triviality_bound(model, space, spec, N, tol=tol)
     return {
-        "command": "arbitrary",
         "model": model_name,
         "N": N,
         "l": l,
@@ -910,40 +940,21 @@ def run_arbitrary(cfg: dict) -> dict:
         )
     points = [(squares, model_name, N, l, n, tol) for N in Ns for l in ls for n in ns]
     rows = _map_grid(_arbitrary_point, points, _resolve_workers(cfg))
-    by_key = {(row["N"], row["l"], row["n"]): row for row in rows}
-    n_levels, l_levels = [], []
-    for N in Ns:
-        for l in ls:
-            achieved = [by_key[(N, l, n)]["achieved_epsilon"] for n in ns]
-            n_levels.append(
-                {"N": N, "l": l, "n": list(ns), "achieved_epsilon": achieved,
-                 "decreasing": _monotone_decreasing(achieved, strict=False)}
-            )
-        achieved_l = [by_key[(N, l, ns[-1])]["achieved_epsilon"] for l in ls]
-        l_levels.append(
-            {"N": N, "l": list(ls), "achieved_epsilon": achieved_l,
-             "decreasing": _monotone_decreasing(achieved_l, strict=False)}
-        )
-    achieved_N = [by_key[(N, ls[-1], ns[-1])]["achieved_epsilon"] for N in Ns]
+    # the rows at the largest n, then those at the largest l as well
+    n_ends = rows[len(ns) - 1::len(ns)]
+    l_ends = n_ends[len(ls) - 1::len(ls)]
+    convergence = {
+        "n_levels": _levels(rows, len(ns), ("N", "l"), "n", "achieved_epsilon"),
+        "l_levels": _levels(n_ends, len(ls), ("N",), "l", "achieved_epsilon"),
+        "N_levels": _levels(l_ends, len(Ns), (), "N", "achieved_epsilon")[0],
+    }
     _set_level_gaps(rows, "achieved_epsilon", ("N", "l"))
     parameters = {
         "coeffs": [str(q) for q in squares], "model": model_name,
         "N": list(Ns), "l": list(ls), "n": list(ns), "tol": tol,
         "nesting": ["N", "l", "n (innermost)"],
     }
-    return _report(
-        "arbitrary",
-        parameters,
-        rows,
-        convergence={
-            "n_levels": n_levels,
-            "l_levels": l_levels,
-            "N_levels": {
-                "N": list(Ns), "achieved_epsilon": achieved_N,
-                "decreasing": _monotone_decreasing(achieved_N, strict=False),
-            },
-        },
-    )
+    return _report("arbitrary", parameters, rows, convergence=convergence)
 
 
 # ---------------------------------------------------------------------------
@@ -951,24 +962,28 @@ def run_arbitrary(cfg: dict) -> dict:
 
 
 def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
-    """Re-validate a written report: schema and recomputable closed forms.
+    """Re-validate a written report: its columns, the cells of each JSON row,
+    and every derived cell.
 
     Strict mode requires the exact column set of the producing command; lenient
-    mode tolerates added columns.  The derived cells (the columns with a rule
-    in `_COMMANDS`) are recomputed from the row's recorded inputs; any drift is
-    reported with its cell coordinate.
+    mode tolerates added columns and cells.  Each derived cell (a column with a
+    rule in `_COMMANDS`) is recomputed from the row's other cells by the rule
+    that wrote it and must read exactly as written, since CSV and JSON floats
+    round-trip exactly; any drift is reported with its cell coordinate.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"report file {path} does not exist")
 
     def malformed(diagnostic: str) -> dict:
         return {"file": str(path), "valid": False, "diagnostics": [diagnostic]}
 
+    try:
+        text = _read_text(path, "report file")
+    except UnicodeDecodeError as exc:
+        return malformed(f"not UTF-8 text: {exc}")
     diagnostics: list[str] = []
     if path.suffix == ".json":
         try:
-            report = json.loads(path.read_text())
+            report = json.loads(text)
         except json.JSONDecodeError as exc:
             return malformed(f"not valid JSON: {exc}")
         if not isinstance(report, dict):
@@ -986,8 +1001,7 @@ def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
         ):
             return malformed("columns must be a list and rows a list of objects")
     else:
-        with path.open(newline="") as handle:
-            reader = list(csv.reader(handle))
+        reader = list(csv.reader(io.StringIO(text, newline="")))
         if not reader:
             return malformed("empty file")
         columns = reader[0]
@@ -1001,36 +1015,23 @@ def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
         if command not in _COMMANDS:
             return malformed(f"unknown command {command!r}")
 
-    schema = _COMMANDS[command]
-    expected = schema.names
-    missing = [c for c in expected if c not in columns]
-    added = [c for c in columns if c not in expected]
-    for column in missing:
-        diagnostics.append(f"missing column {column!r}")
-    if added and strict:
-        diagnostics.append(f"unexpected columns {added} (strict mode)")
-    rules = schema.recompute
+    diagnostics += [f"columns: {d}" for d in _schema_diagnostics(command, columns, strict)]
+    rules = _COMMANDS[command].recompute
     for index, row in enumerate(rows):
-        for column, recompute in rules.items():
+        if path.suffix == ".json":  # a CSV row has exactly the header's cells
+            diagnostics += [f"row {index}: {d}" for d in _schema_diagnostics(command, row, strict)]
+        for column, rule in rules.items():
             if column not in row:
-                continue
+                continue  # diagnosed above
             try:
-                expected_value = recompute(row)
+                expected = rule(row)
             except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
                 diagnostics.append(f"row {index}, column {column!r}: cannot recompute ({exc})")
                 continue
-            recorded = row[column]
-            if isinstance(expected_value, Fraction):
-                ok = str(recorded) == str(expected_value)
-            else:
-                try:
-                    ok = abs(float(recorded) - expected_value) <= 1e-9
-                except (TypeError, ValueError):
-                    ok = False
-            if not ok:
+            if _cell(row[column]) != _cell(expected):
                 diagnostics.append(
-                    f"row {index}, column {column!r}: recorded {recorded!r}, "
-                    f"recomputed {expected_value!r}"
+                    f"row {index}, column {column!r}: recorded {row[column]!r}, "
+                    f"recomputed {expected!r}"
                 )
     return {"file": str(path), "valid": not diagnostics, "diagnostics": diagnostics}
 
@@ -1038,7 +1039,6 @@ def report_schema_validate(path: str | Path, *, strict: bool = True) -> dict:
 def run_validate(cfg: dict) -> dict:
     result = report_schema_validate(cfg["file"], strict=not cfg.get("lenient"))
     row = {
-        "command": "validate",
         "file": result["file"],
         "valid": result["valid"],
         "diagnostics": "; ".join(result["diagnostics"]) or None,
@@ -1097,11 +1097,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     known = set(vars(args)) - {"command", "config"}
     cfg: dict = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file {args.config!r} does not exist")
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(_read_text(Path(args.config), "config file"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
@@ -1139,6 +1136,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _merge_config(args)
         # resolved by name at call time, see `_Command`
         report = globals()[_COMMANDS[args.command].handler](cfg)
+        _write_report(report, cfg.get("format") or _COMMANDS[args.command].format, cfg.get("out"))
     except (hv.PremiseError, hv.ModelUndefinedError) as exc:
         # The model, not the user's numbers, failed: nothing is certified.
         print(f"verdict failure: {exc}", file=sys.stderr)
@@ -1148,8 +1146,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # themselves (chain depth, coefficient shapes, ...) on user numbers.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    fmt = cfg.get("format") or _COMMANDS[args.command].format
-    _write_report(report, fmt, cfg.get("out"))
     return EXIT_OK if report["passed"] else EXIT_VERDICT
 
 

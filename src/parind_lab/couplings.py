@@ -54,13 +54,10 @@ def branch_amplitudes(
     return branches
 
 
-def first_kind_coupling(
-    psi: SparseState,
-    projectors: Sequence[RankedProjector],
-) -> SparseState:
-    """sum_j E_j|psi> (x) |j>_B, with zero-weight branches dropped."""
-    branches = branch_amplitudes(psi, projectors)
-    pointer = SystemRegistry((("B", len(projectors)),))
+def first_kind_coupling(psi: SparseState, branches: Sequence[dict]) -> SparseState:
+    """sum_j E_j|psi> (x) |j>_B from the branches E_j|psi> that
+    `branch_amplitudes` projects and checks, with zero-weight branches dropped."""
+    pointer = SystemRegistry((("B", len(branches)),))
     registry = psi.registry.merged_with(pointer)
     amplitudes = {}
     for j, branch in enumerate(branches):
@@ -71,24 +68,24 @@ def first_kind_coupling(
 
 def second_kind_coupling(
     psi: SparseState,
-    projectors: Sequence[RankedProjector],
+    branches: Sequence[dict],
     post_states: Sequence[SparseState],
 ) -> SparseState:
-    """sum_j c_j |post_j> (x) |j>_B1 (x) |j>_B2 with c_j = ||E_j psi||.
+    """sum_j c_j |post_j> (x) |j>_B1 (x) |j>_B2 with c_j = ||E_j psi||, from the
+    branches E_j|psi> that `branch_amplitudes` projects and checks.
 
     Post-measurement states may be arbitrary normalized states on the system —
     even pairwise identical — since the first pointer register keeps the
     composite branches orthogonal.
     """
-    if len(post_states) != len(projectors):
+    if len(post_states) != len(branches):
         raise ValueError("one post-measurement state per projector required")
     for j, post in enumerate(post_states):
         if not post.registry.same_labels(psi.registry):
             raise ValueError(f"post state {j} lives on different subsystems than psi")
         if abs(squared_norm(post.amplitudes) - 1.0) > NORM_TOL:
             raise ValueError(f"post state {j} is not normalized")
-    branches = branch_amplitudes(psi, projectors)
-    pointers = SystemRegistry((("B1", len(projectors)), ("B2", len(projectors))))
+    pointers = SystemRegistry((("B1", len(branches)), ("B2", len(branches))))
     registry = psi.registry.merged_with(pointers)
     amplitudes = {}
     for j, branch in enumerate(branches):

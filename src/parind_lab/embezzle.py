@@ -380,7 +380,6 @@ class EmbezzlementFidelityReport:
     n: int
     computed_fidelity: float
     z_form_fidelity: float
-    z_form_gap: float
     trace_distance: float
     distance_bound: float
     distance_bound_holds: bool
@@ -445,7 +444,6 @@ def embezzlement_fidelity(spec: EmbezzleSpec) -> EmbezzlementFidelityReport:
         n=spec.n,
         computed_fidelity=computed,
         z_form_fidelity=z_form,
-        z_form_gap=computed - z_form,
         trace_distance=distance,
         distance_bound=bound,
         distance_bound_holds=distance <= bound + PROB_TOL,
@@ -519,13 +517,13 @@ def pair_chain_observables(
     return cb.chain_observables(chain_spec, acting, side)
 
 
-def uniform_pair_disagreement_closed_form(spec: EmbezzleSpec, N: int) -> float:
-    """Adjacent-setting disagreement on the uniform slot state
+def uniform_pair_disagreement_closed_form(r: int, N: int) -> float:
+    """Adjacent-setting disagreement on the uniform state of r slots
     (`phi_uniform_state`): each of the two rotated slots carries weight 1/r,
     giving (2/r) sin^2(pi/4N) per pair.  It is the extraction target chi's
     value only when every c_i^2 = m_i / r; otherwise chi's slots of block i
     weigh c_i^2 / m_i each, and its pair chains depart from this form."""
-    return (2.0 / spec.r) * math.sin(math.pi / (4 * N)) ** 2
+    return (2.0 / r) * math.sin(math.pi / (4 * N)) ** 2
 
 
 def _require_slots(spec: EmbezzleSpec, slots: Sequence[Pair]) -> None:
@@ -963,7 +961,7 @@ def _two_slot_chain(
     if half_subset:
         closed_form = cb.bell_chain_closed_form(N)
     else:
-        closed_form = 2 * N * uniform_pair_disagreement_closed_form(spec, N)
+        closed_form = 2 * N * uniform_pair_disagreement_closed_form(spec.r, N)
     return cb.ChainReport(N=N, pair_terms=tuple(terms), closed_form=closed_form)
 
 

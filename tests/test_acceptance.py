@@ -357,7 +357,9 @@ def test_acceptance_10_coupling_transfer(acceptance):
         if kind == "first":
             blocks = int(rng.integers(2, dim + 1))
             projectors = random_projectors(psi.registry, blocks)
-            coupled = couplings.first_kind_coupling(psi, projectors)
+            coupled = couplings.first_kind_coupling(
+                psi, couplings.branch_amplitudes(psi, projectors)
+            )
             dist = pointer_distribution(coupled, "B")
             for j, projector in enumerate(projectors):
                 expected = born_probability(psi, projector)
@@ -366,7 +368,9 @@ def test_acceptance_10_coupling_transfer(acceptance):
             blocks = int(rng.integers(2, dim + 1))
             projectors = random_projectors(psi.registry, blocks)
             posts = [random_state(dim) for _ in projectors]
-            coupled = couplings.second_kind_coupling(psi, projectors, posts)
+            coupled = couplings.second_kind_coupling(
+                psi, couplings.branch_amplitudes(psi, projectors), posts
+            )
             dist = pointer_distribution(coupled, "B1")
             axis1 = coupled.registry.axis("B1")
             axis2 = coupled.registry.axis("B2")

@@ -2,12 +2,15 @@
 determinism, configuration layering, and the report validator."""
 
 import ast
+import csv
 import importlib.util
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -381,6 +384,27 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert target.read_text().startswith("command,")
 
 
+def test_out_in_a_missing_directory_is_config_error_naming_it(capsys, tmp_path):
+    target = tmp_path / "absent" / "report.csv"
+    code, out, err = run(capsys, "chain", "--N", "1", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and str(target) in err
+
+
+def test_config_path_that_is_a_directory_is_config_error_naming_it(capsys, tmp_path):
+    code, _, err = run(capsys, "chain", "--config", str(tmp_path))
+    assert code == 2
+    assert err.startswith("config error: ") and str(tmp_path) in err
+
+
+def test_model_file_that_is_a_directory_is_config_error_naming_it(capsys, tmp_path):
+    folder = tmp_path / "model.json"
+    folder.mkdir()
+    code, _, err = run(capsys, "audit", "--model", str(folder), "--N-max", "1")
+    assert code == 2
+    assert err.startswith("config error: ") and str(folder) in err
+
+
 # ---------------------------------------------------------------------------
 # Flags: each subcommand takes only the flags its handler reads
 
@@ -732,6 +756,22 @@ def test_validate_missing_file_is_config_error(capsys, tmp_path):
     assert "does not exist" in err
 
 
+def test_validate_a_directory_is_config_error_naming_it(capsys, tmp_path):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("name", ["report.csv", "report.json"])
+def test_validate_reports_a_non_utf8_file_as_malformed(capsys, tmp_path, name):
+    target = tmp_path / name
+    target.write_bytes(b"command,N\n\xffchain,1\n")
+    code, out, err = run(capsys, "validate", str(target), "--format", "json")
+    assert (code, err) == (1, "")
+    [diagnostic] = json.loads(out)["diagnostics"]
+    assert diagnostic.startswith("not UTF-8 text")
+
+
 _CHAIN_JSON_FIELDS = {"command": "chain", "parameters": {}, "passed": True}
 
 
@@ -783,3 +823,134 @@ def test_pinned_reports_match_goldens_and_validate(capsys, tmp_path, name, argv,
     code, out, _ = run(capsys, "validate", str(target))
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+# ---------------------------------------------------------------------------
+# One schema: the command table writes every derived cell that validate checks
+
+
+def written_rows(target):
+    """The rows of a written report as `validate` reads them: CSV cells as
+    text, JSON cells as parsed."""
+    if target.suffix == ".json":
+        return json.loads(target.read_text())["rows"]
+    with target.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def rewrite_rows(source, rows, target):
+    """`source` with its rows replaced by `rows`, written to `target`."""
+    if source.suffix == ".json":
+        report = json.loads(source.read_text())
+        target.write_text(json.dumps({**report, "rows": rows}))
+        return
+    with target.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def moved(cell):
+    """A derived cell moved by one ulp; a fraction moves by a step as small."""
+    try:
+        return math.nextafter(float(cell), math.inf)
+    except ValueError:
+        value = Fraction(cell)
+        return str(value + Fraction(1, value.denominator * 2**53))
+
+
+@pytest.mark.parametrize(
+    "name, argv, seeded, fmt",
+    [
+        pytest.param(name, argv, seeded, fmt, id=f"{name}-{fmt}")
+        for name, argv, _, seeded in _pinned_commands()
+        for fmt in ("csv", "json")
+    ],
+)
+def test_every_derived_cell_is_its_rule_and_validate_names_one_ulp(
+    capsys, tmp_path, name, argv, seeded, fmt
+):
+    """On each pinned config in both formats, every derived cell is its table
+    rule applied to the written row, exactly, and `validate` names a derived
+    cell moved by one ulp."""
+    target = tmp_path / f"{name}.{fmt}"
+    seed = ("--seed", "0") if seeded else ()
+    code, _, _ = run(capsys, *argv, *seed, "--format", fmt, "--workers", "1", "--out", str(target))
+    assert code == 0
+    assert run(capsys, "validate", str(target))[0] == 0
+    rules = cli._COMMANDS[argv[0]].recompute
+    written = cli._cell if fmt == "csv" else cli._jsonable
+    for row in written_rows(target):
+        for column, rule in rules.items():
+            assert row[column] == written(rule(row))
+    for column in rules:
+        rows = written_rows(target)
+        rows[0][column] = moved(rows[0][column])
+        corrupted = tmp_path / f"moved.{fmt}"
+        rewrite_rows(target, rows, corrupted)
+        code, out, _ = run(capsys, "validate", str(corrupted), "--format", "json")
+        assert code == 1
+        diagnostics = json.loads(out)["diagnostics"]
+        assert any(d.startswith(f"row 0, column {column!r}: recorded") for d in diagnostics)
+
+
+def lemma_json(capsys, tmp_path):
+    target = tmp_path / "lemma.json"
+    run(capsys, "lemma", "--r", "10", "--J", "1,4", "--out", str(target))
+    return target, json.loads(target.read_text())
+
+
+def test_validate_names_each_cell_a_json_row_lacks(capsys, tmp_path):
+    target, report = lemma_json(capsys, tmp_path)
+    del report["rows"][0]["lhs"]
+    del report["rows"][1]["coefficient"]
+    report["rows"][2] = {"command": "lemma"}
+    target.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "validate", str(target), "--format", "json")
+    assert code == 1
+    cells = [name for name in cli._COMMANDS["lemma"].names if name != "command"]
+    assert json.loads(out)["diagnostics"] == [
+        "row 0: missing 'lhs'",
+        "row 1: missing 'coefficient'",
+        *(f"row 2: missing {name!r}" for name in cells),
+    ]
+
+
+def test_validate_flags_an_added_json_cell_in_strict_mode_only(capsys, tmp_path):
+    target, report = lemma_json(capsys, tmp_path)
+    report["rows"][1]["note"] = "hello"
+    target.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "validate", str(target), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["diagnostics"] == ["row 1: unexpected ['note'] (strict mode)"]
+    assert run(capsys, "validate", str(target), "--lenient")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command, builder, change, message",
+    [
+        ("embezzle", "_embezzle_point", lambda row: row.pop("trace_distance"),
+         r"embezzle row 0: missing 'trace_distance'"),
+        ("chain", "_chain_point", lambda row: row.update(note=1),
+         r"chain row 0: unexpected \['note'\]"),
+        ("chain", "_chain_point", lambda row: row.update(closed_form=0.5),
+         r"a chain row writes its derived cells \['closed_form'\]"),
+    ],
+    ids=["lacks-a-column", "adds-a-cell", "writes-a-derived-cell"],
+)
+def test_a_builder_row_off_its_columns_raises_at_write_time(
+    capsys, monkeypatch, command, builder, change, message
+):
+    """A row builder that departs from its command's columns is a program
+    fault: it raises before anything is written, not as a config error."""
+    original = getattr(cli, builder)
+
+    def changed(point):
+        row = original(point)
+        change(row)
+        return row
+
+    monkeypatch.setattr(cli, builder, changed)
+    with pytest.raises(RuntimeError, match=message):
+        cli.main([command, "--workers", "1"])
+    assert capsys.readouterr() == ("", "")

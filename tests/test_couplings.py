@@ -37,9 +37,14 @@ def basis_projectors(registry):
     ]
 
 
+def basis_branches(psi):
+    """psi projected on each basis vector of its register."""
+    return couplings.branch_amplitudes(psi, basis_projectors(psi.registry))
+
+
 def test_first_kind_pointer_reproduces_born_weights():
     psi = qubit_state(0.6, 0.8)
-    coupled = couplings.first_kind_coupling(psi, basis_projectors(psi.registry))
+    coupled = couplings.first_kind_coupling(psi, basis_branches(psi))
     dist = pointer_distribution(coupled, "B")
     assert dist[0] == pytest.approx(0.36)
     assert dist[1] == pytest.approx(0.64)
@@ -54,7 +59,7 @@ def test_first_kind_branch_content_is_projected_state():
         basis_span_projector(registry, [(0,), (1,)]),
         basis_span_projector(registry, [(2,)]),
     ]
-    coupled = couplings.first_kind_coupling(psi, coarse)
+    coupled = couplings.first_kind_coupling(psi, couplings.branch_amplitudes(psi, coarse))
     assert coupled.amplitudes[(0, 0)] == pytest.approx(0.6)
     assert coupled.amplitudes[(1, 0)] == pytest.approx(0.48)
     assert coupled.amplitudes[(2, 1)] == pytest.approx(0.64)
@@ -64,7 +69,7 @@ def test_first_kind_rejects_incomplete_projector_sets():
     psi = qubit_state(0.6, 0.8)
     half = [basis_span_projector(psi.registry, [(0,)])]
     with pytest.raises(ValueError, match="complete orthogonal set"):
-        couplings.first_kind_coupling(psi, half)
+        couplings.first_kind_coupling(psi, couplings.branch_amplitudes(psi, half))
 
 
 def test_branch_weights_are_the_oracle_born_probabilities():
@@ -99,9 +104,7 @@ def test_second_kind_pointers_always_agree():
     rng = np.random.default_rng(0)
     psi = qubit_state(1.0, 1.0j)
     post = [qubit_state(1.0, 0.0), qubit_state(1.0, 0.0)]  # identical post states
-    coupled = couplings.second_kind_coupling(
-        psi, basis_projectors(psi.registry), post
-    )
+    coupled = couplings.second_kind_coupling(psi, basis_branches(psi), post)
     axis1 = coupled.registry.axis("B1")
     axis2 = coupled.registry.axis("B2")
     for key in coupled.amplitudes:
@@ -114,9 +117,7 @@ def test_second_kind_pointers_always_agree():
 def test_second_kind_replaces_system_with_post_state():
     psi = qubit_state(0.6, 0.8)
     post = [qubit_state(0.0, 1.0), qubit_state(1.0, 0.0)]  # swap the outcomes
-    coupled = couplings.second_kind_coupling(
-        psi, basis_projectors(psi.registry), post
-    )
+    coupled = couplings.second_kind_coupling(psi, basis_branches(psi), post)
     # outcome 0 (weight 0.36) now carries system state |1>
     assert coupled.amplitudes[(1, 0, 0)] == pytest.approx(0.6)
     assert coupled.amplitudes[(0, 1, 1)] == pytest.approx(0.8)
@@ -129,12 +130,10 @@ def test_second_kind_validates_post_states():
     object.__setattr__(bad, "_amplitudes", {(0,): 0.5})  # force a broken norm
     with pytest.raises(ValueError, match="not normalized"):
         couplings.second_kind_coupling(
-            psi, basis_projectors(registry), [bad, qubit_state(1.0, 0.0)]
+            psi, basis_branches(psi), [bad, qubit_state(1.0, 0.0)]
         )
     with pytest.raises(ValueError, match="one post-measurement state"):
-        couplings.second_kind_coupling(
-            psi, basis_projectors(registry), [qubit_state(1.0, 0.0)]
-        )
+        couplings.second_kind_coupling(psi, basis_branches(psi), [qubit_state(1.0, 0.0)])
 
 
 def test_povm_set_requires_completeness():
