@@ -29,6 +29,7 @@ from .qcore import (
     SystemRegistry,
     basis_span_projector,
     born_table,
+    born_tables,
     complete_with_complement,
     inner_product,
     span_projector,
@@ -177,11 +178,8 @@ def _assert_terminal_flip(first: Observable, last: Observable) -> None:
             )
 
 
-def disagreement_probability(
-    state: SparseState, obs_a: Observable, obs_b: Observable
-) -> float:
-    """Pr(A != B): the off-diagonal cells of the joint Born table."""
-    table = born_table(state, (obs_a, obs_b))
+def _disagreement(table: Mapping[tuple[float, ...], float]) -> float:
+    """Pr(A != B): the off-diagonal cells of a joint Born table."""
     return float(math.fsum(p for (e_a, e_b), p in table.items() if e_a != e_b))
 
 
@@ -234,11 +232,11 @@ def chain_correlation(
     reference_value: float | None = None,
     deviation_bound: float | None = None,
 ) -> ChainReport:
-    """Sum adjacent-setting disagreement probabilities into a ChainReport."""
-    terms = tuple(
-        PairTerm(a, b, disagreement_probability(state, a_observables[a], b_observables[b]))
-        for a, b in adjacent_setting_pairs(N)
-    )
+    """Sum adjacent-setting disagreement probabilities into a ChainReport,
+    all 2N joint tables from one `born_tables` call."""
+    pairs = adjacent_setting_pairs(N)
+    tables = born_tables(state, [(a_observables[a], b_observables[b]) for a, b in pairs])
+    terms = tuple(PairTerm(a, b, _disagreement(table)) for (a, b), table in zip(pairs, tables))
     return ChainReport(
         N=N,
         pair_terms=terms,

@@ -74,6 +74,11 @@ def _parse_int_list(text: str | list | tuple, flag: str) -> tuple[int, ...]:
     # a size, depth or index past int64 would end in an OverflowError downstream
     if any(v >= 2**63 for v in values):
         raise ConfigError(f"{flag} values must be below 2**63, got {text!r}")
+    # a grid level or subset index listed twice would be a second level or
+    # index with the same value, which the level and subset rules cannot tell
+    if len(set(values)) < len(values):
+        repeated = next(v for v in values if values.count(v) > 1)
+        raise ConfigError(f"{flag} repeats the value {repeated}, got {text!r}")
     return values
 
 
@@ -856,6 +861,7 @@ def run_audit(cfg: dict) -> dict:
         (a_family[0], hv.identity_observable(b_family[1].registry)),
         description="remote idle",
     )
+    hv.fill_born([single, pair, idle])
     premises = hv.preaudit(model, space, [single, pair, idle], tol=tol)
 
     rows = []

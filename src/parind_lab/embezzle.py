@@ -56,10 +56,12 @@ Pair = tuple[int, int]  # (system index i, pointer index j)
 
 
 def harmonic_number(k: int) -> float:
-    """C_k = sum_{j=1}^{k} 1/j."""
+    """C_k = sum_{j=1}^{k} 1/j: the terms 1.0 / j formed in numpy (IEEE
+    division, so each has the bits of Python's 1.0 / j) and given to one
+    exactly rounded `math.fsum`."""
     if k < 0:
         raise ValueError(f"harmonic number needs k >= 0, got {k}")
-    return math.fsum(1.0 / j for j in range(1, k + 1))
+    return math.fsum((1.0 / np.arange(1, k + 1, dtype=np.float64)).tolist())
 
 
 def interpolated_harmonic(y: float | Fraction) -> float:

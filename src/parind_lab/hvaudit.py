@@ -18,11 +18,13 @@ spectator invariance on the first.  The CLI's `audit` findings and the
 variants of half-subset links 1-6 unaudited (see its docstring).
 
 Every scenario is on a `Preparation`: a state known by its registry, built
-only when read, with a Born route of its own.  `Preparation.of(state)` wraps a
-built state, its tables `qcore.born_table`'s.  The ledger's preparation reads
-its tables from the embezzled state's slot statistics
-(`embezzle.SlotStatistics.born_table`), with the same bits, so a ledger call
-builds no state unless a model reads one.
+only when read, with a Born route of its own that gives a list of tables for
+a list of observable tuples.  `Preparation.of(state)` wraps a built state,
+its tables `qcore.born_tables`', one kernel pass per family of tables, and
+`fill_born` reads the tables of many scenarios with one call per
+preparation.  The ledger's preparation reads its tables from the embezzled
+state's slot statistics (`embezzle.SlotStatistics.born_table`), with the
+same bits, so a ledger call builds no state unless a model reads one.
 
 On top of the checks sit the refutation tools.  `chained_audit` runs the
 chained-correlation argument: a parameter-independent model whose setting-0
@@ -66,7 +68,7 @@ from .qcore import (
     SystemRegistry,
     basis_span_projector,
     basis_state,
-    born_table,
+    born_tables,
     complete_with_complement,
     identity_projector,
     tensor,
@@ -132,17 +134,20 @@ class LambdaSpace:
 @dataclasses.dataclass(frozen=True, eq=False)
 class Preparation:
     """A state known by its registry, built only when `state` is first read
-    (then kept), with a Born route of its own: `born_table(observables)` must
-    equal `born_table(state, observables)` cell for cell, bits and key order
-    included, for the observables its scenarios measure.  `of` wraps a built
-    state; the ledger's preparation is the embezzled state, its tables from
-    the slot statistics (`embezzle.SlotStatistics.born_table`).  The audits
-    compare scenarios on one preparation by identity, so wrap a state once
-    and share the object."""
+    (then kept), with one Born route of its own: `born_tables(tuples)` takes
+    a list of observable tuples and must give, for each, the table
+    `qcore.born_table(state, observables)` gives, cell for cell, bits and
+    key order included, for the observables its scenarios measure.  `of`
+    wraps a built state, its tables from one `qcore.born_tables` call (one
+    kernel pass per family of tables); the ledger's preparation is the
+    embezzled state, its tables from the slot statistics, one
+    `embezzle.SlotStatistics.born_table` per tuple.  The audits compare
+    scenarios on one preparation by identity, so wrap a state once and
+    share the object."""
 
     registry: SystemRegistry
     build: Callable[[], SparseState]
-    born_table: Callable[[Sequence[Observable]], Distribution]
+    born_tables: Callable[[Sequence[Sequence[Observable]]], list[Distribution]]
 
     @functools.cached_property
     def state(self) -> SparseState:
@@ -150,8 +155,8 @@ class Preparation:
 
     @classmethod
     def of(cls, state: SparseState) -> Preparation:
-        """The preparation of a built state, its tables `born_table`'s."""
-        return cls(state.registry, lambda: state, functools.partial(born_table, state))
+        """The preparation of a built state, its tables `born_tables`'."""
+        return cls(state.registry, lambda: state, functools.partial(born_tables, state))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -186,8 +191,22 @@ class Scenario:
     @functools.cached_property
     def born(self) -> Distribution:
         """Read-only Born joint distribution of this scenario, built on first
-        read and kept for the scenario's lifetime."""
-        return types.MappingProxyType(self.preparation.born_table(self.observables))
+        read (or by `fill_born`) and kept for the scenario's lifetime."""
+        return types.MappingProxyType(self.preparation.born_tables([self.observables])[0])
+
+
+def fill_born(scenarios: Iterable[Scenario]) -> None:
+    """Read the `born` table of every scenario not read yet, with one call of
+    each preparation's Born route for all of its scenarios, so a family of
+    tables on a built state costs one kernel pass per level."""
+    pending: dict[int, list[Scenario]] = {}
+    for scenario in dict.fromkeys(scenarios):
+        if "born" not in vars(scenario):
+            pending.setdefault(id(scenario.preparation), []).append(scenario)
+    for group in pending.values():
+        tables = group[0].preparation.born_tables([s.observables for s in group])
+        for scenario, table in zip(group, tables):
+            vars(scenario)["born"] = types.MappingProxyType(table)
 
 
 def identity_observable(registry: SystemRegistry) -> Observable:
@@ -603,7 +622,7 @@ def pe_invariance_check(
     extended_preparation = Preparation(
         preparation.registry.merged_with(spectator.registry),
         lambda: tensor(preparation.state, spectator),
-        preparation.born_table,
+        preparation.born_tables,
     )
     extended = Scenario(
         extended_preparation,
@@ -695,14 +714,19 @@ def chained_audit(
     """
     a_family, b_family = cb.chain_families(cb.ChainSpec(N=N, pair=(0, 1)), state.registry)
     preparation = Preparation.of(state)
+    settings = cb.adjacent_setting_pairs(N)
+    pair_scenarios = [
+        Scenario(preparation, (a_family[a], b_family[b]), description=f"settings ({a}, {b})")
+        for a, b in settings
+    ]
+    setting0 = Scenario(preparation, (a_family[0],), description="setting 0 alone")
+    terminal = Scenario(preparation, (a_family[2 * N],), description="setting 2N alone")
+    fill_born([*pair_scenarios, setting0, terminal])
 
     pairs = []
     born_terms, model_terms = [], []
     compquant_worst: tuple[float, tuple[int, int] | None] = (0.0, None)
-    for a, b in cb.adjacent_setting_pairs(N):
-        scenario = Scenario(
-            preparation, (a_family[a], b_family[b]), description=f"settings ({a}, {b})"
-        )
+    for (a, b), scenario in zip(settings, pair_scenarios):
         born = scenario.born
         averaged = model_average(model, space, scenario)
         born_dis = math.fsum(p for (x, y), p in born.items() if x != y)
@@ -727,8 +751,6 @@ def chained_audit(
     chain_value = math.fsum(born_terms)
     model_chain_value = math.fsum(model_terms)
 
-    setting0 = Scenario(preparation, (a_family[0],), description="setting 0 alone")
-    terminal = Scenario(preparation, (a_family[2 * N],), description="setting 2N alone")
     lhs_terms, delta_terms, negation_devs = [], [], []
     for lam, weight in space.items():
         p0 = _local_marginal(_validated_distribution(model, setting0, lam))
@@ -885,14 +907,19 @@ def perfect_correlation_check(
     """Verify that matched remote events never disagree: each mismatch
     probability must vanish (within `tol`); for one-sided events only the
     stated direction is required to vanish."""
+    # Cells (1, -1) and (-1, 1) are the one-sided mismatches, each the float
+    # of the literal joint probability of one event and the other's
+    # complement (the tests pin it against the oracle in tests/oracles.py).
+    # Every event's table comes from one `born_tables` call.
+    tables = born_tables(
+        state,
+        [
+            tuple(complete_with_complement([(1.0, event)], -1.0) for event in (event_a, event_b))
+            for _, event_a, event_b, _ in events
+        ],
+    )
     quantum = []
-    for description, event_a, event_b, direction in events:
-        obs_a = complete_with_complement([(1.0, event_a)], -1.0)
-        obs_b = complete_with_complement([(1.0, event_b)], -1.0)
-        # Cells (1, -1) and (-1, 1) are the one-sided mismatches, each the float
-        # of the literal joint probability of one event and the other's
-        # complement (the tests pin it against the oracle in tests/oracles.py).
-        born = born_table(state, (obs_a, obs_b))
+    for (description, _, _, direction), born in zip(events, tables):
         p = _directed(born[(1.0, -1.0)], born[(-1.0, 1.0)], direction)
         quantum.append({"event": description, "mismatch": p, "holds": p <= tol})
     return {
@@ -1005,7 +1032,11 @@ def triviality_bound(
     if N < 1:
         raise ValueError(f"chain depth N must be >= 1, got {N}")
     stats = ez.slot_statistics_from_spec(spec)
-    preparation = Preparation(stats.registry, lambda: ez.embezzled_state(spec), stats.born_table)
+    preparation = Preparation(
+        stats.registry,
+        lambda: ez.embezzled_state(spec),
+        lambda tuples: [stats.born_table(observables) for observables in tuples],
+    )
     slot_a = ez.slot_observable(spec, preparation.registry, "A")
     slot_b = ez.slot_observable(spec, preparation.registry, "B")
     scenario_a = Scenario(preparation, (slot_a,), description="extraction-side slots")

@@ -597,50 +597,64 @@ def two_outcome_observable(kets: Sequence[SparseState]) -> Observable:
 
 
 class _BornPlan:
-    """One observable prepared for the Born sweep.
+    """One level of a Born pass: the distinct observables (by identity) that
+    the pass's tuples measure at that level, on one group of subsystems,
+    merged into one plan.
 
-    Each distinct ket (by identity, so a closing branch shares the kets of the
-    spans it closes) is stored once, aligned to the host's subsystem order.
-    `alphabet` numbers the acting keys the kets hold, in ket order, so those
-    keys are the first `width` columns of every acting alphabet this
-    observable sees.  `coefficients` fans each ket key out to the ket entries
-    holding it, as (ket, position in the ket, conjugate amplitude), and keys
-    no ket holds to nothing; `images` fans each ket out to its image entries,
-    as (branch, column, 1 + position of the ket in the branch, amplitude).
-    These positions order the oracle's running sums.
+    Each observable owns a block of the merged acting alphabet: the acting
+    keys its kets hold, in ket order, from `offsets[j]` on, `width` columns
+    in all.  Each distinct ket of an observable (by identity, so a closing
+    branch shares the kets of the spans it closes) is stored once, aligned to
+    the host's subsystem order, and numbered after the kets of the
+    observables before it.  `coefficients` fans each merged ket-key column
+    out to the ket entries holding it, as (ket, position in the ket,
+    conjugate amplitude), and column `width` (a key no ket of the row's
+    observable holds) to nothing; `images` fans each ket out to its image
+    entries, as (branch, column, 1 + position of the ket in the branch,
+    amplitude).  These positions order the oracle's running sums.
+    `residuals[j]` is observable j's complemented branch, or -1.
     """
 
-    def __init__(self, host: SystemRegistry, observable: Observable):
-        host_order = _host_order(host, observable.registry)
-        self.axes = host.axes(host_order.labels)
-        self.dims = host_order.dimensions
-        self.branch_count = len(observable.branches)
-        self.residual = next(
-            (b for b, (_, p) in enumerate(observable.branches) if p.complemented), None
-        )
-        kets: list[list[tuple[MultiIndex, complex]]] = []
-        members: list[list[tuple[int, int]]] = []  # ket -> [(branch, position)]
-        ket_ids: dict[int, int] = {}
-        for b, (_, projector) in enumerate(observable.branches):
-            for position, ket in enumerate(projector.kets):
-                k = ket_ids.get(id(ket))
-                if k is None:
-                    k = ket_ids[id(ket)] = len(kets)
-                    kets.append(list(aligned_amplitudes(ket, host_order).items()))
-                    members.append([])
-                members[k].append((b, position))
-        self.alphabet: dict[MultiIndex, int] = {}
-        by_key: dict[int, list[tuple[int, int, complex]]] = {}
+    def __init__(self, host: SystemRegistry, observables: Sequence[Observable]):
+        by_key: list[list[tuple[int, int, complex]]] = []
         by_ket: list[list[tuple[int, int, int, complex]]] = []
-        for k, (items, member) in enumerate(zip(kets, members)):
-            for j, (key, amp) in enumerate(items):
-                column = self.alphabet.setdefault(key, len(self.alphabet))
-                by_key.setdefault(column, []).append((k, j, amp.conjugate()))
-            by_ket.append(
-                [(b, self.alphabet[key], p + 1, a) for b, p in member for key, a in items]
-            )
-        self.width, self.ket_count = len(self.alphabet), len(kets)
-        self.coefficients = _Fanout([by_key.get(c, []) for c in range(self.width + 1)], 2)
+        ket_rows: list[MultiIndex] = []
+        self.offsets: list[int] = []
+        self.residuals = np.full(len(observables), -1, dtype=np.int64)
+        for j, observable in enumerate(observables):
+            host_order = _host_order(host, observable.registry)
+            self.axes, self.dims = host.axes(host_order.labels), host_order.dimensions
+            for b, (_, projector) in enumerate(observable.branches):
+                if projector.complemented:
+                    self.residuals[j] = b
+            kets: list[list[tuple[MultiIndex, complex]]] = []
+            members: list[list[tuple[int, int]]] = []  # ket -> [(branch, position)]
+            ket_ids: dict[int, int] = {}
+            for b, (_, projector) in enumerate(observable.branches):
+                for position, ket in enumerate(projector.kets):
+                    k = ket_ids.get(id(ket))
+                    if k is None:
+                        k = ket_ids[id(ket)] = len(kets)
+                        kets.append(list(aligned_amplitudes(ket, host_order).items()))
+                        members.append([])
+                    members[k].append((b, position))
+            offset, first_ket = len(ket_rows), len(by_ket)
+            alphabet: dict[MultiIndex, int] = {}
+            for k, (items, member) in enumerate(zip(kets, members)):
+                for position, (key, amp) in enumerate(items):
+                    column = alphabet.setdefault(key, offset + len(alphabet))
+                    if column == len(by_key):
+                        by_key.append([])
+                    by_key[column].append((first_ket + k, position, amp.conjugate()))
+                by_ket.append(
+                    [(b, alphabet[key], p + 1, a) for b, p in member for key, a in items]
+                )
+            self.offsets.append(offset)
+            ket_rows.extend(alphabet)
+        self.branch_span = max(len(o.branches) for o in observables)
+        self.width, self.ket_count = len(ket_rows), len(by_ket)
+        self.ket_rows = np.array(ket_rows, dtype=np.int64).reshape(self.width, len(self.axes))
+        self.coefficients = _Fanout(by_key + [[]], 2)
         self.images = _Fanout(by_ket, 3)
 
 
@@ -717,18 +731,27 @@ def _row_codes(rows: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
     return _dense(_radix(rows, dims)[0])
 
 
-def _acting_codes(plan: _BornPlan, support: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each support entry's column in the observable's acting alphabet (the
-    plan's ket keys first, then the keys found only in the state), and the
-    alphabet's size."""
-    ket_rows = np.array(list(plan.alphabet), dtype=np.int64).reshape(plan.width, len(plan.axes))
-    rows = np.concatenate([ket_rows, support[:, plan.axes]])
+def _acting_columns(
+    plan: _BornPlan, support: np.ndarray, owner: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """The level's acting column of each stacked row (support entry s of
+    tuple t at row t * len(support) + s, t measuring observable owner[t] of
+    the plan), and the number of columns.  A key a ket of the row's
+    observable holds takes its column in that observable's block; any other
+    key takes `plan.width` plus its code among the level's keys."""
+    rows = np.concatenate([plan.ket_rows, support[:, plan.axes]])
     inverse, count = _row_codes(rows, plan.dims)
-    lut = np.full(count, -1, dtype=np.int64)
-    lut[inverse[: plan.width]] = np.arange(plan.width)
-    state_only = lut < 0
-    lut[state_only] = np.arange(plan.width, count)
-    return lut[inverse[plan.width :]], count
+    width, code = plan.width, np.tile(inverse[plan.width :], len(owner))
+    blocks = np.repeat(np.arange(len(plan.offsets)), np.diff([*plan.offsets, width]))
+    # (observable, key) pairs: each ket-key column's, then each row's
+    held = blocks * count + inverse[:width]
+    pairs, distinct = _dense(np.concatenate([held, np.repeat(owner, len(support)) * count + code]))
+    lut = np.full(distinct, -1, dtype=np.int64)
+    lut[pairs[:width]] = np.arange(width)
+    columns = lut[pairs[width:]]
+    state_only = columns < 0
+    columns[state_only] = width + code[state_only]
+    return columns, width + count
 
 
 def _complex_product(ar, ai, br, bi):
@@ -776,29 +799,18 @@ def _ordered_sums(
     within a bin, below `span`), as `np.bincount` adds them in array order.
     Returns each bin's first term and, per weight array, the sums, bins
     ascending."""
-    key, _ = _pair(bins, bound, order, span)
-    perm = key.argsort(kind="stable")
+    perm = _pair(bins, bound, order, span)[0].argsort(kind="stable")
     fresh = _fresh(bins[perm])
     ids = fresh.cumsum() - 1
     return perm[fresh], [np.bincount(ids, w[perm]) for w in weights]
 
 
-def _project(
-    plan: _BornPlan, level: int, rows: np.ndarray, bounds: Sequence[int],
+def _coefficients(
+    plan: _BornPlan, group: np.ndarray, groups: int, column: np.ndarray,
     re: np.ndarray, im: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project every row through every branch of observable `level` at once.
-
-    Row i is amplitude re[i] + i im[i] with codes rows[i] below `bounds`: the
-    branches taken so far, the untouched rest, and one acting column per
-    observable.  A group is the rows that agree on every code but this
-    observable's column.  Returns the projected rows and amplitudes.
-    """
-    n, at, size = len(rows), 2 + level, bounds[2 + level]
-    others = [i for i in range(len(bounds)) if i != at]
-    group, groups = _radix(rows[:, others], [bounds[i] for i in others])
-    column = rows[:, at]
-    # each (group, ket) coefficient <ket|vec>, summed in ket-entry order
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each (group, ket) coefficient <ket|vec> above DROP_TOL, summed in
+    ket-entry order: a row of its group, its ket and its parts."""
     coefficients = plan.coefficients
     counts, entry = coefficients.expand(np.minimum(column, plan.width))
     ket, order = coefficients.fields[:, entry]
@@ -811,84 +823,165 @@ def _project(
         ),
     )
     kept = _keep(cr, ci)
-    row = np.repeat(np.arange(n), counts)[first[kept]]
-    # each (group, slot) image entry, slot = branch * size + column, summed
-    # in branch-position order
+    first = first[kept]
+    return np.repeat(np.arange(len(column)), counts)[first], ket[first], cr[kept], ci[kept]
+
+
+def _images(
+    plan: _BornPlan, size: int, group: np.ndarray, groups: int,
+    row: np.ndarray, ket: np.ndarray, cr: np.ndarray, ci: np.ndarray,
+    closing: np.ndarray, closing_slot: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each (group, slot) image entry of the coefficients, slot = branch *
+    size + column, summed in branch-position order.  Each row of `closing`
+    enters its complemented slot in `closing_slot` as the first term (order
+    0) of its bin, with weight 0.0, so the sums stay the image's.  Returns
+    per bin its first term (below len(closing) where a row entered it), a
+    row of its group, its slot and its parts."""
     images = plan.images
-    counts, entry = images.expand(ket[first[kept]])
+    counts, entry = images.expand(ket)
     branch, image_column, order = images.fields
     slot, order = (branch * size + image_column)[entry], order[entry]
     row = np.repeat(row, counts)
     wr, wi = _complex_product(
-        np.repeat(cr[kept], counts), np.repeat(ci[kept], counts),
-        images.wr[entry], images.wi[entry],
+        np.repeat(cr, counts), np.repeat(ci, counts), images.wr[entry], images.wi[entry]
     )
-    if plan.residual is not None:
-        # Each row enters its complemented cell as the first term (order 0)
-        # of its bin, with weight 0.0, so the sums stay the image's.
-        row = np.concatenate([np.arange(n), row])
-        slot = np.concatenate([plan.residual * size + column, slot])
-        order = np.concatenate([np.zeros(n, dtype=np.int64), order])
-        wr, wi = np.concatenate([np.zeros(n), wr]), np.concatenate([np.zeros(n), wi])
-    bins, bound = _pair(group[row], groups, slot, plan.branch_count * size)
+    if len(closing):
+        zeros = np.zeros(len(closing))
+        row = np.concatenate([closing, row])
+        slot = np.concatenate([closing_slot, slot])
+        order = np.concatenate([zeros.astype(np.int64), order])
+        wr, wi = np.concatenate([zeros, wr]), np.concatenate([zeros, wi])
+    bins, bound = _pair(group[row], groups, slot, plan.branch_span * size)
     first, (ir, ii) = _ordered_sums(bins, bound, order, images.span, wr, wi)
-    row, (branch, image_column) = row[first], np.divmod(slot[first], size)
-    if plan.residual is not None:
+    return first, row[first], slot[first], ir, ii
+
+
+def _project(
+    plan: _BornPlan, level: int, rows: np.ndarray, bounds: Sequence[int],
+    re: np.ndarray, im: np.ndarray, residual: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project every row through every branch of its observable at `level`
+    at once.
+
+    Row i is amplitude re[i] + i im[i] with codes rows[i] below `bounds`:
+    its tuple and the branches taken so far, the untouched rest, and one
+    acting column per level.  `residual[i]` is the complemented branch of
+    row i's observable, or -1.  A group is the rows that agree on every code
+    but this level's column, so no group mixes tuples.  Returns the
+    projected rows and amplitudes.
+    """
+    at, size = 2 + level, bounds[2 + level]
+    others = [i for i in range(len(bounds)) if i != at]
+    group, groups = _radix(rows[:, others], [bounds[i] for i in others])
+    column = rows[:, at]
+    closing = np.flatnonzero(residual >= 0)
+    first, row, slot, ir, ii = _images(
+        plan, size, group, groups, *_coefficients(plan, group, groups, column, re, im),
+        closing, residual[closing] * size + column[closing],
+    )
+    branch, image_column = np.divmod(slot, size)
+    if len(closing):
         # The literal residual vec - image, with the image DROP_TOL-filtered,
         # as -image + vec; span bins keep their image and hold no row.
-        sign = np.where(branch == plan.residual, -1.0, 1.0) * _keep(ir, ii)
-        has_row = first < n
+        sign = np.where(branch == residual[row], -1.0, 1.0) * _keep(ir, ii)
+        has_row = first < len(closing)
         ir, ii = ir * sign + re[row] * has_row, ii * sign + im[row] * has_row
     kept = _keep(ir, ii)
     projected = rows[row[kept]]
     projected[:, at] = image_column[kept]
-    projected[:, 0] = projected[:, 0] * plan.branch_count + branch[kept]
+    projected[:, 0] = projected[:, 0] * plan.branch_span + branch[kept]
     return projected, ir[kept], ii[kept]
 
 
-def born_table(
-    state: SparseState, observables: Sequence[Observable]
-) -> dict[tuple[float, ...], float]:
-    """Born probabilities of every eigenvalue tuple of observables on pairwise
-    disjoint subsystems, from one pass over the state's key and amplitude
-    arrays, read as they are.
+# A Born pass stacks whole tuples up to this many support rows; a state
+# above it runs one tuple per pass.
+_ROW_BUDGET = 1 << 11
 
-    Each support entry becomes a row of int64 codes: the branches taken so
-    far, the part no observable touches, and one acting column per
-    observable.  One flat numpy pass per observable projects every row
-    through every branch at once; only keys the state or a ket holds are
-    ever formed.  This is the program's Born route for any state; the one
-    other, `embezzle.SlotStatistics.born_table`, gives the ledger's tables
-    from the embezzled state's slot statistics with this route's bits, and
-    the tests hold it to this one.  This route's oracle lives in
-    `tests/oracles.py`: every cell equals, as a float,
-    `joint_probability(state, [projectors in that order])` (for one
-    observable, `born_probability`), the clipped squared norm of
-    `project_amplitudes` applied projector by projector, complemented
-    branches included: they are literal residuals, never one minus the
-    other cells.  The kernel does the oracle's float operations in the
-    oracle's order, with three rules where numpy and CPython round
+
+def born_tables(
+    state: SparseState, tuples: Iterable[Sequence[Observable]]
+) -> list[dict[tuple[float, ...], float]]:
+    """The Born table of each tuple of observables (each on pairwise disjoint
+    subsystems), in order: one flat pass per level over a family of tables.
+
+    Tuples of one arity whose levels act on the same subsystems share
+    passes.  A pass stacks whole tuples' copies of the state's key and
+    amplitude arrays, read as they are, up to a fixed budget of 2**11 rows,
+    so a state above it runs one tuple per pass.  Each row becomes int64
+    codes: its tuple and the branches taken so far, the part no observable
+    touches, and one acting column per level.  A level's distinct
+    observables (by identity) merge into one plan, and one flat numpy pass
+    per level projects every row through every branch of its observable;
+    only keys the state or a ket holds are ever formed.  The tuple is in
+    every group code, so no sum ever mixes tuples, and each table has the
+    bits of its own pass.
+
+    This is the program's Born kernel for any state; the one other route,
+    `embezzle.SlotStatistics.born_table`, gives the ledger's tables from the
+    embezzled state's slot statistics with this kernel's bits, and the tests
+    hold it to this one.  The kernel's oracle lives in `tests/oracles.py`:
+    every cell equals, as a float, `joint_probability(state, [projectors in
+    that order])` (for one observable, `born_probability`), the clipped
+    squared norm of `project_amplitudes` applied projector by projector,
+    complemented branches included: they are literal residuals, never one
+    minus the other cells.  The kernel does the oracle's float operations in
+    the oracle's order, with three rules where numpy and CPython round
     differently: complex products are CPython's, spelled out on float64
     components; |z| is `np.hypot`, as `abs()` computes it (not `np.abs`);
     and each final |v|^2 is `h ** 2` on a Python float (not `h * h`).
     """
-    obs = tuple(observables)
-    if not obs:
-        raise ValueError("need at least one observable")
-    _check_disjoint(observable.registry for observable in obs)
+    batch = [tuple(observables) for observables in tuples]
+    for observables in batch:
+        if not observables:
+            raise ValueError("need at least one observable")
+        _check_disjoint(observable.registry for observable in observables)
+    families: dict[tuple[frozenset[str], ...], list[int]] = {}
+    for t, observables in enumerate(batch):
+        acting = tuple(frozenset(o.acting_subsystems) for o in observables)
+        families.setdefault(acting, []).append(t)
     host = state.registry
-    plans = [_BornPlan(host, observable) for observable in obs]
     support, values = state.keys, state.values
-    n, width = support.shape
-    acting_axes = {axis for plan in plans for axis in plan.axes}
-    rest_axes = [i for i in range(width) if i not in acting_axes]
-    rest, rest_count = _row_codes(support[:, rest_axes], [host.dimensions[i] for i in rest_axes])
-    columns, sizes = zip(*(_acting_codes(plan, support) for plan in plans))
-    rows = np.stack([np.zeros(n, dtype=np.int64), rest, *columns], axis=1)
-    re, im = values.real, values.imag
-    for level, plan in enumerate(plans):
-        bounds = [math.prod(p.branch_count for p in plans[:level]), rest_count, *sizes]
-        rows, re, im = _project(plan, level, rows, bounds, re, im)
+    per_pass = max(1, _ROW_BUDGET // len(support))
+    tables: list[dict[tuple[float, ...], float]] = [{} for _ in batch]
+    for acting, members in families.items():
+        touched = frozenset().union(*acting)
+        rest_axes = [i for i, label in enumerate(host.labels) if label not in touched]
+        rest = _row_codes(support[:, rest_axes], [host.dimensions[i] for i in rest_axes])
+        for start in range(0, len(members), per_pass):
+            chunk = members[start : start + per_pass]
+            passed = _born_pass(host, support, values, rest, [batch[t] for t in chunk])
+            for t, table in zip(chunk, passed):
+                tables[t] = table
+    return tables
+
+
+def _born_pass(
+    host: SystemRegistry, support: np.ndarray, values: np.ndarray,
+    rest: tuple[np.ndarray, int], batch: Sequence[tuple[Observable, ...]],
+) -> list[dict[tuple[float, ...], float]]:
+    """The Born tables of tuples of one arity whose levels act on the same
+    subsystems, from one pass over `len(batch)` stacked copies of the
+    support, tuple by tuple; `rest` codes the subsystems no level touches."""
+    count, n = len(batch), len(support)
+    plans, owners = [], []
+    for level in zip(*batch):
+        distinct = list({id(observable): observable for observable in level}.values())
+        index = {id(observable): j for j, observable in enumerate(distinct)}
+        plans.append(_BornPlan(host, distinct))
+        owners.append(np.array([index[id(observable)] for observable in level], dtype=np.intp))
+    columns, sizes = zip(*(_acting_columns(p, support, owner) for p, owner in zip(plans, owners)))
+    rest_code, rest_count = rest
+    rows = np.stack(
+        [np.repeat(np.arange(count), n), np.tile(rest_code, count), *columns], axis=1
+    )
+    re, im = np.tile(values.real, count), np.tile(values.imag, count)
+    paths = 1  # branch paths so far, each row's code 0 is tuple * paths + path
+    for level, (plan, owner) in enumerate(zip(plans, owners)):
+        residual = plan.residuals[owner][rows[:, 0] // paths]
+        bounds = [count * paths, rest_count, *sizes]
+        rows, re, im = _project(plan, level, rows, bounds, re, im, residual)
+        paths *= plan.branch_span
     order = rows[:, 0].argsort()
     cells, re, im = rows[order, 0], re[order], im[order]
     starts = np.flatnonzero(_fresh(cells)).tolist()
@@ -896,7 +989,21 @@ def born_table(
         int(cells[a]): _cell_sum(re[a:b], im[a:b])
         for a, b in zip(starts, starts[1:] + [len(cells)])
     }
-    table: dict[tuple[float, ...], float] = {}
-    for cell, combo in enumerate(itertools.product(*(o.branches for o in obs))):
-        table[tuple(e for e, _ in combo)] = min(1.0, max(0.0, sums.get(cell, 0.0)))
-    return table
+    tables = []
+    for t, observables in enumerate(batch):
+        table: dict[tuple[float, ...], float] = {}
+        for combo in itertools.product(*(enumerate(o.branches) for o in observables)):
+            cell = t
+            for (b, _), plan in zip(combo, plans):
+                cell = cell * plan.branch_span + b
+            table[tuple(e for _, (e, _) in combo)] = min(1.0, max(0.0, sums.get(cell, 0.0)))
+        tables.append(table)
+    return tables
+
+
+def born_table(
+    state: SparseState, observables: Sequence[Observable]
+) -> dict[tuple[float, ...], float]:
+    """Born probabilities of every eigenvalue tuple of observables on pairwise
+    disjoint subsystems: the one-tuple case of `born_tables`."""
+    return born_tables(state, [observables])[0]

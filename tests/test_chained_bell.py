@@ -2,12 +2,14 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from parind_lab import chained_bell as cb
 from parind_lab import embezzle as ez
+from parind_lab import qcore
 from parind_lab.embezzle import phi_schmidt
 from parind_lab.qcore import (
     PROB_TOL,
@@ -279,15 +281,24 @@ def literal_disagreement(state, obs_a, obs_b):
     )
 
 
+def _assert_pair_terms_are_literal(state, N, a_family, b_family):
+    """Each pair term of the chain, read from one batch of Born tables, is
+    the literal disagreement of its pair alone, bit for bit."""
+    report = cb.chain_correlation(state, N, a_family, b_family)
+    assert [(t.a_setting, t.b_setting) for t in report.pair_terms] == list(
+        cb.adjacent_setting_pairs(N)
+    )
+    for term in report.pair_terms:
+        obs_a, obs_b = a_family[term.a_setting], b_family[term.b_setting]
+        assert term.probability == literal_disagreement(state, obs_a, obs_b)
+
+
 @pytest.mark.parametrize("N", range(1, 9))
 def test_disagreement_matches_literal_oracle_on_bell_chain(N):
     state = cb.bell_state()
     spec = cb.ChainSpec(N=N, pair=(0, 1))
     a_family, b_family = cb.chain_families(spec, state.registry)
-    for a, b in cb.adjacent_setting_pairs(N):
-        assert cb.disagreement_probability(
-            state, a_family[a], b_family[b]
-        ) == literal_disagreement(state, a_family[a], b_family[b])
+    _assert_pair_terms_are_literal(state, N, a_family, b_family)
 
 
 @pytest.mark.parametrize("N", [2, 4])
@@ -300,9 +311,57 @@ def test_disagreement_matches_literal_oracle_on_embezzled_pair_chain(N):
         ez.pair_chain_observables(spec, N, ordered[0], ordered[-1], state.registry, side)
         for side in "AB"
     ]
-    for a, b in cb.adjacent_setting_pairs(N):
-        obs_a, obs_b = families[0][a], families[1][b]
-        assert any(p.complemented for _, p in obs_a.branches)
-        assert cb.disagreement_probability(state, obs_a, obs_b) == literal_disagreement(
-            state, obs_a, obs_b
-        )
+    assert all(any(p.complemented for _, p in obs.branches) for obs in families[0].values())
+    _assert_pair_terms_are_literal(state, N, *families)
+
+
+# ---------------------------------------------------------------------------
+# Cost guards: one Born pass per level for a whole chain
+
+
+def test_chain_correlation_projects_once_per_level(monkeypatch):
+    """All 32 tables of the N = 16 Bell chain come from one Born pass: one
+    `_project` call per level, two in all, where one pass per table would
+    make 64."""
+    calls = []
+    original = qcore._project
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(qcore, "_project", counted)
+    state = cb.bell_state()
+    a_family, b_family = cb.chain_families(cb.ChainSpec(N=16, pair=(0, 1)), state.registry)
+    report = cb.chain_correlation(state, 16, a_family, b_family)
+    assert calls == [0, 1]
+    assert report.value == cb.correlation_measure_IN(state, cb.ChainSpec(N=16, pair=(0, 1))).value
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_tables_above_the_row_budget_peak_as_one_table():
+    """On a support above the row budget each table takes a pass of its own,
+    so the 8 tables of an N = 4 chain peak within 10 % of the largest one
+    alone."""
+    rows = qcore._ROW_BUDGET + 152
+    registry = SystemRegistry((("A", 2), ("B", 2), ("C", rows)))
+    rng = np.random.default_rng(3)
+    keys = np.array([(a, a, c) for a in (0, 1) for c in range(rows // 2)], dtype=np.int64)
+    values = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    state = SparseState.from_arrays(registry, keys, values / np.linalg.norm(values))
+    assert len(state.keys) > qcore._ROW_BUDGET
+    a_family, b_family = cb.chain_families(cb.ChainSpec(N=4, pair=(0, 1)), registry)
+    pairs = cb.adjacent_setting_pairs(4)
+    alone = max(
+        _traced_peak(lambda: born_table(state, (a_family[a], b_family[b]))) for a, b in pairs
+    )
+    chain = _traced_peak(lambda: cb.chain_correlation(state, 4, a_family, b_family))
+    assert chain <= 1.1 * alone

@@ -178,6 +178,30 @@ def test_empty_value_is_config_error_not_the_default(capsys, argv, flag):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("sqrt-rational", "--N", "2,2", "--n", "100,1000"), "--N", 2),
+        (("sqrt-rational", "--N", "2", "--n", "100,1000,100"), "--n", 100),
+        (("chain", "--N", "1,2,1"), "--N", 1),
+        (("dim", "--N", "4,4"), "--N", 4),
+        (("embezzle", "--n", "100,100"), "--n", 100),
+        (("embezzle", "--n", "100", "--l", "3,3"), "--l", 3),
+        (("arbitrary", "--l", "3,4,3"), "--l", 3),
+        (("arbitrary", "--n", "60,60"), "--n", 60),
+        (("pc", "--n", "200,200"), "--n", 200),
+        (("lemma", "--r", "10", "--J", "1,4,1"), "--J", 1),
+    ],
+)
+def test_repeated_grid_value_is_config_error(capsys, argv, flag, value):
+    """A value listed twice in an integer list is refused, with the flag and
+    the value named: a repeated `--N` would start a second level where the
+    level gaps see none."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {flag} repeats the value {value}, got ")
+
+
 def test_zero_instances_is_config_error_not_the_default(capsys):
     code, out, err = run(capsys, "couple", "--instances", "0")
     assert code == 2

@@ -82,6 +82,14 @@ def test_harmonic_number_is_the_exactly_rounded_sum_at_large_k():
     assert ez.harmonic_number(10**5) == math.fsum(1.0 / j for j in range(1, 10**5 + 1))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 10, 10**3, 10**5])
+def test_harmonic_number_has_the_bits_of_the_generator_sum(k):
+    """The numpy-formed terms 1.0 / j are Python's, and fsum is exactly
+    rounded, so the sum keeps the generator form's bits."""
+    expected = math.fsum(1.0 / j for j in range(1, k + 1))
+    assert ez.harmonic_number(k).hex() == expected.hex()
+
+
 def test_harmonic_number_rejects_negative():
     with pytest.raises(ValueError):
         ez.harmonic_number(-1)

@@ -105,6 +105,38 @@ def test_scenario_born_is_the_read_only_born_table():
         scenario.born[(1.0, 1.0)] = 0.0
 
 
+def test_fill_born_reads_each_preparations_tables_in_one_call():
+    """`fill_born` calls each preparation's Born route once, for all of its
+    scenarios not read yet, listed twice or not; each table has the bits and
+    key order of its scenario's own `born_table`, and a table already read
+    stays as it is."""
+    state, a_family, b_family = bell_families(3)
+    calls = []
+
+    def counted(tuples):
+        calls.append(len(tuples))
+        return qcore.born_tables(state, tuples)
+
+    first, second = (hv.Preparation(state.registry, lambda: state, counted) for _ in range(2))
+    read = hv.Scenario(first, (a_family[0],))
+    table = read.born
+    scenarios = [
+        *(hv.Scenario(first, (a_family[a], b_family[b])) for a, b in cb.adjacent_setting_pairs(3)),
+        read,
+        hv.Scenario(second, (a_family[0],)),
+        hv.Scenario(second, (b_family[1], a_family[2])),
+    ]
+    hv.fill_born(scenarios + scenarios[:2])
+    assert calls == [1, 6, 2]
+    assert read.born is table
+    for scenario in scenarios:
+        expected = born_table(state, scenario.observables)
+        assert [(cell, p.hex()) for cell, p in scenario.born.items()] == [
+            (cell, p.hex()) for cell, p in expected.items()
+        ]
+    assert calls == [1, 6, 2]
+
+
 def test_born_joint_three_observables():
     registry = SystemRegistry((("A", 2), ("B", 2), ("C", 2)))
     ghz = SparseState(
@@ -536,8 +568,9 @@ def test_triviality_bound_builds_one_born_table_per_scenario(monkeypatch):
     def refuse(*args):
         raise AssertionError("the ledger must not build a state or call born_table")
 
-    monkeypatch.setattr(hv, "born_table", refuse)
+    monkeypatch.setattr(hv, "born_tables", refuse)
     monkeypatch.setattr(qcore, "born_table", refuse)
+    monkeypatch.setattr(qcore, "born_tables", refuse)
     monkeypatch.setattr(ez, "embezzled_state", refuse)
     reads, tables = [], []
     original_born = hv.Scenario.born.func
@@ -697,7 +730,7 @@ def test_ledger_arithmetic_on_spec_weights_matches_the_born_table_route(monkeypa
     def refuse(*args):
         raise AssertionError("the ledger arithmetic must not build a state or a Born table")
 
-    monkeypatch.setattr(hv, "born_table", refuse)
+    monkeypatch.setattr(hv, "born_tables", refuse)
     monkeypatch.setattr(ez, "embezzled_state", refuse)
     stats = ez.slot_statistics_from_spec(spec)
     weights = [stats.weights[p] for p in spec.pairs]

@@ -3,6 +3,7 @@ observables and Born tables, and the structured basis map oracle."""
 
 import cmath
 import dataclasses
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -24,6 +25,7 @@ from parind_lab.qcore import (
     basis_span_projector,
     basis_state,
     born_table,
+    born_tables,
     complete_with_complement,
     identity_projector,
     inner_product,
@@ -844,6 +846,103 @@ def test_born_table_rejects_overlapping_observables():
         born_table(state, (obs, obs))
     with pytest.raises(ValueError):
         born_table(state, ())
+
+
+# ---------------------------------------------------------------------------
+# Property tests: a family of tables in one pass
+
+
+@st.composite
+def born_batches(draw):
+    """A `born_cases` state and a batch of two to six tuples over a pool of
+    one to three observables per group of registers, the negation of a
+    drawn one (the same projector objects) among them: tuples of mixed
+    arity, levels whose observables do and do not close with a complemented
+    branch, and a row budget from one tuple per pass up to the whole batch."""
+    state, observables = draw(born_cases())
+    pools = []
+    for observable in observables:
+        pool = [observable]
+        for _ in range(draw(st.integers(0, 2))):
+            pool.append(draw(_observable(observable.registry)))
+        if draw(st.booleans()):
+            pool.append(draw(st.sampled_from(pool)).negated())
+        pools.append(pool)
+    batch = []
+    for _ in range(draw(st.integers(2, 6))):
+        groups = draw(st.permutations(range(len(pools))))
+        arity = draw(st.integers(1, len(pools)))
+        batch.append(tuple(draw(st.sampled_from(pools[g])) for g in groups[:arity]))
+    rows = len(state.amplitudes)
+    budget = draw(st.integers(rows, rows * len(batch)))
+    return state, batch, budget
+
+
+def _oracle_table(state, observables):
+    """Each cell of the tuple's table from the literal oracle."""
+    table = {}
+    for combo in itertools.product(*(o.branches for o in observables)):
+        projectors = [p for _, p in combo]
+        if len(projectors) == 1:
+            oracle = born_probability(state, projectors[0])
+        else:
+            oracle = joint_probability(state, projectors)
+        table[tuple(e for e, _ in combo)] = oracle
+    return table
+
+
+@settings(deadline=None, max_examples=100)
+@given(born_batches())
+def test_born_tables_are_the_tables_of_each_tuple_alone(case):
+    """A batch's tables have the bits and key order of each tuple's own
+    `born_table` and every cell is the oracle's float, whatever the tuples
+    share and however many of them one pass takes."""
+    state, batch, budget = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qcore, "_ROW_BUDGET", budget)
+        tables = born_tables(state, batch)
+    assert len(tables) == len(batch)
+    for observables, table in zip(batch, tables):
+        assert _table_bits(table) == _table_bits(born_table(state, observables))
+        assert _table_bits(table) == _table_bits(_oracle_table(state, observables))
+
+
+def test_born_tables_mix_closed_and_unclosed_levels_across_the_row_budget(monkeypatch):
+    """One level holds a two-outcome observable (a complemented branch), its
+    negation (the same projectors) and a basis observable (none), under
+    remote observables of either kind, in tuples of arity one and two; the
+    batch runs in one pass, two tuples a pass and one tuple a pass, every
+    table with the bits of its tuple alone and of the oracle."""
+    rng = np.random.default_rng(11)
+    registry = SystemRegistry((("A", 3), ("B", 3), ("C", 2)))
+    state = random_state(rng, registry)
+    a, b = (registry.restrict((label,)) for label in "AB")
+    closed = _two_ket_observable(a, rng)
+    unclosed = Observable(
+        tuple((float(k), basis_span_projector(a, [(k,)])) for k in range(3))
+    )
+    remote = [_two_ket_observable(b, rng), Observable(((1.0, identity_projector(b)),))]
+    batch = [(closed,), (unclosed, remote[0]), (closed.negated(), remote[1])]
+    batch += [(first, second) for first in (closed, unclosed) for second in remote]
+    alone = [_table_bits(born_table(state, observables)) for observables in batch]
+    rows = len(state.amplitudes)
+    for budget in (rows * len(batch), 2 * rows, 1):
+        monkeypatch.setattr(qcore, "_ROW_BUDGET", budget)
+        tables = born_tables(state, batch)
+        assert [_table_bits(table) for table in tables] == alone
+    for observables, bits in zip(batch, alone):
+        assert bits == _table_bits(_oracle_table(state, observables))
+
+
+def test_born_tables_refuse_as_born_table_does():
+    registry = SystemRegistry((("A", 2), ("B", 2)))
+    state = basis_state(registry, (0, 0))
+    obs = two_outcome_observable([basis_state(registry.restrict(("A",)), (0,))])
+    with pytest.raises(ValueError, match="overlap"):
+        born_tables(state, [(obs,), (obs, obs)])
+    with pytest.raises(ValueError, match="at least one observable"):
+        born_tables(state, [(obs,), ()])
+    assert born_tables(state, []) == []
 
 
 # ---------------------------------------------------------------------------
