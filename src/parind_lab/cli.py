@@ -25,11 +25,9 @@ import functools
 import io
 import json
 import math
-import os
 import random
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,22 +182,12 @@ def _read_text(path: Path, what: str) -> str:
         raise ConfigError(f"{what} {str(path)!r} cannot be read: {exc.strerror}") from exc
 
 
-def _resolve_workers(cfg: dict) -> int:
-    """`--workers` (checked by `_merge_config`), else the CPU count."""
-    if cfg.get("workers") is not None:
-        return int(cfg["workers"])
-    return os.cpu_count() or 1
-
-
-def _map_grid(fn, points: list, workers: int) -> list:
-    """Evaluate grid points, preserving order; one writer aggregates results."""
-    if workers <= 1 or len(points) <= 1:
-        return [fn(p) for p in points]
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            return list(pool.map(fn, points))
-    except OSError:
-        return [fn(p) for p in points]
+def _map_grid(fn, points: list) -> list:
+    """Evaluate grid points in this process, preserving order.  A worker pool
+    costs a fresh process 20-45 ms to start and stop on a 2-core box, more
+    than all the points of any pinned benchmark grid, so there is none.  It
+    stays a function of its own because `bench/tracer.py` times it by name."""
+    return [fn(p) for p in points]
 
 
 def _monotone_decreasing(values: list[float], strict: bool = True) -> bool:
@@ -295,7 +283,8 @@ _FLAGS = {
                               "help": "tolerate added columns"}),
     "format": ("--format", {"choices": ("csv", "json"), "help": "report format"}),
     "out": ("--out", {"type": str, "help": "output path (default: stdout)"}),
-    "workers": ("--workers", {"type": int, "help": "worker pool size"}),
+    "workers": ("--workers", {"type": int, "help": "checked (>= 1) and otherwise "
+                                            "unread: every grid runs in-process"}),
     "config": ("--config", {"help": "JSON config file mirroring the flags"}),
 }
 _REPORT_FLAGS = ("format", "out", "workers", "config")
@@ -475,7 +464,7 @@ def _chain_point(N: int) -> dict:
 def run_chain(cfg: dict) -> dict:
     Ns = _parse_depths(_option(cfg, "N", "1,2,4,8,16"))
     tol = float(_option(cfg, "tol", 1e-12))
-    rows = _derive("chain", _map_grid(_chain_point, list(Ns), _resolve_workers(cfg)))
+    rows = _derive("chain", _map_grid(_chain_point, list(Ns)))
     return _report("chain", {"state": "bell", "N": list(Ns), "tol": tol},
                    _closed_form_verdicts(rows, tol))
 
@@ -509,7 +498,7 @@ def run_dim(cfg: dict) -> dict:
     if pair is None:
         raise ConfigError("dim needs at least one equal pair of squared coefficients")
     points = [(squares, pair[0], pair[1], N) for N in Ns]
-    rows = _derive("dim", _map_grid(_dim_point, points, _resolve_workers(cfg)))
+    rows = _derive("dim", _map_grid(_dim_point, points))
     parameters = {"coeffs": [str(q) for q in squares], "pair": list(pair), "N": list(Ns), "tol": tol}
     return _report("dim", parameters, _closed_form_verdicts(rows, tol))
 
@@ -543,7 +532,7 @@ def run_sqrt_rational(cfg: dict) -> dict:
     ns = _parse_int_list(_option(cfg, "n", "100"), "--n")
     tol = float(_option(cfg, "tol", 1e-12))
     points = [(squares, N, n) for N in Ns for n in ns]
-    rows = _derive("sqrt-rational", _map_grid(_sqrt_rational_point, points, _resolve_workers(cfg)))
+    rows = _derive("sqrt-rational", _map_grid(_sqrt_rational_point, points))
     for row in rows:
         row["verdict"] = _verdict(row["gap"] <= row["gap_bound"] + tol)
     _set_level_gaps(rows, "gap", ("N",))
@@ -634,7 +623,7 @@ def run_embezzle(cfg: dict) -> dict:
     ls = _parse_int_list(cfg["l"], "--l") if cfg.get("l") is not None else (None,)
     tol = float(_option(cfg, "tol", 1e-12))
     points = [(squares, l, n) for l in ls for n in ns]
-    rows = _derive("embezzle", _map_grid(_embezzle_point, points, _resolve_workers(cfg)))
+    rows = _derive("embezzle", _map_grid(_embezzle_point, points))
     convergence = _levels(rows, len(ns), ("l",), "n", "one_minus_fidelity", strict=True)
     all_decreasing = all(level["decreasing"] for level in convergence)
     _set_level_gaps(rows, "one_minus_fidelity", ("l",))
@@ -945,7 +934,7 @@ def run_arbitrary(cfg: dict) -> dict:
             f"arbitrary sweeps run built-in fixtures only, got {model_name!r}"
         )
     points = [(squares, model_name, N, l, n, tol) for N in Ns for l in ls for n in ns]
-    rows = _map_grid(_arbitrary_point, points, _resolve_workers(cfg))
+    rows = _map_grid(_arbitrary_point, points)
     # the rows at the largest n, then those at the largest l as well
     n_ends = rows[len(ns) - 1::len(ns)]
     l_ends = n_ends[len(ls) - 1::len(ls)]
@@ -1120,7 +1109,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             cfg[key] = value
-    # Every subcommand takes --workers, also those that run serially.
+    # Every subcommand takes --workers, which no grid reads; it is still checked.
     if cfg.get("workers") is not None and int(cfg["workers"]) < 1:
         raise ConfigError(f"--workers must be >= 1, got {int(cfg['workers'])}")
     # A negative or nan tolerance fails every verdict, an infinite one passes it.

@@ -26,14 +26,15 @@ preparation.  The ledger's preparation reads its tables from the embezzled
 state's slot statistics (`embezzle.SlotStatistics.born_table`), with the
 same bits, so a ledger call builds no state unless a model reads one.
 
-On top of the checks sit the refutation tools.  `chained_audit` runs the
-chained-correlation argument: a parameter-independent model whose setting-0
-marginals are near-deterministic must violate the chain's measured correlation
-budget once the chain is deep enough.  `perfect_correlation_check` verifies
-that index events on the two wings of a Schmidt-correlated state never
-disagree at the Born level; for a model, quantum completeness on the same
-event scenarios (`check_compquant`) already bounds each lambda's mismatch, by
-nonnegativity, by the check's tolerance over that lambda's weight.
+On top of the checks sit the refutation tools.  `refutation_scan` runs the
+chained-correlation argument at increasing depths: a parameter-independent
+model whose setting-0 marginals are near-deterministic must violate the
+chain's measured correlation budget once the chain is deep enough.
+`perfect_correlation_check` verifies that index events on the two wings of a
+Schmidt-correlated state never disagree at the Born level; for a model,
+quantum completeness on the same event scenarios (`check_compquant`) already
+bounds each lambda's mismatch, by nonnegativity, by the check's tolerance over
+that lambda's weight.
 `triviality_bound` assembles the full finite-resource ledger on an
 embezzlement-extracted state: measured chain budgets bound how far per-lambda
 slot probabilities can spread, the half-subset deviation lemma converts the
@@ -691,38 +692,28 @@ def preaudit(
 # Chained-correlation audit
 
 
-def chained_audit(
-    model: HVModel,
-    space: LambdaSpace,
-    state: SparseState,
-    N: int,
-    *,
-    tol: float = 1e-9,
-) -> dict:
-    """Run the chained-correlation argument against a model.
-
-    The chain rotates basis states 0 and 1 of wing "A" against those of wing
-    "B" of `state`, as on the Bell state.
-
-    The certified inequality for a quantum-complete, parameter-independent
-    model reads: the lambda-average of |Pr(A_0=+1) - Pr(A_0=-1)| is at most the
-    Born value of the chain I_N.  The audit measures the left side from the
-    model's setting-0 marginals, the right side from the state, and reports the
-    model's own disagreement sum plus its quantum-completeness gap per pair.
-    The terminal setting 2N is the negation of setting 0; models that assign it
-    independent outcomes are flagged by the negation-consistency entry.
-    """
-    a_family, b_family = cb.chain_families(cb.ChainSpec(N=N, pair=(0, 1)), state.registry)
-    preparation = Preparation.of(state)
-    settings = cb.adjacent_setting_pairs(N)
-    pair_scenarios = [
-        Scenario(preparation, (a_family[a], b_family[b]), description=f"settings ({a}, {b})")
-        for a, b in settings
+def _chain_scenarios(preparation: Preparation, N: int) -> list[Scenario]:
+    """The scenarios the scan reads at depth N: each adjacent setting
+    pair in `cb.adjacent_setting_pairs(N)` order, then setting 0 alone, then
+    setting 2N alone."""
+    a_family, b_family = cb.chain_families(cb.ChainSpec(N=N, pair=(0, 1)), preparation.registry)
+    return [
+        *(
+            Scenario(preparation, (a_family[a], b_family[b]), description=f"settings ({a}, {b})")
+            for a, b in cb.adjacent_setting_pairs(N)
+        ),
+        Scenario(preparation, (a_family[0],), description="setting 0 alone"),
+        Scenario(preparation, (a_family[2 * N],), description="setting 2N alone"),
     ]
-    setting0 = Scenario(preparation, (a_family[0],), description="setting 0 alone")
-    terminal = Scenario(preparation, (a_family[2 * N],), description="setting 2N alone")
-    fill_born([*pair_scenarios, setting0, terminal])
 
+
+def _chain_report(
+    model: HVModel, space: LambdaSpace, N: int, scenarios: list[Scenario], tol: float
+) -> dict:
+    """The scan's report at depth N on its `_chain_scenarios`; the model is
+    read only here."""
+    *pair_scenarios, setting0, terminal = scenarios
+    settings = cb.adjacent_setting_pairs(N)
     pairs = []
     born_terms, model_terms = [], []
     compquant_worst: tuple[float, tuple[int, int] | None] = (0.0, None)
@@ -798,13 +789,29 @@ def refutation_scan(
 ) -> dict:
     """Audit a model at increasing chain depths; report the first refuting N.
 
-    A model that declines some depth (`ModelUndefinedError`) gets a stub report
-    for that N and the scan continues; undefined depths never count as refuted.
+    Each depth runs the chained-correlation argument.  The chain rotates basis
+    states 0 and 1 of wing "A" against those of wing "B" of `state`, as on the
+    Bell state.  The certified inequality for a quantum-complete,
+    parameter-independent model reads: the lambda-average of
+    |Pr(A_0=+1) - Pr(A_0=-1)| is at most the Born value of the chain I_N.
+    Each depth's report measures the left side from the model's setting-0
+    marginals, the right side from the state, and gives the model's own
+    disagreement sum plus its quantum-completeness gap per pair.  The
+    terminal setting 2N is the negation of setting 0; models that assign it
+    independent outcomes are flagged by the negation-consistency entry.
+
+    Every depth's scenarios are on one preparation of `state`, their Born
+    tables read in one `fill_born` call.  A model that declines some depth
+    (`ModelUndefinedError`) gets a stub report for that N and the scan
+    continues; undefined depths never count as refuted.
     """
+    preparation = Preparation.of(state)
+    depths = [(N, _chain_scenarios(preparation, N)) for N in N_values]
+    fill_born(scenario for _, scenarios in depths for scenario in scenarios)
     reports = []
-    for N in N_values:
+    for N, scenarios in depths:
         try:
-            reports.append(chained_audit(model, space, state, N, tol=tol))
+            reports.append(_chain_report(model, space, N, scenarios, tol))
         except ModelUndefinedError as err:
             reports.append(
                 {"model": model.name, "N": N, "undefined": str(err), "refuted": False}

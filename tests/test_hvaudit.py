@@ -199,6 +199,28 @@ def test_deterministic_chain_is_refuted_at_depth_two():
     assert not report["negation_consistency"]["holds"]
 
 
+def test_refutation_scan_reads_every_depth_in_one_born_family(monkeypatch):
+    """The scan's tables at all four depths come from one `fill_born` call on
+    one preparation: two Born passes, one for the 20 setting pairs and one
+    for the 8 single settings, where one audit per depth made 8.  Each
+    depth's report is, float for float, the one a scan of that depth alone
+    gives."""
+    passes = []
+    original = qcore._born_pass
+
+    def counted(*args):
+        passes.append(len(args[-1]))  # the pass's batch of observable tuples
+        return original(*args)
+
+    monkeypatch.setattr(qcore, "_born_pass", counted)
+    model, space = hv.fixture_model("trivial")
+    state = cb.bell_state()
+    scan = hv.refutation_scan(model, space, state, (1, 2, 3, 4))
+    assert sorted(passes) == [8, 20]
+    alone = [hv.refutation_scan(model, space, state, (N,))["reports"][0] for N in (1, 2, 3, 4)]
+    assert scan["reports"] == alone
+
+
 def test_deterministic_chain_compquant_failure_is_localized():
     model, space = hv.fixture_model("deterministic-chain")
     state, a_family, b_family = bell_families(2)
@@ -220,7 +242,7 @@ def test_deterministic_chain_compquant_failure_is_localized():
 def test_local_cosine_disagreement_is_linear_in_angle_gap():
     model, space = hv.fixture_model("local-cosine")  # 32 grid points
     state = cb.bell_state()
-    report = hv.chained_audit(model, space, state, 2)
+    [report] = hv.refutation_scan(model, space, state, (2,))["reports"]
     for pair in report["pairs"]:
         # angle gap pi/4 -> two arcs of 4 grid points each: exactly 1/4
         assert pair["model_disagreement"] == pytest.approx(0.25, abs=1e-12)
